@@ -11,7 +11,7 @@ algebra they need.
 from .chain import (CutsetChain, LimStatus, NotACutsetError, cutset_mc,
                     dissect, extend, is_smooth, lim, lim_avg,
                     long_run_frequency, mcs, next_dist, reach_probs,
-                    semantics_cardinality, stationary_set)
+                    stationary_set)
 from .constraints import (build_cpt_system, build_wcpt_system,
                           check_consistency, check_cpt_i_member,
                           closed_cut_triples, cpt_i_via_cutsets,
@@ -28,7 +28,8 @@ from .inference import (CyclicGraphError, IndependenceTriple,
 from .linalg import (AffineSpace, LinearSystem, PolytopeClass,
                      classify_polytope, null_space_left, rref,
                      simplex_maximize, solve_affine)
-from .model import (CapacityError, Cpt, Gbn, JointDistribution, Violation,
+from .model import (CapacityError, Cpt, Gbn, InternalError, JointDistribution,
+                    Violation,
                     all_assignments, assignment_from_index,
                     canonical_index, dirac, format_rational, make_gbn,
                     parse_rational, validate_gbn)

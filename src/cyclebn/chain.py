@@ -12,8 +12,8 @@ from . import graph as graphmod
 from .families import INFINITE, UNIQUE, SemanticsFamily
 from .inference import chain_rule_dist, to_digraph
 from .linalg import null_space_left
-from .model import (CapacityError, Cpt, Gbn, JointDistribution,
-                    assignment_from_index, dirac)
+from .model import (CapacityError, Cpt, Gbn, InternalError,
+                    JointDistribution, assignment_from_index, sums_to_one)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -72,7 +72,8 @@ def dissect(g: Gbn, cut, gamma: JointDistribution) -> Gbn:
             cpts[x] = cpt
     iota = g.iota.product(gamma)
     out = Gbn(nodes, edges, cpts, iota)
-    assert graphmod.is_acyclic(to_digraph(out))
+    if not graphmod.is_acyclic(to_digraph(out)):
+        raise InternalError(f"dissecting at cutset {list(cut)} left a cycle")
     return out
 
 
@@ -87,10 +88,126 @@ def next_dist(g: Gbn, cut, gamma: JointDistribution) -> JointDistribution:
     return full.restrict(kept).rename({_primed(c): c for c in cut})
 
 
+def _validate(g: Gbn) -> None:
+    violations = g.validate()
+    if violations:
+        raise ValueError(f"invalid network: {violations}")
+
+
+def _spread(index: int, bits) -> int:
+    """Key of the assignment with canonical ``index`` over variables
+    whose key bits are ``bits``, first-sorted variable first."""
+    return sum(b for j, b in enumerate(reversed(bits)) if index >> j & 1)
+
+
+def _forward_eliminate(g: Gbn, cut: tuple[str, ...], rows: bool,
+                       gammas) -> list[dict[int, Fraction]]:
+    """Chain-rule product over the dissected DAG of ``g`` for each sparse
+    cutset distribution ``{index: prob}`` in ``gammas``, without building
+    the dissected network.  ``g`` must be valid and ``cut`` a cutset.
+
+    Keys are ints: bit n-1-i is the i-th sorted node and bit n+k-1-j the
+    primed copy of cut node j, so a key over the original nodes is its
+    canonical index.  Each table starts as iota x gamma.  The non-initial
+    nodes are placed in topological order, each entry splitting into
+    ``p*r`` and ``p - p*r``, and every other node is summed out once its
+    last child is placed.  What stays are the targets: the primed cut
+    nodes when ``rows`` is set, the original nodes otherwise.  Nodes that
+    are not ancestors of a target cannot change the result and are never
+    placed.
+    """
+    n, k = len(g.nodes), len(cut)
+    bit = {v: 1 << (n - 1 - i) for i, v in enumerate(g.nodes)}
+    primed = {c: 1 << (n + k - 1 - j) for j, c in enumerate(cut)}
+    cpt_of = {primed.get(x, bit[x]): cpt for x, cpt in g.cpts.items()}
+    parents = {b: [bit[u] for u in cpt.parents] for b, cpt in cpt_of.items()}
+    targets = set(primed.values()) if rows else set(bit.values())
+    relevant, stack = set(), list(targets)
+    while stack:
+        b = stack.pop()
+        if b not in relevant:
+            relevant.add(b)
+            stack.extend(parents.get(b, ()))
+    pending = dict.fromkeys(relevant, 0)      # children not yet placed
+    unplaced = {}                             # parents not yet placed
+    children: dict[int, list[int]] = {}
+    for b in relevant & cpt_of.keys():
+        unplaced[b] = 0
+        for u in parents[b]:
+            pending[u] += 1
+            if u in cpt_of:
+                unplaced[b] += 1
+                children.setdefault(u, []).append(b)
+    start_keep = ~sum(b for b in bit.values()
+                      if b not in targets and not pending.get(b))
+    # Kahn's topological order, lowest bit first: the primed targets,
+    # whose bits are highest, come last.
+    steps = []
+    ready = {b for b, m in unplaced.items() if not m}
+    while ready:
+        b = min(ready)
+        ready.remove(b)
+        drop = 0
+        for u in parents[b]:
+            pending[u] -= 1
+            if not pending[u] and u not in targets:
+                drop |= u
+        steps.append((b, parents[b], cpt_of[b].rows, ~drop))
+        for c in children.get(b, ()):
+            unplaced[c] -= 1
+            if not unplaced[c]:
+                ready.add(c)
+    if len(steps) != len(unplaced):
+        raise InternalError(
+            f"dissected graph at cutset {list(cut)} has no topological order")
+
+    iota_bits = [bit[v] for v in g.iota.variables]
+    cut_bits = [bit[c] for c in cut]
+    iota = [(_spread(a, iota_bits), p) for a, p in enumerate(g.iota.probs) if p]
+    out = []
+    for gamma in gammas:
+        table: dict[int, Fraction] = {}
+        for c, w in gamma.items():
+            ckey = _spread(c, cut_bits)
+            for ikey, p in iota:
+                key = (ikey | ckey) & start_keep
+                table[key] = table[key] + p * w if key in table else p * w
+        for b, pbits, cpt_rows, keep in steps:
+            placed: dict[int, Fraction] = {}
+            for key, p in table.items():
+                idx = 0
+                for u in pbits:
+                    idx = idx << 1 | (key & u != 0)
+                pr = p * cpt_rows[idx]
+                q = p - pr
+                if pr:
+                    hi = (key | b) & keep
+                    placed[hi] = placed[hi] + pr if hi in placed else pr
+                if q:
+                    lo = key & keep
+                    placed[lo] = placed[lo] + q if lo in placed else q
+            table = placed
+        if not sums_to_one(table.values()):
+            raise InternalError(
+                f"forward elimination mass is {sum(table.values())}, not 1")
+        out.append(table)
+    return out
+
+
 def extend(g: Gbn, cut, gamma: JointDistribution) -> JointDistribution:
     """Full joint distribution over the original variables recovered from
     a cutset distribution."""
-    return chain_rule_dist(dissect(g, tuple(sorted(cut)), gamma)).restrict(g.nodes)
+    cut = _check_cutset(g, cut)
+    if tuple(gamma.variables) != cut:
+        raise ValueError(
+            f"gamma covers {gamma.variables}, cutset is {cut}")
+    _validate(g)
+    [table] = _forward_eliminate(
+        g, cut, False, [{i: p for i, p in enumerate(gamma.probs) if p}])
+    probs = [ZERO] * (1 << len(g.nodes))
+    for key, p in table.items():
+        probs[key] = p
+    return JointDistribution(g.nodes, tuple(probs))
 
 
 @dataclass(frozen=True)
@@ -161,8 +278,9 @@ class CutsetChain:
             nodes = sorted(comp)
             sub = [[self.matrix[u][v] for v in nodes] for u in nodes]
             space = null_space_left(sub)
-            assert not space.is_empty and not space.basis, \
-                "irreducible chain must have a unique stationary vector"
+            if space.is_empty or space.basis:
+                raise InternalError(
+                    "irreducible chain must have a unique stationary vector")
             vec = [ZERO] * self.num_states
             for pos, u in enumerate(nodes):
                 vec[u] = space.particular[pos]
@@ -181,10 +299,15 @@ def cutset_mc(g: Gbn, cut) -> CutsetChain:
         raise CapacityError(f"cutset size capped at {MAX_CUTSET_SIZE}")
     if not cut:
         return CutsetChain(cut, ((ONE,),))
+    _validate(g)
+    n, size = len(g.nodes), 1 << len(cut)
     rows = []
-    for i in range(1 << len(cut)):
-        gamma = dirac(assignment_from_index(i, cut))
-        rows.append(next_dist(g, cut, gamma).restrict(cut).probs)
+    for table in _forward_eliminate(g, cut, True,
+                                    ({i: ONE} for i in range(size))):
+        row = [ZERO] * size
+        for key, p in table.items():
+            row[key >> n] = p
+        rows.append(tuple(row))
     return CutsetChain(cut, tuple(rows))
 
 
@@ -209,11 +332,13 @@ def reach_probs(chain: CutsetChain,
             rhs = [sum(chain.matrix[s][t] for t in comp) for s in transient]
             from .linalg import LinearSystem, solve_affine
             space = solve_affine(LinearSystem(tuple(rows), tuple(rhs)))
-            assert not space.is_empty and not space.basis
+            if space.is_empty or space.basis:
+                raise InternalError("absorption system must have a unique solution")
             for pos, s in enumerate(transient):
                 hit[s] = space.particular[pos]
         out.append(sum(gamma0[s] * hit[s] for s in range(n)))
-    assert sum(out) == 1
+    if sum(out) != 1:
+        raise InternalError(f"absorption probabilities sum to {sum(out)}, not 1")
     return tuple(out)
 
 
@@ -234,12 +359,6 @@ def stationary_set(chain: CutsetChain) -> SemanticsFamily:
                      for lrf in chain.bscc_lrfs)
     status = UNIQUE if len(extremes) == 1 else INFINITE
     return SemanticsFamily("mc", status, extremes)
-
-
-def semantics_cardinality(g: Gbn, cut):
-    """1 when the chain has a single BSCC, otherwise infinity."""
-    chain = cutset_mc(g, cut)
-    return 1 if len(chain.bsccs) == 1 else math.inf
 
 
 def mcs(g: Gbn, cut, gamma0: JointDistribution) -> JointDistribution:

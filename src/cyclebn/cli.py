@@ -317,10 +317,9 @@ def _cmd_classify(args) -> tuple[dict, int]:
     g = _load(args.file)
     cut = _parse_names(args.cutset) if args.cutset else _default_cutset(g)
     mc = chainmod.cutset_mc(g, cut)
-    card = chainmod.semantics_cardinality(g, cut)
     aperiodic = all(p == 1 for p in mc.periods)
     return {"command": "classify", "cutset": list(cut),
-            "cardinality": "1" if card == 1 else "infinite",
+            "cardinality": "1" if len(mc.bsccs) == 1 else "infinite",
             "smooth": chainmod.is_smooth(g),
             "num_bsccs": len(mc.bsccs),
             "periods": list(mc.periods),

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 
 from . import graph as graphmod
-from .model import CapacityError, Gbn, JointDistribution, all_assignments
+from .model import (CapacityError, Gbn, InternalError, JointDistribution,
+                    all_assignments, sums_to_one)
 
 #: Exhaustive triple enumeration is capped at this many variables.
 MAX_ENUM_VARS = 8
@@ -54,7 +55,8 @@ def chain_rule_dist(g: Gbn) -> JointDistribution:
                 break
             p *= g.cpts[x].prob(b[x], b)
         probs.append(p)
-    assert sum(probs) == 1
+    if not sums_to_one(probs):
+        raise InternalError(f"chain rule mass is {sum(probs)}, not 1")
     return JointDistribution(g.nodes, tuple(probs))
 
 

@@ -9,6 +9,7 @@ most significant bit (F=0, T=1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -24,6 +25,10 @@ class CapacityError(Exception):
     """Raised when a dense representation would exceed the size cap."""
 
 
+class InternalError(Exception):
+    """A mathematical invariant of a computation failed: a bug, not bad input."""
+
+
 def _check_capacity(variables: Iterable[str]) -> tuple[str, ...]:
     vs = tuple(sorted(variables))
     if len(set(vs)) != len(vs):
@@ -36,7 +41,20 @@ def _check_capacity(variables: Iterable[str]) -> tuple[str, ...]:
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or a decimal literal into an exact fraction."""
-    return Fraction(text.strip())
+    if not isinstance(text, str):
+        raise ValueError(f"rational must be a string, got {text!r}")
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def sums_to_one(values) -> bool:
+    """Exact test that rationals sum to 1, done in integers over their
+    least common denominator instead of by pairwise Fraction addition."""
+    values = tuple(values)
+    d = math.lcm(*(q.denominator for q in values))
+    return sum(q.numerator * (d // q.denominator) for q in values) == d
 
 
 def format_rational(q: Fraction) -> str:
@@ -85,13 +103,14 @@ class JointDistribution:
     def __post_init__(self):
         vs = _check_capacity(self.variables)
         object.__setattr__(self, "variables", vs)
-        probs = tuple(Fraction(p) for p in self.probs)
+        probs = tuple(p if type(p) is Fraction else Fraction(p)
+                      for p in self.probs)
         object.__setattr__(self, "probs", probs)
         if len(probs) != 1 << len(vs):
             raise ValueError("probability vector length must be 2**n")
-        if any(p < 0 or p > 1 for p in probs):
+        if any(not 0 <= p.numerator <= p.denominator for p in probs):
             raise ValueError("probabilities must lie in [0, 1]")
-        if sum(probs) != 1:
+        if not sums_to_one(probs):
             raise ValueError(f"probabilities sum to {sum(probs)}, not 1")
 
     @staticmethod

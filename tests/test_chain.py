@@ -1,20 +1,21 @@
 """Dissection, unfolding, cutset Markov chains, and the limit semantics."""
 
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_cyclic_gbn, random_cutset, two_cycle
-from cyclebn.chain import (CutsetChain, NotACutsetError, cutset_mc, dissect,
-                           extend, is_smooth, lim, lim_avg,
-                           long_run_frequency, mcs, next_dist, reach_probs,
-                           semantics_cardinality, stationary_set)
+from conftest import (rand_entry, rand_joint, random_cyclic_gbn,
+                      random_cutset, two_cycle)
+from cyclebn.chain import (CutsetChain, NotACutsetError, _forward_eliminate,
+                           cutset_mc, dissect, extend, is_smooth, lim,
+                           lim_avg, long_run_frequency, mcs, next_dist,
+                           reach_probs, stationary_set)
 from cyclebn.families import INFINITE, UNIQUE
 from cyclebn.graph import DiGraph, is_acyclic
 from cyclebn.inference import chain_rule_dist
-from cyclebn.model import (Cpt, JointDistribution, dirac, make_gbn)
+from cyclebn.model import (Cpt, InternalError, JointDistribution,
+                           assignment_from_index, dirac, make_gbn)
 
 F = Fraction
 
@@ -156,8 +157,8 @@ def test_stationary_set_unique_vs_infinite():
 
 
 def test_semantics_cardinality():
-    assert semantics_cardinality(two_cycle(*EX52), ("X", "Y")) == 1
-    assert semantics_cardinality(two_cycle(1, 0, 1, 0), ("X", "Y")) == math.inf
+    assert len(cutset_mc(two_cycle(*EX52), ("X", "Y")).bsccs) == 1
+    assert len(cutset_mc(two_cycle(1, 0, 1, 0), ("X", "Y")).bsccs) > 1
 
 
 def test_mcs_matches_stationary_extension():
@@ -212,3 +213,61 @@ def test_is_smooth():
                  [Cpt("Y", ("X",), (F(1, 2), F(1, 2)))],
                  JointDistribution(("X",), (F(1), F(0))))
     assert not is_smooth(g)
+
+
+def _assert_compiled_matches_oracle(g, cut, gamma):
+    """Compiled chain rows and extend equal the dense unfolding exactly."""
+    mc = cutset_mc(g, cut)
+    for b, row in enumerate(mc.matrix):
+        start = dirac(assignment_from_index(b, cut))
+        assert row == next_dist(g, cut, start).restrict(cut).probs
+    assert extend(g, cut, gamma) == \
+        chain_rule_dist(dissect(g, cut, gamma)).restrict(g.nodes)
+
+
+def test_compiled_chain_matches_unfolding_on_random_networks():
+    rng = random.Random(41)
+    correlated = deterministic = 0
+    sizes = set()
+    for _ in range(60):
+        # denominator 2 makes about a third of the CPT entries 0 or 1
+        g = random_cyclic_gbn(rng, max_vars=5, denom=rng.choice((2, 8)))
+        cut = random_cutset(rng, g, max_size=3)
+        gamma = rand_joint(rng, cut)
+        correlated += len(g.iota.variables) >= 2
+        deterministic += any(r in (0, 1) for c in g.cpts.values()
+                             for r in c.rows)
+        sizes.add(len(cut))
+        _assert_compiled_matches_oracle(g, cut, gamma)
+    assert correlated and deterministic and sizes == {1, 2, 3}
+
+
+def test_compiled_chain_matches_unfolding_on_ring_with_chords():
+    rng = random.Random(10)
+    names = [f"R{i}" for i in range(10)]
+    edges = {(names[i], names[(i + 1) % 10]) for i in range(10)}
+    edges |= {("R0", "R3"), ("R2", "R6"), ("R4", "R8"), ("R6", "R2")}
+    cpts = []
+    for v in names:
+        parents = tuple(sorted(u for u, w in edges if w == v))
+        cpts.append(Cpt(v, parents, tuple(rand_entry(rng)
+                                          for _ in range(1 << len(parents)))))
+    g = make_gbn(names, edges, cpts)
+    cut = ("R0", "R2")
+    _assert_compiled_matches_oracle(g, cut, rand_joint(rng, cut))
+
+
+def test_invariant_failures_raise_internal_error():
+    # elimination needs a topological order of the dissected graph
+    g = make_gbn(["X", "Y", "Z"],
+                 [("X", "Z"), ("Y", "Z"), ("Z", "Y"), ("Y", "X")],
+                 [Cpt("X", ("Y",), (F(1, 2), F(1, 2))),
+                  Cpt("Y", ("Z",), (F(1, 2), F(1, 2))),
+                  Cpt("Z", ("X", "Y"), (F(1, 2),) * 4)])
+    with pytest.raises(InternalError):
+        _forward_eliminate(g, ("X",), True, [{0: F(1)}])
+    # a substochastic matrix has no stationary vector
+    leaky = CutsetChain(("A",), ((F(1, 2), F(0)), (F(0), F(1, 2))))
+    with pytest.raises(InternalError):
+        leaky.bscc_lrfs
+    assert not issubclass(InternalError, AssertionError)

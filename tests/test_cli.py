@@ -1,10 +1,14 @@
 """Command-line interface: document parsing, subcommands, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import cyclebn
 from cyclebn.cli import (DocumentError, main, parse_document,
                          serialize_document)
 
@@ -224,3 +228,16 @@ def test_bad_cutset_exit(ex52_path, capsys):
 def test_bad_gamma0_exit(ex52_path, capsys):
     assert main(["semantics", ex52_path, "--kind", "lim",
                  "--cutset", "X,Y", "--gamma0", "dirac:1"]) == 1
+
+
+def test_zero_denominator_is_one_line_error(tmp_path):
+    p = tmp_path / "zero.gbn"
+    p.write_text(EX52.replace('"1/4"', '"1/0"'))
+    src = os.path.dirname(os.path.dirname(cyclebn.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in (["validate", str(p)], ["chain", str(p), "--cutset", "X,Y"]):
+        proc = subprocess.run([sys.executable, "-m", "cyclebn.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and "1/0" in proc.stderr

@@ -8,13 +8,19 @@ from hypothesis import given, strategies as st
 from cyclebn.model import (CapacityError, Cpt, Gbn, JointDistribution,
                            all_assignments, assignment_from_index,
                            canonical_index, dirac, format_rational, make_gbn,
-                           parse_rational, validate_gbn)
+                           parse_rational, sums_to_one, validate_gbn)
 
 
 def test_parse_rational_forms():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("0.25") == Fraction(1, 4)
     assert parse_rational(" 1 ") == Fraction(1)
+
+
+def test_parse_rational_rejects_zero_denominator_and_non_strings():
+    for bad in ("1/0", "0/0", 0.5, 1, None):
+        with pytest.raises(ValueError):
+            parse_rational(bad)
 
 
 def test_format_rational():
@@ -56,6 +62,14 @@ def test_joint_distribution_validation():
         JointDistribution(("X",), (Fraction(3, 2), Fraction(-1, 2)))
     with pytest.raises(ValueError):
         JointDistribution(("X", "Y"), (Fraction(1),))
+
+
+def test_sums_to_one_is_exact():
+    assert sums_to_one([Fraction(1, 3), Fraction(1, 6), Fraction(1, 2)])
+    assert sums_to_one([Fraction(1)])
+    assert not sums_to_one([Fraction(1, 3), Fraction(1, 3)])
+    assert not sums_to_one([Fraction(1, 2), Fraction(1, 2), Fraction(1, 10**30)])
+    assert not sums_to_one([])
 
 
 def test_capacity_cap():
