@@ -32,7 +32,7 @@ from .model import (CapacityError, Cpt, Gbn, InternalError, JointDistribution,
                     Violation,
                     all_assignments, assignment_from_index,
                     canonical_index, dirac, format_rational, make_gbn,
-                    parse_rational, validate_gbn)
+                    parse_rational)
 from .oracle import (IterationTrace, dsep_by_paths, iterate_next,
                      power_iteration, total_variation)
 

@@ -202,8 +202,14 @@ def extend(g: Gbn, cut, gamma: JointDistribution) -> JointDistribution:
         raise ValueError(
             f"gamma covers {gamma.variables}, cutset is {cut}")
     _validate(g)
+    return _extend(g, cut, gamma.probs)
+
+
+def _extend(g: Gbn, cut: tuple[str, ...], gamma) -> JointDistribution:
+    """:func:`extend` without its checks: ``g`` must be valid, ``cut`` a
+    sorted cutset and ``gamma`` a distribution over it in canonical order."""
     [table] = _forward_eliminate(
-        g, cut, False, [{i: p for i, p in enumerate(gamma.probs) if p}])
+        g, cut, False, [{i: p for i, p in enumerate(gamma) if p}])
     probs = [ZERO] * (1 << len(g.nodes))
     for key, p in table.items():
         probs[key] = p
@@ -297,9 +303,9 @@ def cutset_mc(g: Gbn, cut) -> CutsetChain:
     cut = _check_cutset(g, cut)
     if len(cut) > MAX_CUTSET_SIZE:
         raise CapacityError(f"cutset size capped at {MAX_CUTSET_SIZE}")
+    _validate(g)
     if not cut:
         return CutsetChain(cut, ((ONE,),))
-    _validate(g)
     n, size = len(g.nodes), 1 << len(cut)
     rows = []
     for table in _forward_eliminate(g, cut, True,
@@ -364,12 +370,10 @@ def stationary_set(chain: CutsetChain) -> SemanticsFamily:
 def mcs(g: Gbn, cut, gamma0: JointDistribution) -> JointDistribution:
     """Markov chain semantics: extend the long-run frequency of the
     cutset chain started from ``gamma0``."""
-    cut = tuple(sorted(cut))
     chain = cutset_mc(g, cut)
-    if tuple(gamma0.variables) != cut:
+    if tuple(gamma0.variables) != chain.cutset:
         raise ValueError("gamma0 must cover exactly the cutset")
-    lrf = long_run_frequency(chain, gamma0.probs)
-    return extend(g, cut, JointDistribution(cut, lrf))
+    return _extend(g, chain.cutset, long_run_frequency(chain, gamma0.probs))
 
 
 @dataclass(frozen=True)
@@ -391,17 +395,18 @@ def lim(g: Gbn, cut, gamma0: JointDistribution) -> LimStatus:
     Convergence criterion: ``gamma0`` already stationary, or every BSCC
     reached with positive probability is aperiodic.
     """
-    cut = tuple(sorted(cut))
     chain = cutset_mc(g, cut)
+    if tuple(gamma0.variables) != chain.cutset:
+        raise ValueError("gamma0 must cover exactly the cutset")
     if chain.is_stationary(gamma0.probs):
-        return LimStatus(extend(g, cut, JointDistribution(cut, gamma0.probs)))
+        return LimStatus(_extend(g, chain.cutset, gamma0.probs))
     lam = reach_probs(chain, gamma0.probs)
     offending = tuple(chain.periods[k] for k in range(len(chain.bsccs))
                       if lam[k] > 0 and chain.periods[k] > 1)
     if offending:
         return LimStatus(None, offending)
     lrf = long_run_frequency(chain, gamma0.probs)
-    return LimStatus(extend(g, cut, JointDistribution(cut, lrf)))
+    return LimStatus(_extend(g, chain.cutset, lrf))
 
 
 def lim_avg(g: Gbn, cut, gamma0: JointDistribution) -> JointDistribution:

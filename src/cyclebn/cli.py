@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -73,33 +74,50 @@ def _vector_from_keys(mapping, variables, what: str) -> tuple[Fraction, ...]:
     return tuple(vec)
 
 
+def _strings(value, what: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"{what} must be a list of strings")
+    return tuple(value)
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object")
+    return value
+
+
 def parse_document(text: str) -> Gbn:
     """Parse a JSON network document; raises DocumentError on problems."""
     problems: list[Violation] = []
     try:
-        doc = json.loads(text)
+        doc = _object(json.loads(text), "document")
+        nodes = _strings(doc.get("variables", []), "variables")
+        edges = doc.get("edges", [])
+        if not isinstance(edges, list) or any(
+                len(_strings(e, "each edge")) != 2 for e in edges):
+            raise ValueError("each edge must be a [from, to] pair")
+        edges = frozenset(map(tuple, edges))
+        cpt_entries = _object(doc.get("cpts", {}), "cpts")
+        iota_table = _object(doc.get("iota", {"": "1"}), "iota")
     except json.JSONDecodeError as e:
         raise DocumentError([Violation("ParseError", "", f"not valid JSON: {e}")])
-    if not isinstance(doc, dict):
-        raise DocumentError([Violation("ParseError", "", "document must be an object")])
-    try:
-        nodes = tuple(doc.get("variables", ()))
-        edges = frozenset((u, v) for u, v in doc.get("edges", ()))
-    except (TypeError, ValueError):
-        raise DocumentError([Violation("ParseError", "", "bad variables/edges section")])
+    except ValueError as e:
+        raise DocumentError([Violation("ParseError", "", str(e))])
     cpts = {}
-    for name, entry in dict(doc.get("cpts", {})).items():
+    for name, entry in cpt_entries.items():
+        what = f"cpt of {name}"
         try:
-            parents = tuple(sorted(entry["parents"]))
-            rows = _vector_from_keys(entry["rows"], parents, f"cpt of {name}")
-            cpts[name] = Cpt(name, parents, rows)
-        except (KeyError, TypeError, ValueError) as e:
-            problems.append(Violation("ParseError", name, f"cpt of {name}: {e}"))
+            entry = _object(entry, what)
+            parents = tuple(sorted(_strings(entry.get("parents"), f"{what}: parents")))
+            rows = _object(entry.get("rows"), f"{what}: rows")
+            cpts[name] = Cpt(name, parents, _vector_from_keys(rows, parents, what))
+        except ValueError as e:
+            problems.append(Violation("ParseError", name, str(e)))
     targets = {v for (_, v) in edges}
     init = tuple(sorted(set(nodes) - targets))
     iota = None
     try:
-        vec = _vector_from_keys(dict(doc.get("iota", {"": "1"})), init, "iota")
+        vec = _vector_from_keys(iota_table, init, "iota")
         total = sum(vec)
         if total != 1:
             problems.append(Violation(
@@ -168,7 +186,7 @@ def _parse_gamma0(source: str, cut) -> JointDistribution:
         probs[int(bits, 2) if cut else 0] = Fraction(1)
         return JointDistribution(cut, tuple(probs))
     with open(source, encoding="utf-8") as fh:
-        table = json.load(fh)
+        table = _object(json.load(fh), "gamma0")
     return JointDistribution(cut, _vector_from_keys(table, cut, "gamma0"))
 
 
@@ -290,8 +308,11 @@ def _cmd_semantics(args) -> tuple[dict, int]:
     cut = _parse_names(args.cutset) if args.cutset else _default_cutset(g)
     gamma0 = _parse_gamma0(args.gamma0, cut)
     if kind == "mc":
-        fam = chainmod.stationary_set(chainmod.cutset_mc(g, cut))
-        extended = tuple(chainmod.extend(g, cut, d) for d in fam.distributions)
+        mc = chainmod.cutset_mc(g, cut)
+        fam = chainmod.stationary_set(mc)
+        # cutset_mc has checked the network and the cutset
+        extended = tuple(chainmod._extend(g, mc.cutset, d.probs)
+                         for d in fam.distributions)
         out.update(_family_out(SemanticsFamily(fam.kind, fam.status, extended)))
         out["cutset"] = list(cut)
         return out, 0
@@ -410,7 +431,14 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
-    _emit(result, args.format)
+    try:
+        _emit(result, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early; keep the flush at exit from failing again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

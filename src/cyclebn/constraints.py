@@ -7,12 +7,12 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import graph as graphmod
-from .chain import cutset_mc, mcs
+from .chain import _extend, cutset_mc
 from .families import (EMPTY, INFINITE, UNIQUE, UNSUPPORTED, SemanticsFamily)
-from .inference import IndependenceTriple, chain_rule_dist, to_digraph
-from .linalg import LinearSystem, classify_polytope, solve_affine
+from .inference import IndependenceTriple, check_independence, to_digraph
+from .linalg import LinearSystem, classify_polytope
 from .model import (Gbn, JointDistribution, all_assignments,
-                    assignment_from_index, canonical_index)
+                    assignment_from_index)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -61,7 +61,7 @@ def build_cpt_system(g: Gbn) -> LinearSystem:
     rows.append([ONE] * len(cols))
     rhs.append(ONE)
     irows, irhs = _iota_rows(g, len(cols))
-    return LinearSystem(tuple(rows + irows), tuple(rhs + irhs), nonneg=True)
+    return LinearSystem(tuple(rows + irows), tuple(rhs + irhs))
 
 
 def build_wcpt_system(g: Gbn) -> LinearSystem:
@@ -80,7 +80,7 @@ def build_wcpt_system(g: Gbn) -> LinearSystem:
     rows.append([ONE] * len(cols))
     rhs.append(ONE)
     irows, irhs = _iota_rows(g, len(cols))
-    return LinearSystem(tuple(rows + irows), tuple(rhs + irhs), nonneg=True)
+    return LinearSystem(tuple(rows + irows), tuple(rhs + irhs))
 
 
 def solve_family(g: Gbn, kind: str) -> SemanticsFamily:
@@ -91,12 +91,12 @@ def solve_family(g: Gbn, kind: str) -> SemanticsFamily:
         system = build_wcpt_system(g)
     else:
         raise ValueError(f"unknown family kind: {kind}")
-    poly = classify_polytope(solve_affine(system))
+    poly = classify_polytope(system)
     if poly.kind == "empty":
-        return SemanticsFamily(kind, EMPTY, polytope=poly)
+        return SemanticsFamily(kind, EMPTY)
     dist = JointDistribution(g.nodes, poly.witness)
     status = UNIQUE if poly.kind == "point" else INFINITE
-    return SemanticsFamily(kind, status, (dist,), polytope=poly)
+    return SemanticsFamily(kind, status, (dist,))
 
 
 def check_consistency(mu: JointDistribution, g: Gbn, x: str,
@@ -145,25 +145,7 @@ def check_cpt_i_member(mu: JointDistribution, g: Gbn,
     for t in independencies:
         if len(t.x) != 1:
             raise ValueError("constraints expect singleton left-hand sets")
-        for y in (v for s in (t.x, t.y, t.z) for v in s):
-            if y not in mu.variables:
-                raise ValueError(f"unknown variable {y} in independence triple")
-        if not _product_constraints_hold(mu, t):
-            return False
-    return True
-
-
-def _product_constraints_hold(mu: JointDistribution, t: IndependenceTriple) -> bool:
-    involved = t.x | t.y | t.z
-    joint = mu.restrict(involved)
-    w = joint.restrict(t.z)
-    xw = joint.restrict(t.x | t.z)
-    uw = joint.restrict(t.y | t.z)
-    for b in all_assignments(involved):
-        lhs = joint.prob(b) * w.prob({v: b[v] for v in t.z})
-        rhs = xw.prob({v: b[v] for v in t.x | t.z}) \
-            * uw.prob({v: b[v] for v in t.y | t.z})
-        if lhs != rhs:
+        if not check_independence(mu, t):
             return False
     return True
 
@@ -189,8 +171,9 @@ def cpt_i_via_cutsets(g: Gbn, cutsets: Sequence[Iterable[str]]) -> SemanticsFami
                 "cpti", UNSUPPORTED,
                 notes=f"chain for cutset {list(cut)} has "
                       f"{len(chain.bsccs)} bottom components")
-        gamma0 = JointDistribution.uniform(cut)
-        singletons.append(mcs(g, cut, gamma0))
+        # With one bottom component the chain semantics is the same for
+        # every start: the extension of its stationary vector.
+        singletons.append(_extend(g, chain.cutset, chain.bscc_lrfs[0]))
     first = singletons[0]
     if any(d.probs != first.probs for d in singletons[1:]):
         return SemanticsFamily("cpti", EMPTY,

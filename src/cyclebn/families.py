@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import PolytopeClass
 from .model import JointDistribution
 
 #: Family statuses.
@@ -19,14 +18,12 @@ class SemanticsFamily:
     """A set of distributions produced by one of the semantics.
 
     ``distributions`` holds the single member when unique, or known
-    members/extreme points when infinite.  ``polytope`` carries the raw
-    classification for the linear-system routes.
+    members/extreme points when infinite.
     """
 
     kind: str            # bn | cpt | wcpt | cpti | mc | lim | limavg
     status: str          # empty | unique | infinite | unsupported
     distributions: tuple[JointDistribution, ...] = ()
-    polytope: PolytopeClass | None = None
     notes: str = ""
 
     @property

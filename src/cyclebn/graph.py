@@ -178,6 +178,9 @@ def d_separated(g: DiGraph, xs: Iterable[str], ys: Iterable[str],
     edges are never part of a simple path and are ignored.
     """
     xs, ys, zs = frozenset(xs), frozenset(ys), frozenset(zs)
+    unknown = (xs | ys | zs) - set(g.nodes)
+    if unknown:
+        raise ValueError(f"unknown nodes: {sorted(unknown)}")
     if xs & ys or xs & zs or ys & zs:
         raise ValueError("query sets must be pairwise disjoint")
     observed = zs

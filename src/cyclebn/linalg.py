@@ -1,9 +1,10 @@
 """Exact rational linear algebra.
 
-Row reduction over ``Fraction`` gives affine solution spaces; an exact
-two-phase simplex (Bland's rule, so termination needs no perturbation)
-classifies the nonnegative part of a solution space as empty, a single
-point, or an infinite polytope.
+Row reduction over ``Fraction`` gives affine solution spaces.  An exact
+two-phase simplex (Bland's rule, so termination needs no perturbation),
+run on ``A x = b, x >= 0`` as given, classifies the set of nonnegative
+solutions as empty, a single point, or an infinite polytope: one LP
+finds a vertex, a second tests whether anything lies off its support.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ def _vec(xs) -> Vector:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """``A x = b`` with an optional nonnegativity restriction on x."""
+    """``A x = b``."""
 
     matrix: Matrix
     rhs: Vector
-    nonneg: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", tuple(_vec(r) for r in self.matrix))
@@ -49,8 +49,6 @@ class LinearSystem:
                      for row, b in zip(self.matrix, self.rhs))
 
     def is_solution(self, x: Sequence[Fraction]) -> bool:
-        if self.nonneg and any(xi < 0 for xi in x):
-            return False
         return all(r == 0 for r in self.residuals(x))
 
 
@@ -77,7 +75,7 @@ class AffineSpace:
 
 @dataclass(frozen=True)
 class PolytopeClass:
-    """Classification of {x in space : x >= 0}: 'empty', 'point', or 'infinite'."""
+    """Classification of {x : A x = b, x >= 0}: 'empty', 'point', or 'infinite'."""
 
     kind: str
     witness: Vector | None = None
@@ -113,7 +111,7 @@ def rref(matrix: Matrix, rhs: Vector) -> tuple[list[list[Fraction]], list[Fracti
 
 
 def solve_affine(sys: LinearSystem) -> AffineSpace:
-    """Exact solution space of ``A x = b`` (ignoring any nonnegativity flag)."""
+    """Exact solution space of ``A x = b``."""
     n = sys.num_cols
     if not sys.matrix:
         return AffineSpace(n, tuple([ZERO] * n),
@@ -224,63 +222,25 @@ def _pivot_to_optimum(tab, basis, n_cols):
         _pivot(tab, basis, row, enter)
 
 
-def _feasibility_lp(space: AffineSpace):
-    """Standard-form encoding of {t : particular + basis.t >= 0}.
+def classify_polytope(system: LinearSystem) -> PolytopeClass:
+    """Classify {x : A x = b, x >= 0} as empty, a single point, or infinite.
 
-    Free coefficients t are split as u - w; one slack per coordinate.
-    Column layout: [u_0..u_{k-1}, w_0..w_{k-1}, s_0..s_{n-1}].
+    A first LP with a zero objective proves the set empty or returns a
+    vertex v.  The columns of A on the support of a vertex are linearly
+    independent, so no other feasible point has its support inside
+    supp(v): the set is {v} iff the sum of the coordinates off supp(v)
+    has maximum 0, which a second LP decides.  The witness is v.
     """
-    n = space.dimension
-    k = len(space.basis)
-    rows = []
-    rhs = []
-    for i in range(n):
-        row = [d[i] for d in space.basis] + [-d[i] for d in space.basis] \
-            + [(-ONE if j == i else ZERO) for j in range(n)]
-        rows.append(row)
-        rhs.append(-space.particular[i])
-    return rows, rhs, k, n
-
-
-def _coeff_objective(k: int, n: int, j: int, sign: int) -> list[Fraction]:
-    c = [ZERO] * (2 * k + n)
-    c[j] = Fraction(sign)
-    c[k + j] = Fraction(-sign)
-    return c
-
-
-def classify_polytope(space: AffineSpace, nonneg: bool = True) -> PolytopeClass:
-    """Classify the nonnegative part of an affine solution space.
-
-    Empty iff no nonnegative point exists; Point iff, in addition, every
-    basis direction has equal maximum and minimum over the feasible set;
-    Infinite otherwise, with a feasible witness.
-    """
-    if not nonneg:
-        raise ValueError("only the all-columns nonnegative form is supported")
-    if space.is_empty:
-        return PolytopeClass("empty")
-    if not space.basis:
-        if all(x >= 0 for x in space.particular):
-            return PolytopeClass("point", space.particular)
-        return PolytopeClass("empty")
-    rows, rhs, k, n = _feasibility_lp(space)
-    status, _, y = simplex_maximize(rows, rhs, [ZERO] * (2 * k + n))
+    n = system.num_cols
+    status, _, v = simplex_maximize(system.matrix, system.rhs, (ZERO,) * n)
     if status == "infeasible":
         return PolytopeClass("empty")
-    t = tuple(y[j] - y[k + j] for j in range(k))
-    witness = space.point(t)
-    for j in range(k):
-        extremes = []
-        for sign in (1, -1):
-            status, value, _ = simplex_maximize(
-                rows, rhs, _coeff_objective(k, n, j, sign))
-            if status == "unbounded":
-                return PolytopeClass("infinite", witness)
-            extremes.append(value)
-        if extremes[0] != -extremes[1]:
-            return PolytopeClass("infinite", witness)
-    return PolytopeClass("point", witness)
+    off = tuple(ZERO if x else ONE for x in v)
+    if any(off):
+        status, value, _ = simplex_maximize(system.matrix, system.rhs, off)
+        if status == "unbounded" or value:
+            return PolytopeClass("infinite", v)
+    return PolytopeClass("point", v)
 
 
 def null_space_left(p: Sequence[Sequence[Fraction]]) -> AffineSpace:

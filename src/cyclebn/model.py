@@ -10,7 +10,7 @@ most significant bit (F=0, T=1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -114,15 +114,6 @@ class JointDistribution:
             raise ValueError(f"probabilities sum to {sum(probs)}, not 1")
 
     @staticmethod
-    def from_mapping(values: Mapping[frozenset, Fraction] | dict,
-                     variables: Iterable[str]) -> "JointDistribution":
-        vs = tuple(sorted(variables))
-        probs = [ZERO] * (1 << len(vs))
-        for assignment, p in values.items():
-            probs[canonical_index(dict(assignment), vs)] = Fraction(p)
-        return JointDistribution(vs, tuple(probs))
-
-    @staticmethod
     def uniform(variables: Iterable[str]) -> "JointDistribution":
         vs = _check_capacity(variables)
         n = 1 << len(vs)
@@ -191,20 +182,6 @@ def dirac(assignment: Mapping[str, bool]) -> JointDistribution:
     probs = [ZERO] * (1 << len(vs))
     probs[canonical_index(assignment, vs)] = ONE
     return JointDistribution(vs, tuple(probs))
-
-
-# Module-level forms of the distribution operations.
-
-def restrict(mu: JointDistribution, subset: Iterable[str]) -> JointDistribution:
-    return mu.restrict(subset)
-
-
-def partial_prob(mu: JointDistribution, partial: Mapping[str, bool]) -> Fraction:
-    return mu.partial_prob(partial)
-
-
-def product(mu: JointDistribution, nu: JointDistribution) -> JointDistribution:
-    return mu.product(nu)
 
 
 @dataclass(frozen=True)
@@ -304,10 +281,6 @@ class Gbn:
 
     def is_valid(self) -> bool:
         return not self.validate()
-
-
-def validate_gbn(g: Gbn) -> list[Violation]:
-    return g.validate()
 
 
 def make_gbn(nodes: Iterable[str],

@@ -1,5 +1,6 @@
 """Brute-force oracles: exact iteration of the unfolding, simple-path
-d-separation, and Cesàro power iteration of the cutset chain.
+d-separation, Cesàro power iteration of the cutset chain, and polytope
+classification by vertex enumeration.
 
 Everything here stays in exact rationals; closeness assertions compare
 exact total-variation distances against rational bounds.
@@ -7,6 +8,7 @@ exact total-variation distances against rational bounds.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -14,6 +16,7 @@ from typing import Iterable, Sequence
 
 from .chain import CutsetChain, next_dist
 from .graph import DiGraph
+from .linalg import LinearSystem, solve_affine
 from .model import CapacityError, Gbn, JointDistribution
 
 ZERO = Fraction(0)
@@ -21,6 +24,9 @@ ONE = Fraction(1)
 
 #: Simple-path enumeration is exponential; keep it to tiny graphs.
 MAX_PATH_NODES = 7
+
+#: Column-subset enumeration is exponential; keep it to tiny systems.
+MAX_VERTEX_COLUMNS = 8
 
 
 @dataclass(frozen=True)
@@ -161,3 +167,35 @@ def _sum_of_powers(p_int, denom, n, count):
 
 def total_variation(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return sum(abs(x - y) for x, y in zip(a, b)) / 2
+
+
+def _vertices(matrix, rhs, n: int) -> set[tuple[Fraction, ...]]:
+    """Basic feasible solutions of ``A x = b, x >= 0``: the solution on
+    each column subset (at most one column per row) that has exactly one,
+    when it is nonnegative, zero-padded."""
+    found = set()
+    for k in range(min(n, len(matrix)) + 1):
+        for cols in itertools.combinations(range(n), k):
+            space = solve_affine(LinearSystem(
+                tuple(tuple(row[j] for j in cols) for row in matrix), rhs))
+            if not space.is_empty and not space.basis \
+                    and all(x >= 0 for x in space.particular):
+                x = dict(zip(cols, space.particular))
+                found.add(tuple(x.get(j, ZERO) for j in range(n)))
+    return found
+
+
+def classify_by_vertices(system: LinearSystem) -> tuple[str, set]:
+    """Kind of {x : A x = b, x >= 0} ('empty', 'point' or 'infinite') and
+    its vertices.  The set is a point iff it has exactly one vertex and
+    no ray: {d >= 0 : A d = 0, sum(d) = 1} has no vertex."""
+    n = system.num_cols
+    if n > MAX_VERTEX_COLUMNS:
+        raise CapacityError(
+            f"vertex enumeration capped at {MAX_VERTEX_COLUMNS} columns")
+    vertices = _vertices(system.matrix, system.rhs, n)
+    if not vertices:
+        return "empty", vertices
+    rays = _vertices(system.matrix + ((ONE,) * n,),
+                     (ZERO,) * len(system.rhs) + (ONE,), n)
+    return ("point" if len(vertices) == 1 and not rays else "infinite"), vertices

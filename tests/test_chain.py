@@ -173,6 +173,8 @@ def test_mcs_gamma0_domain_check():
     g = two_cycle(*EX52)
     with pytest.raises(ValueError):
         mcs(g, ("X", "Y"), JointDistribution.uniform(("X",)))
+    with pytest.raises(ValueError):
+        lim(g, ("X", "Y"), JointDistribution.uniform(("X",)))
 
 
 def test_lim_aperiodic_defined():

@@ -225,9 +225,13 @@ def test_bad_cutset_exit(ex52_path, capsys):
     assert main(["chain", ex52_path, "--cutset", "Q"]) == 1
 
 
-def test_bad_gamma0_exit(ex52_path, capsys):
+def test_bad_gamma0_exit(tmp_path, ex52_path, capsys):
     assert main(["semantics", ex52_path, "--kind", "lim",
                  "--cutset", "X,Y", "--gamma0", "dirac:1"]) == 1
+    table = tmp_path / "gamma.json"
+    table.write_text('["1", "0", "0", "0"]')
+    assert main(["semantics", ex52_path, "--kind", "lim",
+                 "--cutset", "X,Y", "--gamma0", str(table)]) == 1
 
 
 def test_zero_denominator_is_one_line_error(tmp_path):
@@ -241,3 +245,56 @@ def test_zero_denominator_is_one_line_error(tmp_path):
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1 and "1/0" in proc.stderr
+
+
+def _fig1_with(**changes):
+    doc = json.loads(FIG1)
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    _fig1_with(variables="XY"),
+    _fig1_with(variables=[1, 2]),
+    _fig1_with(edges=[["X", "Y", "X"]]),
+    _fig1_with(edges=[["X", 1]]),
+    _fig1_with(edges={"X": "Y"}),
+    _fig1_with(cpts=[["X", "Y"]]),
+    _fig1_with(iota=["1"]),
+    _fig1_with(cpts={"X": "3/4",
+                     "Y": {"parents": ["X"], "rows": {"0": "1", "1": "0"}}}),
+    _fig1_with(cpts={"X": {"parents": "Y", "rows": {"0": "1", "1": "0"}},
+                     "Y": {"parents": ["X"], "rows": {"0": "1", "1": "0"}}}),
+    _fig1_with(cpts={"X": {"parents": ["Y"], "rows": ["1", "0"]},
+                     "Y": {"parents": ["X"], "rows": {"0": "1", "1": "0"}}}),
+], ids=["variables-string", "variables-ints", "edge-triple", "edge-int",
+        "edges-object", "cpts-list", "iota-list", "cpt-string",
+        "parents-string", "rows-list"])
+def test_document_types_are_strict(tmp_path, capsys, doc):
+    p = tmp_path / "bad.gbn"
+    p.write_text(json.dumps(doc))
+    assert main(["chain", str(p), "--cutset", "X"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ParseError")
+
+
+def test_closed_stdout_is_quiet(ex52_path):
+    src = os.path.dirname(os.path.dirname(cyclebn.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cyclebn.cli", "--format", "machine",
+             "chain", ex52_path, "--cutset", "X,Y"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr
+
+
+def test_dsep_unknown_node_exit(fig1_path, capsys):
+    assert main(["dsep", fig1_path, "--x", "X", "--y", "Q"]) == 1
+    assert "Q" in capsys.readouterr().err

@@ -25,7 +25,6 @@ def test_cpt_system_shape_and_first_row():
     assert sys.matrix[0] == (F(3, 4), F(0), F(-1, 4), F(0))
     assert sys.matrix[-1] == (F(1), F(1), F(1), F(1))
     assert sys.rhs == (0, 0, 0, 0, 1)
-    assert sys.nonneg
 
 
 def test_cpt_family_unique():

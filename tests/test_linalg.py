@@ -1,13 +1,15 @@
 """Exact linear algebra: row reduction, simplex, polytope classification."""
 
+import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, strategies as st
 
-from cyclebn.linalg import (AffineSpace, LinearSystem, classify_polytope,
-                            null_space_left, rref, simplex_maximize,
-                            solve_affine)
+from conftest import random_cyclic_gbn, two_cycle
+from cyclebn.constraints import build_cpt_system, build_wcpt_system
+from cyclebn.linalg import (LinearSystem, classify_polytope, null_space_left,
+                            rref, simplex_maximize, solve_affine)
+from cyclebn.oracle import classify_by_vertices
 
 F = Fraction
 
@@ -89,16 +91,14 @@ def test_simplex_negative_rhs_normalized():
 
 
 def test_classify_point():
-    space = solve_affine(LinearSystem(((F(1), F(1)), (F(1), F(-1))),
-                                      (F(1), F(0))))
-    cls = classify_polytope(space)
+    cls = classify_polytope(LinearSystem(((F(1), F(1)), (F(1), F(-1))),
+                                         (F(1), F(0))))
     assert cls.kind == "point"
     assert cls.witness == (F(1, 2), F(1, 2))
 
 
 def test_classify_infinite_segment():
-    space = solve_affine(LinearSystem(((F(1), F(1)),), (F(1),)))
-    cls = classify_polytope(space)
+    cls = classify_polytope(LinearSystem(((F(1), F(1)),), (F(1),)))
     assert cls.kind == "infinite"
     assert all(x >= 0 for x in cls.witness)
     assert sum(cls.witness) == 1
@@ -106,25 +106,52 @@ def test_classify_infinite_segment():
 
 def test_classify_empty_by_sign():
     # x0 + x1 = -1 has no nonnegative solutions.
-    space = solve_affine(LinearSystem(((F(1), F(1)),), (F(-1),)))
-    cls = classify_polytope(space)
+    cls = classify_polytope(LinearSystem(((F(1), F(1)),), (F(-1),)))
     assert cls.kind == "empty"
 
 
 def test_classify_point_despite_free_directions():
     # x0 - x1 = 0 and x0 + x1 = 0 leave only the origin in the cone.
-    space = solve_affine(LinearSystem(((F(1), F(-1)),), (F(0),)))
-    cls = classify_polytope(space)
+    cls = classify_polytope(LinearSystem(((F(1), F(-1)),), (F(0),)))
     assert cls.kind == "infinite"   # the ray x0 = x1 >= 0
-    space2 = solve_affine(LinearSystem(((F(1), F(1)),), (F(0),)))
-    cls2 = classify_polytope(space2)
+    cls2 = classify_polytope(LinearSystem(((F(1), F(1)),), (F(0),)))
     assert cls2.kind == "point"
     assert cls2.witness == (0, 0)
 
 
-def test_classify_rejects_unrestricted_form():
-    with pytest.raises(ValueError):
-        classify_polytope(AffineSpace(1, (F(0),)), nonneg=False)
+def _random_system(rng: random.Random) -> LinearSystem:
+    """Small integer system; half of them carry a normalization row, and
+    b = 0, redundant rows, rays and degenerate vertices all occur."""
+    m, n = rng.randint(1, 4), rng.randint(1, 6)
+    rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+    rhs = [rng.choice((0, rng.randint(-2, 2))) for _ in range(m)]
+    if m > 1 and rng.random() < 0.25:
+        rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
+        rhs[-1] = rhs[0] + rhs[1]
+    if rng.random() < 0.5:
+        rows[-1], rhs[-1] = [1] * n, 1
+    return LinearSystem(tuple(map(tuple, rows)), tuple(rhs))
+
+
+def test_classify_matches_vertex_enumeration():
+    rng = random.Random(4)
+    systems = [_random_system(rng) for _ in range(400)]
+    for g in [two_cycle(0, 1, 1, 0), two_cycle(0, 1, 0, 1),
+              two_cycle("3/4", "1/2", "3/4", "1/2")] + \
+            [random_cyclic_gbn(rng, max_vars=3) for _ in range(12)]:
+        systems += [build_cpt_system(g), build_wcpt_system(g)]
+    kinds = set()
+    for system in systems:
+        cls = classify_polytope(system)
+        kind, vertices = classify_by_vertices(system)
+        assert cls.kind == kind
+        kinds.add(kind)
+        if kind != "empty":
+            assert cls.witness in vertices
+            assert system.is_solution(cls.witness)
+        if kind == "point":
+            assert vertices == {cls.witness}
+    assert kinds == {"empty", "point", "infinite"}
 
 
 def test_null_space_left_identity():

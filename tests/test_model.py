@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from cyclebn.model import (CapacityError, Cpt, Gbn, JointDistribution,
                            all_assignments, assignment_from_index,
                            canonical_index, dirac, format_rational, make_gbn,
-                           parse_rational, sums_to_one, validate_gbn)
+                           parse_rational, sums_to_one)
 
 
 def test_parse_rational_forms():
@@ -139,7 +139,7 @@ def test_validate_good_network():
     g = make_gbn(["X", "Y"], [("X", "Y")],
                  [Cpt("Y", ("X",), (Fraction(1, 2), Fraction(1, 2)))],
                  JointDistribution(("X",), (Fraction(1, 4), Fraction(3, 4))))
-    assert validate_gbn(g) == []
+    assert g.validate() == []
     assert g.initial_nodes == {"X"}
 
 

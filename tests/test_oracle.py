@@ -9,9 +9,10 @@ import pytest
 from conftest import two_cycle
 from cyclebn.chain import CutsetChain, cutset_mc, long_run_frequency
 from cyclebn.graph import DiGraph, d_separated
+from cyclebn.linalg import LinearSystem
 from cyclebn.model import CapacityError, JointDistribution, dirac
-from cyclebn.oracle import (dsep_by_paths, iterate_next, power_iteration,
-                            total_variation)
+from cyclebn.oracle import (classify_by_vertices, dsep_by_paths, iterate_next,
+                            power_iteration, total_variation)
 
 F = Fraction
 
@@ -61,6 +62,11 @@ def test_dsep_by_paths_capacity():
     names = tuple(f"V{i}" for i in range(8))
     with pytest.raises(CapacityError):
         dsep_by_paths(DiGraph(names, frozenset()), {"V0"}, {"V1"}, set())
+
+
+def test_classify_by_vertices_capacity():
+    with pytest.raises(CapacityError):
+        classify_by_vertices(LinearSystem(((F(1),) * 9,), (F(1),)))
 
 
 def test_dsep_oracle_agreement_random():
