@@ -11,7 +11,7 @@ from functools import cached_property
 from . import graph as graphmod
 from .families import INFINITE, UNIQUE, SemanticsFamily
 from .inference import chain_rule_dist, to_digraph
-from .linalg import null_space_left
+from .linalg import LinearSystem, null_space_left, solve_affine
 from .model import (CapacityError, Cpt, Gbn, InternalError,
                     JointDistribution, assignment_from_index, sums_to_one)
 
@@ -321,23 +321,17 @@ def reach_probs(chain: CutsetChain,
                 gamma0: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     """Exact probability of getting absorbed in each BSCC from ``gamma0``."""
     n = chain.num_states
-    recurrent: dict[int, int] = {}
-    for k, comp in enumerate(chain.bsccs):
-        for s in comp:
-            recurrent[s] = k
+    recurrent = set().union(*chain.bsccs)
     transient = [s for s in range(n) if s not in recurrent]
+    # (I - P_TT) x = P_(T -> comp) . 1, one right-hand side per BSCC
+    rows = tuple(tuple((ONE if s == t else ZERO) - chain.matrix[s][t]
+                       for t in transient) for s in transient)
     out = []
-    for k, comp in enumerate(chain.bsccs):
-        hit = [ZERO] * n
-        for s in comp:
-            hit[s] = ONE
+    for comp in chain.bsccs:
+        hit = [ONE if s in comp else ZERO for s in range(n)]
         if transient:
-            # (I - P_TT) x = P_(T -> comp) . 1
-            rows = [[(ONE if s == t else ZERO) - chain.matrix[s][t]
-                     for t in transient] for s in transient]
-            rhs = [sum(chain.matrix[s][t] for t in comp) for s in transient]
-            from .linalg import LinearSystem, solve_affine
-            space = solve_affine(LinearSystem(tuple(rows), tuple(rhs)))
+            rhs = tuple(sum(chain.matrix[s][t] for t in comp) for s in transient)
+            space = solve_affine(LinearSystem(rows, rhs))
             if space.is_empty or space.basis:
                 raise InternalError("absorption system must have a unique solution")
             for pos, s in enumerate(transient):
@@ -348,14 +342,16 @@ def reach_probs(chain: CutsetChain,
     return tuple(out)
 
 
+def _mix(chain: CutsetChain, lam) -> tuple[Fraction, ...]:
+    """The BSCC frequency vectors mixed by the weights ``lam``."""
+    return tuple(sum(lam[k] * lrf[s] for k, lrf in enumerate(chain.bscc_lrfs))
+                 for s in range(chain.num_states))
+
+
 def long_run_frequency(chain: CutsetChain,
                        gamma0: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     """Reach-probability-weighted combination of the BSCC frequencies."""
-    lam = reach_probs(chain, gamma0)
-    n = chain.num_states
-    return tuple(sum(lam[k] * chain.bscc_lrfs[k][s]
-                     for k in range(len(chain.bsccs)))
-                 for s in range(n))
+    return _mix(chain, reach_probs(chain, gamma0))
 
 
 def stationary_set(chain: CutsetChain) -> SemanticsFamily:
@@ -390,10 +386,14 @@ class LimStatus:
 
 
 def lim(g: Gbn, cut, gamma0: JointDistribution) -> LimStatus:
-    """Limit semantics; defined iff the transient sequence converges.
+    """Limit semantics: the extension of the limit of the cutset sequence.
 
-    Convergence criterion: ``gamma0`` already stationary, or every BSCC
-    reached with positive probability is aperiodic.
+    Reported defined when ``gamma0`` is already stationary or every BSCC
+    reached with positive probability is aperiodic; either implies that
+    the sequence converges.  The test is sufficient, not necessary: a
+    start with no transient mass that gives each cyclic class of a
+    periodic BSCC the same mass also converges, yet is reported
+    undefined with that period.
     """
     chain = cutset_mc(g, cut)
     if tuple(gamma0.variables) != chain.cutset:
@@ -405,8 +405,7 @@ def lim(g: Gbn, cut, gamma0: JointDistribution) -> LimStatus:
                       if lam[k] > 0 and chain.periods[k] > 1)
     if offending:
         return LimStatus(None, offending)
-    lrf = long_run_frequency(chain, gamma0.probs)
-    return LimStatus(_extend(g, chain.cutset, lrf))
+    return LimStatus(_extend(g, chain.cutset, _mix(chain, lam)))
 
 
 def lim_avg(g: Gbn, cut, gamma0: JointDistribution) -> JointDistribution:

@@ -164,7 +164,7 @@ def _load(path: str) -> Gbn:
 def _vector_out(variables, probs) -> dict:
     return {"variables": list(variables),
             "assignment_order": _bit_keys(variables),
-            "probs": [format_rational(p) for p in probs]}
+            "probs": list(probs)}
 
 
 def _parse_names(text: str | None) -> tuple[str, ...]:
@@ -194,7 +194,19 @@ def _default_cutset(g: Gbn) -> tuple[str, ...]:
     return tuple(sorted(set(g.nodes) - g.initial_nodes))
 
 
+def _texts(value):
+    """``value`` with every ``Fraction`` in it written as "p/q"."""
+    if isinstance(value, dict):
+        return {k: _texts(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [format_rational(v) if type(v) is Fraction else
+                v if type(v) is str else _texts(v) for v in value]
+    return value
+
+
 def _emit(result: dict, fmt: str) -> None:
+    """Write a result whose rationals are still ``Fraction`` values."""
+    result = _texts(result)
     if fmt == "machine":
         json.dump(result, sys.stdout, indent=2)
         sys.stdout.write("\n")
@@ -263,7 +275,7 @@ def _chain_out(mc: chainmod.CutsetChain) -> dict:
     return {
         "cutset": list(mc.cutset),
         "assignment_order": _bit_keys(mc.cutset),
-        "matrix": [[format_rational(p) for p in row] for row in mc.matrix],
+        "matrix": [list(row) for row in mc.matrix],
         "bsccs": [sorted(_bits(s, len(mc.cutset)) for s in comp)
                   for comp in mc.bsccs],
         "periods": list(mc.periods),
@@ -281,11 +293,12 @@ def _cmd_semantics(args) -> tuple[dict, int]:
     kind = args.kind
     out: dict = {"command": "semantics", "kind": kind}
     if kind == "bn":
-        dg = inference.to_digraph(g)
-        if not graphmod.is_acyclic(dg):
+        try:
+            # the empty set is a cutset exactly when the graph is acyclic
+            mu = chainmod.extend(g, (), JointDistribution((), (Fraction(1),)))
+        except chainmod.NotACutsetError:
             out.update(status="empty", notes="cyclic graph")
             return out, 0
-        mu = inference.chain_rule_dist(g)
         out.update(status=UNIQUE,
                    distributions=[_vector_out(mu.variables, mu.probs)])
         return out, 0
@@ -354,9 +367,8 @@ def _cmd_oracle_iterate(args) -> tuple[dict, int]:
     trace = oracle.iterate_next(g, cut, gamma0, args.steps)
     return {"command": "oracle-iterate", "cutset": list(cut),
             "assignment_order": _bit_keys(cut),
-            "steps": [[format_rational(p) for p in vec] for vec in trace.steps],
-            "cesaro": [[format_rational(p) for p in vec]
-                       for vec in trace.cesaro]}, 0
+            "steps": [list(vec) for vec in trace.steps],
+            "cesaro": [list(vec) for vec in trace.cesaro]}, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -431,6 +443,12 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
+    # Exact answers may have integers of any length; Python's cap on
+    # int-to-str conversion (3.10.7+) stays on for parsing the input only.
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         _emit(result, args.format)
         sys.stdout.flush()
@@ -439,6 +457,9 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(limit)
     return code
 
 

@@ -3,84 +3,56 @@ independence-extended semantics computed through cutset intersections."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import graph as graphmod
 from .chain import _extend, cutset_mc
 from .families import (EMPTY, INFINITE, UNIQUE, UNSUPPORTED, SemanticsFamily)
-from .inference import IndependenceTriple, check_independence, to_digraph
+from .inference import (IndependenceTriple, check_independence,
+                        enumerate_dsep_triples, to_digraph)
 from .linalg import LinearSystem, classify_polytope
-from .model import (Gbn, JointDistribution, all_assignments,
-                    assignment_from_index)
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .model import ONE, ZERO, Gbn, JointDistribution, sub_indices
 
 
-def _agrees(b: dict, c: dict) -> bool:
-    return all(b[v] == val for v, val in c.items())
+def _weak_rows(g: Gbn):
+    """Per non-initial node x: its CPT, the parent row of every column,
+    and the weak-consistency row Pr(x=T | parents) - [x=T] over the
+    columns.  The strong rows of x are that row cut by parent row."""
+    for x in sorted(set(g.nodes) - g.initial_nodes):
+        cpt = g.cpts[x]
+        parent_of = sub_indices(g.nodes, cpt.parents)
+        yield cpt, parent_of, [cpt.rows[k] - t for k, t in
+                               zip(parent_of, sub_indices(g.nodes, (x,)))]
 
 
-def _iota_rows(g: Gbn, n: int) -> tuple[list, list]:
-    """Equations pinning the restriction to the initial nodes to iota,
-    one per initial assignment (zero-probability ones included).  For a
-    network without initial nodes this would duplicate the normalization
-    row and is skipped."""
+def _pinned(g: Gbn, rows: list) -> LinearSystem:
+    """``rows`` equal to 0, then the normalization row, then one row per
+    initial assignment (zero-mass ones included) pinning the restriction
+    to the initial nodes to iota; without initial nodes that row would
+    repeat normalization."""
+    rhs = [ZERO] * len(rows) + [ONE]
+    rows = rows + [[ONE] * (1 << len(g.nodes))]
     init = tuple(sorted(g.initial_nodes))
-    rows, rhs = [], []
-    if not init:
-        return rows, rhs
-    for idx in range(1 << len(init)):
-        d = assignment_from_index(idx, init)
-        row = [ONE if _agrees(b, d) else ZERO for b in all_assignments(g.nodes)]
-        rows.append(row)
-        rhs.append(g.iota.probs[idx])
-    return rows, rhs
+    if init:
+        init_of = sub_indices(g.nodes, init)
+        rows += [[ONE if k == i else ZERO for k in init_of] for i in range(1 << len(init))]
+        rhs += g.iota.probs
+    return LinearSystem(tuple(rows), tuple(rhs))
 
 
 def build_cpt_system(g: Gbn) -> LinearSystem:
     """Strong-consistency system: for each non-initial node X and parent
     assignment c, the row Pr(X=T|c) * mu(c) - mu(X=T, c) = 0, followed by
     the normalization row and the initial-distribution pinning rows."""
-    cols = list(all_assignments(g.nodes))
-    rows, rhs = [], []
-    for x in sorted(set(g.nodes) - g.initial_nodes):
-        cpt = g.cpts[x]
-        for pidx in range(1 << len(cpt.parents)):
-            c = assignment_from_index(pidx, cpt.parents)
-            pr = cpt.rows[pidx]
-            row = []
-            for b in cols:
-                if not _agrees(b, c):
-                    row.append(ZERO)
-                else:
-                    row.append(pr - ONE if b[x] else pr)
-            rows.append(row)
-            rhs.append(ZERO)
-    rows.append([ONE] * len(cols))
-    rhs.append(ONE)
-    irows, irhs = _iota_rows(g, len(cols))
-    return LinearSystem(tuple(rows + irows), tuple(rhs + irhs))
+    return _pinned(g, [[w if k == c else ZERO for k, w in zip(parent_of, row)]
+                       for cpt, parent_of, row in _weak_rows(g)
+                       for c in range(len(cpt.rows))])
 
 
 def build_wcpt_system(g: Gbn) -> LinearSystem:
     """Weak-consistency system: one marginal equation per non-initial
     node, plus normalization and initial-distribution pinning."""
-    cols = list(all_assignments(g.nodes))
-    rows, rhs = [], []
-    for x in sorted(set(g.nodes) - g.initial_nodes):
-        cpt = g.cpts[x]
-        row = []
-        for b in cols:
-            pr = cpt.prob_true(b)
-            row.append(pr - ONE if b[x] else pr)
-        rows.append(row)
-        rhs.append(ZERO)
-    rows.append([ONE] * len(cols))
-    rhs.append(ONE)
-    irows, irhs = _iota_rows(g, len(cols))
-    return LinearSystem(tuple(rows + irows), tuple(rhs + irhs))
+    return _pinned(g, [row for _, _, row in _weak_rows(g)])
 
 
 def solve_family(g: Gbn, kind: str) -> SemanticsFamily:
@@ -105,21 +77,20 @@ def check_consistency(mu: JointDistribution, g: Gbn, x: str,
     every parent assignment; weak: only the marginal of x."""
     if x in g.initial_nodes or x not in g.nodes:
         raise ValueError(f"{x} is not a non-initial node")
+    if mode not in ("strong", "weak"):
+        raise ValueError(f"unknown mode: {mode}")
     cpt = g.cpts[x]
+    # mass[c] = mu(c) and mass_true[c] = mu(X=T, c) per parent row c
+    mass, mass_true = [ZERO] * len(cpt.rows), [ZERO] * len(cpt.rows)
+    for p, k, t in zip(mu.probs, sub_indices(mu.variables, cpt.parents),
+                       sub_indices(mu.variables, (x,))):
+        if p:
+            mass[k] += p
+            if t:
+                mass_true[k] += p
     if mode == "strong":
-        for pidx in range(1 << len(cpt.parents)):
-            c = assignment_from_index(pidx, cpt.parents)
-            lhs = mu.partial_prob({x: True, **c})
-            if lhs != mu.partial_prob(c) * cpt.rows[pidx]:
-                return False
-        return True
-    if mode == "weak":
-        total = ZERO
-        for pidx in range(1 << len(cpt.parents)):
-            c = assignment_from_index(pidx, cpt.parents)
-            total += mu.partial_prob(c) * cpt.rows[pidx]
-        return mu.partial_prob({x: True}) == total
-    raise ValueError(f"unknown mode: {mode}")
+        return all(mt == m * r for mt, m, r in zip(mass_true, mass, cpt.rows))
+    return sum(mass_true) == sum(m * r for m, r in zip(mass, cpt.rows))
 
 
 def is_strongly_consistent(mu: JointDistribution, g: Gbn) -> bool:
@@ -184,6 +155,5 @@ def cpt_i_via_cutsets(g: Gbn, cutsets: Sequence[Iterable[str]]) -> SemanticsFami
 
 def closed_cut_triples(g: Gbn, cut) -> list[IndependenceTriple]:
     """Bounded independence triples of the closed cut-restricted graph."""
-    from .inference import enumerate_dsep_triples
     dg = graphmod.cut_restrict(to_digraph(g), cut)
     return enumerate_dsep_triples(graphmod.close(dg))

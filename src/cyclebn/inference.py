@@ -7,7 +7,7 @@ from itertools import chain, combinations
 
 from . import graph as graphmod
 from .model import (CapacityError, Gbn, InternalError, JointDistribution,
-                    all_assignments, sums_to_one)
+                    all_assignments, sub_indices, sums_to_one)
 
 #: Exhaustive triple enumeration is capped at this many variables.
 MAX_ENUM_VARS = 8
@@ -68,21 +68,15 @@ def check_independence(mu: JointDistribution, t: IndependenceTriple) -> bool:
     conditional formulation with the zero-mass escape applied per
     assignment.
     """
-    involved = t.x | t.y | t.z
-    unknown = involved - set(mu.variables)
-    if unknown:
-        raise ValueError(f"unknown variables: {sorted(unknown)}")
-    joint = mu.restrict(involved)
+    joint = mu.restrict(t.x | t.y | t.z)
+    vs = joint.variables
     xz = joint.restrict(t.x | t.z)
     yz = joint.restrict(t.y | t.z)
     z = joint.restrict(t.z)
-    for b in all_assignments(involved):
-        lhs = joint.prob(b) * z.prob({v: b[v] for v in t.z})
-        rhs = xz.prob({v: b[v] for v in t.x | t.z}) \
-            * yz.prob({v: b[v] for v in t.y | t.z})
-        if lhs != rhs:
-            return False
-    return True
+    return all(p * z.probs[k] == xz.probs[i] * yz.probs[j]
+               for p, i, j, k in zip(joint.probs, sub_indices(vs, xz.variables),
+                                     sub_indices(vs, yz.variables),
+                                     sub_indices(vs, z.variables)))
 
 
 def enumerate_dsep_triples(dg: graphmod.DiGraph) -> list[IndependenceTriple]:

@@ -5,14 +5,21 @@ floating point anywhere in the package.  Variables are Boolean and named by
 strings; the canonical variable order is ascending lexicographic, and the
 canonical index of an assignment treats the first-sorted variable as the
 most significant bit (F=0, T=1).
+
+Every table is a dense tuple in canonical index order.  :func:`sub_indices`
+maps each index over a variable set to the index of the assignment's
+restriction to some of those variables, so marginals, products and
+renamings build no dict per assignment.
 """
 
 from __future__ import annotations
 
 import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -43,6 +50,11 @@ def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or a decimal literal into an exact fraction."""
     if not isinstance(text, str):
         raise ValueError(f"rational must be a string, got {text!r}")
+    # Fraction expands 10**exponent unchecked: cap it as int() caps "p/q".
+    exponent = "e" in text.lower() and re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", text)
+    limit = exponent and getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and abs(int(exponent[1])) > limit:
+        raise ValueError(f"decimal exponent in {text!r} exceeds {limit} digits")
     try:
         return Fraction(text.strip())
     except ZeroDivisionError:
@@ -89,6 +101,20 @@ def all_assignments(variables: Iterable[str]):
         yield assignment_from_index(idx, vs)
 
 
+def sub_indices(variables: Sequence[str], names: Sequence[str]) -> list[int]:
+    """For every canonical index over ``variables``, the index of that
+    assignment's restriction to ``names``, read in the order given (first
+    name the most significant bit).  Built by doubling: O(2**n)."""
+    unknown = set(names) - set(variables)
+    if unknown:
+        raise ValueError(f"unknown variables: {sorted(unknown)}")
+    weight = {v: 1 << i for i, v in enumerate(reversed(names))}
+    idx = [0]
+    for v in sorted(variables):
+        idx = [k + b for k in idx for b in (0, weight.get(v, 0))]
+    return idx
+
+
 @dataclass(frozen=True)
 class JointDistribution:
     """Dense distribution over all assignments of a variable set.
@@ -124,30 +150,15 @@ class JointDistribution:
 
     def partial_prob(self, partial: Mapping[str, bool]) -> Fraction:
         """Probability mass of all completions of a partial assignment."""
-        unknown = set(partial) - set(self.variables)
-        if unknown:
-            raise ValueError(f"unknown variables: {sorted(unknown)}")
-        total = ZERO
-        for idx, p in enumerate(self.probs):
-            if p == 0:
-                continue
-            b = assignment_from_index(idx, self.variables)
-            if all(b[v] == val for v, val in partial.items()):
-                total += p
-        return total
+        return self.restrict(partial).probs[canonical_index(partial)]
 
     def restrict(self, subset: Iterable[str]) -> "JointDistribution":
         """Marginalize onto a subset of the variables."""
         sub = tuple(sorted(subset))
-        unknown = set(sub) - set(self.variables)
-        if unknown:
-            raise ValueError(f"unknown variables: {sorted(unknown)}")
         probs = [ZERO] * (1 << len(sub))
-        for idx, p in enumerate(self.probs):
-            if p == 0:
-                continue
-            b = assignment_from_index(idx, self.variables)
-            probs[canonical_index({v: b[v] for v in sub}, sub)] += p
+        for k, p in zip(sub_indices(self.variables, sub), self.probs):
+            if p:
+                probs[k] += p
         return JointDistribution(sub, tuple(probs))
 
     def product(self, other: "JointDistribution") -> "JointDistribution":
@@ -156,24 +167,19 @@ class JointDistribution:
         if overlap:
             raise ValueError(f"variable sets overlap: {sorted(overlap)}")
         vs = tuple(sorted(self.variables + other.variables))
-        probs = [ZERO] * (1 << len(vs))
-        for c in all_assignments(vs):
-            p = self.prob({v: c[v] for v in self.variables}) \
-                * other.prob({v: c[v] for v in other.variables})
-            probs[canonical_index(c, vs)] = p
-        return JointDistribution(vs, tuple(probs))
+        return JointDistribution(vs, tuple(
+            self.probs[i] * other.probs[j] for i, j in
+            zip(sub_indices(vs, self.variables), sub_indices(vs, other.variables))))
 
     def rename(self, mapping: Mapping[str, str]) -> "JointDistribution":
         """Relabel variables; the table is re-sorted to the new canonical order."""
-        new_vars = tuple(sorted(mapping.get(v, v) for v in self.variables))
+        renamed = tuple(mapping.get(v, v) for v in self.variables)
+        new_vars = tuple(sorted(renamed))
         if len(set(new_vars)) != len(new_vars):
             raise ValueError("renaming collapses variables")
-        probs = [ZERO] * len(self.probs)
-        for idx, p in enumerate(self.probs):
-            b = assignment_from_index(idx, self.variables)
-            probs[canonical_index({mapping.get(v, v): val for v, val in b.items()},
-                                  new_vars)] = p
-        return JointDistribution(new_vars, tuple(probs))
+        # a new assignment read over ``renamed`` is its old canonical index
+        return JointDistribution(new_vars, tuple(
+            self.probs[i] for i in sub_indices(new_vars, renamed)))
 
 
 def dirac(assignment: Mapping[str, bool]) -> JointDistribution:

@@ -16,6 +16,7 @@ from cyclebn.graph import DiGraph, is_acyclic
 from cyclebn.inference import chain_rule_dist
 from cyclebn.model import (Cpt, InternalError, JointDistribution,
                            assignment_from_index, dirac, make_gbn)
+from cyclebn.oracle import iterate_next
 
 F = Fraction
 
@@ -197,6 +198,35 @@ def test_lim_periodic_stationary_defined():
     status = lim(g, ("X", "Y"), JointDistribution.uniform(("X", "Y")))
     assert status.defined
     assert status.distribution.probs == (F(1, 4),) * 4
+
+
+def lim_counterexample():
+    """X keeps its value; given X=F, Y flips (a period-2 BSCC), given
+    X=T, Y is a fair coin.  The start puts 1/4 on each state of the
+    periodic BSCC and all of X=T on Y=F."""
+    g = make_gbn(
+        ["X", "Y"], [("X", "X"), ("Y", "X"), ("X", "Y"), ("Y", "Y")],
+        [Cpt("X", ("X", "Y"), (F(0), F(0), F(1), F(1))),
+         Cpt("Y", ("X", "Y"), (F(1), F(0), F(1, 2), F(1, 2)))])
+    gamma0 = JointDistribution(("X", "Y"), (F(1, 4), F(1, 4), F(1, 2), F(0)))
+    return g, ("X", "Y"), gamma0
+
+
+def test_unfolding_converges_from_periodic_stationary_mass():
+    g, cut, gamma0 = lim_counterexample()
+    trace = iterate_next(g, cut, gamma0, 6)
+    assert trace.steps[0] != (F(1, 4),) * 4
+    assert all(step == (F(1, 4),) * 4 for step in trace.steps[1:])
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "lim tests a sufficient condition for convergence (stationary start, "
+    "or every reached BSCC aperiodic), not a necessary one"))
+def test_lim_defined_whenever_unfolding_converges():
+    g, cut, gamma0 = lim_counterexample()
+    status = lim(g, cut, gamma0)
+    assert status.defined
+    assert status.distribution == mcs(g, cut, gamma0)
 
 
 def test_lim_avg_equals_mcs():

@@ -247,6 +247,45 @@ def test_zero_denominator_is_one_line_error(tmp_path):
     assert proc.stderr.count("\n") == 1 and "1/0" in proc.stderr
 
 
+@pytest.mark.parametrize("literal", ["1e-99999", "1e-100000000"])
+def test_huge_decimal_exponent_is_one_parse_error(tmp_path, literal):
+    p = tmp_path / "exponent.gbn"
+    p.write_text(EX52.replace('"1/4"', f'"{literal}"'))
+    src = os.path.dirname(os.path.dirname(cyclebn.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "cyclebn.cli", "validate", str(p)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert [line for line in proc.stdout.splitlines() if "ParseError" in line] \
+        == ["  kind: ParseError"]
+    assert literal in proc.stdout
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="Python without the int-string digit cap")
+def test_exact_answers_longer_than_the_digit_cap_print(tmp_path, capsys):
+    q = "7" * 1500
+    doc = {"variables": ["A", "B", "C"], "edges": [["A", "B"], ["B", "C"]],
+           "cpts": {"B": {"parents": ["A"], "rows": {"0": f"1/{q}", "1": "1/2"}},
+                    "C": {"parents": ["B"], "rows": {"0": f"1/{q}", "1": "1/3"}}},
+           "iota": {"0": f"1/{q}", "1": f"{int(q) - 1}/{q}"}}
+    p = tmp_path / "long.gbn"
+    p.write_text(json.dumps(doc))
+    limit = sys.get_int_max_str_digits()
+    assert main(["--format", "machine", "semantics", str(p), "--kind", "bn"]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    texts = json.loads(capsys.readouterr().out)["distributions"][0]["probs"]
+    sys.set_int_max_str_digits(0)
+    try:
+        probs = [Fraction(t) for t in texts]
+        longest = max(len(str(x.denominator)) for x in probs)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert longest > limit
+    assert sum(probs) == 1
+
+
 def _fig1_with(**changes):
     doc = json.loads(FIG1)
     doc.update(changes)

@@ -18,7 +18,7 @@ def test_parse_rational_forms():
 
 
 def test_parse_rational_rejects_zero_denominator_and_non_strings():
-    for bad in ("1/0", "0/0", 0.5, 1, None):
+    for bad in ("1/0", "0/0", 0.5, 1, None, "1e-99999"):
         with pytest.raises(ValueError):
             parse_rational(bad)
 

@@ -1,0 +1,199 @@
+"""Bit-indexed table code against literal per-assignment definitions.
+
+Every reference below walks the assignments one dict at a time with
+``all_assignments``/``assignment_from_index`` and is compared with the
+library result for exact equality.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from conftest import rand_joint, random_acyclic_gbn, random_cyclic_gbn
+from cyclebn.constraints import (build_cpt_system, build_wcpt_system,
+                                 check_consistency)
+from cyclebn.inference import (IndependenceTriple, chain_rule_dist,
+                               check_independence)
+from cyclebn.model import (all_assignments, assignment_from_index,
+                           canonical_index, sub_indices)
+
+ZERO, ONE = Fraction(0), Fraction(1)
+VARS = "ABCDEF"
+
+
+def agrees(b, c):
+    return all(b[v] == val for v, val in c.items())
+
+
+def mass(mu, partial):
+    return sum((p for p, b in zip(mu.probs, all_assignments(mu.variables))
+                if agrees(b, partial)), ZERO)
+
+
+def rand_table(rng, variables):
+    """Random joint distribution, with zero entries in about half the cases."""
+    return rand_joint(rng, variables, smooth=rng.random() < 0.5)
+
+
+def test_sub_indices_reads_names_in_given_order():
+    rng = random.Random(1)
+    for _ in range(40):
+        vs = list(VARS[:rng.randint(0, 6)])
+        rng.shuffle(vs)
+        names = [v for v in vs if rng.random() < 0.6]
+        got = sub_indices(vs, names)
+        assert len(got) == 1 << len(vs)
+        for idx, b in enumerate(all_assignments(vs)):
+            want = 0
+            for v in names:
+                want = want << 1 | b[v]
+            assert got[idx] == want
+    assert sub_indices(("A", "B", "C"), ("C", "A")) == [0, 2, 0, 2, 1, 3, 1, 3]
+    with pytest.raises(ValueError, match=r"unknown variables: \['P', 'Q'\]"):
+        sub_indices(("A", "B"), ("Q", "A", "P"))
+
+
+def test_table_operations_match_definitions():
+    rng = random.Random(2)
+    for _ in range(120):
+        vs = VARS[:rng.randint(0, 6)]
+        mu = rand_table(rng, vs)
+        sub = tuple(v for v in vs if rng.random() < 0.5)
+        restricted = mu.restrict(sub)
+        assert restricted.variables == sub
+        assert restricted.probs == tuple(
+            mass(mu, c) for c in all_assignments(sub))
+        partial = {v: rng.random() < 0.5 for v in sub}
+        assert mu.partial_prob(partial) == mass(mu, partial)
+
+        other = rand_table(rng, "PQR"[:rng.randint(0, 3)])
+        prod = mu.product(other)
+        for idx, b in enumerate(all_assignments(prod.variables)):
+            assert prod.probs[idx] == \
+                mu.prob({v: b[v] for v in mu.variables}) \
+                * other.prob({v: b[v] for v in other.variables})
+
+        new_names = list("stuvwx"[:len(vs)])
+        rng.shuffle(new_names)
+        mapping = {v: w for v, w in zip(vs, new_names) if rng.random() < 0.8}
+        renamed = mu.rename(mapping)
+        new_vars = tuple(sorted(mapping.get(v, v) for v in vs))
+        assert renamed.variables == new_vars
+        for idx, p in enumerate(mu.probs):
+            b = assignment_from_index(idx, vs)
+            c = {mapping.get(v, v): val for v, val in b.items()}
+            assert renamed.probs[canonical_index(c, new_vars)] == p
+    with pytest.raises(ValueError, match=r"unknown variables: \['Z'\]"):
+        mu.restrict(("Z",))
+    with pytest.raises(ValueError, match=r"unknown variables: \['Z'\]"):
+        mu.partial_prob({"Z": True})
+
+
+def networks():
+    """Pairs (network, acyclic?) alternating cyclic and acyclic."""
+    rng = random.Random(3)
+    return [(random_acyclic_gbn(rng, 5), True) if i % 2
+            else (random_cyclic_gbn(rng, 4), False) for i in range(30)]
+
+
+def literal_systems(g):
+    """(cpt rows, wcpt rows, shared tail rows, tail rhs) by definition."""
+    cols = list(all_assignments(g.nodes))
+    cpt_rows, wcpt_rows = [], []
+    for x in sorted(set(g.nodes) - g.initial_nodes):
+        cpt = g.cpts[x]
+        for pidx, pr in enumerate(cpt.rows):
+            c = assignment_from_index(pidx, cpt.parents)
+            cpt_rows.append([(pr - 1 if b[x] else pr) if agrees(b, c) else ZERO
+                             for b in cols])
+        wcpt_rows.append([cpt.prob_true(b) - 1 if b[x] else cpt.prob_true(b)
+                          for b in cols])
+    tail, tail_rhs = [[ONE] * len(cols)], [ONE]
+    init = tuple(sorted(g.initial_nodes))
+    if init:
+        for idx in range(1 << len(init)):
+            d = assignment_from_index(idx, init)
+            tail.append([ONE if agrees(b, d) else ZERO for b in cols])
+            tail_rhs.append(g.iota.probs[idx])
+    return cpt_rows, wcpt_rows, tail, tail_rhs
+
+
+def test_system_builders_match_definitions():
+    for g, _ in networks():
+        cpt_rows, wcpt_rows, tail, tail_rhs = literal_systems(g)
+        for built, rows in ((build_cpt_system(g), cpt_rows),
+                            (build_wcpt_system(g), wcpt_rows)):
+            assert [list(r) for r in built.matrix] == rows + tail
+            assert list(built.rhs) == [ZERO] * len(rows) + tail_rhs
+
+
+def literal_consistency(mu, g, x, mode):
+    cpt = g.cpts[x]
+    parent_rows = [(assignment_from_index(i, cpt.parents), r)
+                   for i, r in enumerate(cpt.rows)]
+    if mode == "strong":
+        return all(mass(mu, {**c, x: True}) == mass(mu, c) * r
+                   for c, r in parent_rows)
+    return mass(mu, {x: True}) == sum(mass(mu, c) * r for c, r in parent_rows)
+
+
+def test_check_consistency_matches_definition():
+    rng = random.Random(4)
+    seen = set()
+    for g, acyclic in networks():
+        mus = [rand_table(rng, g.nodes)]
+        if acyclic:
+            mus.append(chain_rule_dist(g))
+        for mu in mus:
+            for x in sorted(set(g.nodes) - g.initial_nodes):
+                for mode in ("strong", "weak"):
+                    got = check_consistency(mu, g, x, mode)
+                    assert got == literal_consistency(mu, g, x, mode)
+                    seen.add(got)
+    assert seen == {True, False}
+
+
+def test_chain_rule_distributions_are_consistent():
+    for g, acyclic in networks():
+        if acyclic:
+            mu = chain_rule_dist(g)
+            for x in sorted(set(g.nodes) - g.initial_nodes):
+                assert check_consistency(mu, g, x, "strong")
+                assert check_consistency(mu, g, x, "weak")
+
+
+def literal_independence(mu, t):
+    involved = t.x | t.y | t.z
+    for b in all_assignments(involved):
+        z = {v: b[v] for v in t.z}
+        xz = {v: b[v] for v in t.x | t.z}
+        yz = {v: b[v] for v in t.y | t.z}
+        if mass(mu, b) * mass(mu, z) != mass(mu, xz) * mass(mu, yz):
+            return False
+    return True
+
+
+def test_check_independence_matches_definition():
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(150):
+        left = rand_table(rng, "ABC"[:rng.randint(1, 3)])
+        right = rand_table(rng, "PQ"[:rng.randint(1, 2)])
+        # A product of two tables with zeros: independences across the
+        # factors hold, including given conditioning sets of zero mass.
+        mu = left.product(right) if rng.random() < 0.6 else \
+            rand_table(rng, left.variables + right.variables)
+        vs = list(mu.variables)
+        rng.shuffle(vs)
+        x, y, rest = vs[0], vs[1], vs[2:]
+        z = [v for v in rest if rng.random() < 0.5]
+        t = IndependenceTriple({x}, {y}, set(z))
+        got = check_independence(mu, t)
+        assert got == literal_independence(mu, t)
+        seen.add(got)
+        if any(mass(mu, c) == 0 for c in all_assignments(z)):
+            seen.add("zero-mass")
+    assert seen == {True, False, "zero-mass"}
+    with pytest.raises(ValueError, match=r"unknown variables: \['Z'\]"):
+        check_independence(mu, IndependenceTriple({"Z"}, {vs[0]}, set()))
