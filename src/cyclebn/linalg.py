@@ -1,14 +1,27 @@
-"""Exact rational linear algebra.
+"""Exact rational linear algebra on one fraction-free integer kernel.
 
-Row reduction over ``Fraction`` gives affine solution spaces.  An exact
-two-phase simplex (Bland's rule, so termination needs no perturbation),
-run on ``A x = b, x >= 0`` as given, classifies the set of nonnegative
+Every solve scales its rows to integers once, column by column: each
+column, the right-hand side included, is multiplied by the lcm of its
+own denominators (one global lcm would multiply the denominators of all
+rows together).  Gauss-Jordan elimination then runs on integers in the
+manner of Bareiss and Edmonds: all rows, a simplex z-row included, share
+one denominator d, the previous pivot, and every update
+``(p*x - f*y) // d`` divides exactly.  Results are turned back into
+``Fraction`` values only at the end.
+
+Row reduction gives affine solution spaces.  An exact two-phase simplex
+(Bland's rule, so termination needs no perturbation), run on
+``A x = b, x >= 0`` as given, classifies the set of nonnegative
 solutions as empty, a single point, or an infinite polytope: one LP
 finds a vertex, a second tests whether anything lies off its support.
+On the integer tableau d stays positive, ratios are compared by
+cross-multiplying, and positive column scales keep every sign and ratio
+order, so Bland's rule takes the pivots it takes over ``Fraction``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -81,46 +94,58 @@ class PolytopeClass:
     witness: Vector | None = None
 
 
-def rref(matrix: Matrix, rhs: Vector) -> tuple[list[list[Fraction]], list[Fraction], list[int]]:
-    """Reduced row echelon form of [A | b]; returns (A', b', pivot columns)."""
-    a = [list(row) for row in matrix]
-    b = list(rhs)
-    n_rows = len(a)
-    n_cols = len(a[0]) if a else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if a[i][c] != 0), None)
-        if pivot_row is None:
+def _scaled(rows, width: int) -> tuple[list[list[int]], list[int]]:
+    """Integer rows and the column scales: column j times the lcm of its
+    denominators."""
+    cols = zip(*rows) if rows else [()] * width
+    scales = [math.lcm(*(x.denominator for x in col)) for col in cols]
+    return [[x.numerator * (s // x.denominator) for x, s in zip(row, scales)]
+            for row in rows], scales
+
+
+def _pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
+    """Fraction-free Gauss-Jordan pivot on (r, c) over the shared
+    denominator ``d``; returns the new one, the pivot."""
+    prow = rows[r]
+    p = prow[c]
+    for i, row in enumerate(rows):
+        f = row[c]
+        if i == r or not f and p == d:
             continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        b[r], b[pivot_row] = b[pivot_row], b[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        b[r] *= inv
-        for i in range(n_rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-                b[i] -= f * b[r]
+        rows[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+    return p
+
+
+def rref(matrix: Matrix, rhs: Vector) -> tuple[list[list[Fraction]], list[Fraction], list[int]]:
+    """Reduced row echelon form of [A | b]; returns (A', b', pivot columns).
+    Rows of b' below the rank are zero exactly when A x = b is consistent."""
+    n_cols = len(matrix[0]) if matrix else 0
+    rows, scale = _scaled([[*row, x] for row, x in zip(matrix, rhs)], n_cols + 1)
+    pivots: list[int] = []
+    d = 1
+    for c in range(n_cols):
+        r = len(pivots)
+        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        d = _pivot(rows, r, c, d)
         pivots.append(c)
-        r += 1
-        if r == n_rows:
+        if r + 1 == len(rows):
             break
-    return a, b, pivots
+    # entry (i, j) of the unscaled RREF is R'[i][j] * scale[pivot_i] / scale[j]
+    row_scale = [scale[c] for c in pivots] + [1] * (len(rows) - len(pivots))
+    out = [[Fraction(x * s, d * t) if x else ZERO for x, t in zip(row, scale)]
+           for row, s in zip(rows, row_scale)]
+    return [row[:-1] for row in out], [row[-1] for row in out], pivots
 
 
 def solve_affine(sys: LinearSystem) -> AffineSpace:
     """Exact solution space of ``A x = b``."""
     n = sys.num_cols
-    if not sys.matrix:
-        return AffineSpace(n, tuple([ZERO] * n),
-                           tuple(_unit(n, i) for i in range(n)))
     a, b, pivots = rref(sys.matrix, sys.rhs)
-    rank = len(pivots)
-    for i in range(rank, len(a)):
-        if b[i] != 0:
-            return AffineSpace(n, None)
+    if any(b[len(pivots):]):
+        return AffineSpace(n, None)
     free = [c for c in range(n) if c not in pivots]
     particular = [ZERO] * n
     for i, c in enumerate(pivots):
@@ -133,10 +158,6 @@ def solve_affine(sys: LinearSystem) -> AffineSpace:
             d[c] = -a[i][f]
         basis.append(tuple(d))
     return AffineSpace(n, tuple(particular), tuple(basis))
-
-
-def _unit(n: int, i: int) -> Vector:
-    return tuple(ONE if j == i else ZERO for j in range(n))
 
 
 # --- exact simplex ---------------------------------------------------------
@@ -152,22 +173,17 @@ def simplex_maximize(a_eq: Sequence[Sequence[Fraction]],
     """
     m = len(a_eq)
     n = len(objective)
-    a = [list(_vec(row)) for row in a_eq]
-    b = [Fraction(x) for x in b_eq]
-    for i in range(m):
-        if b[i] < 0:
-            a[i] = [-x for x in a[i]]
-            b[i] = -b[i]
-    # Tableau rows 0..m-1: [original cols | artificial cols | rhs];
-    # row m is the reduced-cost row of the phase-1 objective
-    # (minimize the artificial sum).
-    tab = [a[i] + [ONE if j == i else ZERO for j in range(m)] + [b[i]]
-           for i in range(m)]
+    rows, scale = _scaled([[*row, x] for row, x in zip(a_eq, b_eq)], n + 1)
+    # Tableau rows 0..m-1: [original cols | artificial cols | rhs], with
+    # rows of negative rhs negated; row m is the reduced-cost row of the
+    # phase-1 objective (minimize the artificial sum).
+    tab = [[-x for x in row] if row[-1] < 0 else row for row in rows]
+    tab = [row[:n] + [int(j == i) for j in range(m)] + row[n:]
+           for i, row in enumerate(tab)]
     basis = list(range(n, n + m))
-    zrow = [-sum(tab[i][j] for i in range(m)) for j in range(n)] \
-        + [ZERO] * m + [-sum(b)]
-    tab.append(zrow)
-    _pivot_to_optimum(tab, basis, n + m)
+    sums = [sum(col) for col in zip(*tab)] or [0] * (n + m + 1)
+    tab.append([-s for s in sums[:n]] + [0] * m + [-sums[-1]])
+    d = _pivot_to_optimum(tab, basis, n + m, 1)
     if tab[m][-1] != 0:          # phase-1 optimum = -(residual artificial sum)
         return "infeasible", None, None
     # Drive any artificial still basic (necessarily at zero) out of the basis.
@@ -175,51 +191,53 @@ def simplex_maximize(a_eq: Sequence[Sequence[Fraction]],
         if basis[i] >= n:
             col = next((j for j in range(n) if tab[i][j] != 0), None)
             if col is not None:
-                _pivot(tab, basis, i, col)
+                if tab[i][col] < 0:     # the row is 0 = ..., so negate it
+                    tab[i] = [-x for x in tab[i]]
+                d = _pivot(tab, i, col, d)
+                basis[i] = col
     keep = [i for i in range(m) if basis[i] < n]   # drop redundant zero rows
-    tab = [[tab[i][j] for j in range(n)] + [tab[i][-1]] for i in keep]
+    tab = [tab[i][:n] + tab[i][-1:] for i in keep]
     basis = [basis[i] for i in keep]
-    # Phase 2: minimize -objective.
-    c = [-x for x in _vec(objective)]
-    zrow = list(c) + [ZERO]
+    # Phase 2: minimize -objective, in the scaled variables and times the
+    # lcm of the denominators, over the shared denominator d.
+    c = _vec(objective)
+    lcm = math.lcm(*(x.denominator for x in c))
+    zrow = [-d * s * x.numerator * (lcm // x.denominator)
+            for x, s in zip(c, scale)] + [0]
     for i, bi in enumerate(basis):
-        f = zrow[bi]
-        if f != 0:
+        f = zrow[bi] // d
+        if f:
             zrow = [z - f * t for z, t in zip(zrow, tab[i])]
     tab.append(zrow)
-    if _pivot_to_optimum(tab, basis, n) == "unbounded":
+    d = _pivot_to_optimum(tab, basis, n, d)
+    if d is None:
         return "unbounded", None, None
     x = [ZERO] * n
     for i, bi in enumerate(basis):
-        x[bi] = tab[i][-1]
-    value = sum(ci * xi for ci, xi in zip(_vec(objective), x))
+        x[bi] = Fraction(tab[i][-1] * scale[bi], d * scale[-1])
+    value = sum(ci * xi for ci, xi in zip(c, x))
     return "optimal", value, tuple(x)
 
 
-def _pivot(tab, basis, row, col):
-    inv = 1 / tab[row][col]
-    tab[row] = [x * inv for x in tab[row]]
-    for i in range(len(tab)):
-        if i != row and tab[i][col] != 0:
-            f = tab[i][col]
-            tab[i] = [x - f * y for x, y in zip(tab[i], tab[row])]
-    basis[row] = col
-
-
-def _pivot_to_optimum(tab, basis, n_cols):
-    """Pivot with Bland's rule until the z-row (last row) is nonnegative."""
+def _pivot_to_optimum(tab, basis, n_cols, d):
+    """Pivot with Bland's rule until the z-row (last row) is nonnegative;
+    returns the denominator, or None when the objective is unbounded."""
     m = len(tab) - 1
     while True:
         enter = next((j for j in range(n_cols) if tab[m][j] < 0), None)
         if enter is None:
-            return "optimal"
+            return d
         candidates = [i for i in range(m) if tab[i][enter] > 0]
         if not candidates:
-            return "unbounded"
-        best = min(tab[i][-1] / tab[i][enter] for i in candidates)
-        row = min((i for i in candidates if tab[i][-1] / tab[i][enter] == best),
-                  key=lambda i: basis[i])
-        _pivot(tab, basis, row, enter)
+            return None
+        row = candidates[0]
+        for i in candidates[1:]:
+            # b_i / a_i < b_row / a_row, cross-multiplied; ties to the smaller basic index
+            lhs, rhs = tab[i][-1] * tab[row][enter], tab[row][-1] * tab[i][enter]
+            if lhs < rhs or lhs == rhs and basis[i] < basis[row]:
+                row = i
+        d = _pivot(tab, row, enter, d)
+        basis[row] = enter
 
 
 def classify_polytope(system: LinearSystem) -> PolytopeClass:
@@ -246,10 +264,8 @@ def classify_polytope(system: LinearSystem) -> PolytopeClass:
 def null_space_left(p: Sequence[Sequence[Fraction]]) -> AffineSpace:
     """Affine space of row vectors g with g.P = g and sum(g) = 1."""
     n = len(p)
-    rows = []
-    for j in range(n):
-        rows.append([Fraction(p[i][j]) - (ONE if i == j else ZERO)
-                     for i in range(n)])
+    rows = [[p[i][j] - 1 if i == j else p[i][j] for i in range(n)]
+            for j in range(n)]
     rows.append([ONE] * n)
     rhs = [ZERO] * n + [ONE]
     return solve_affine(LinearSystem(tuple(rows), tuple(rhs)))

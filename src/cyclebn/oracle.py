@@ -1,6 +1,8 @@
 """Brute-force oracles: exact iteration of the unfolding, simple-path
-d-separation, Cesàro power iteration of the cutset chain, and polytope
-classification by vertex enumeration.
+d-separation, Cesàro power iteration of the cutset chain, stationary
+vectors by state reduction, ``Fraction`` row reduction, and polytope
+classification by vertex enumeration.  None of them runs the integer
+elimination kernel of ``linalg``.
 
 Everything here stays in exact rationals; closeness assertions compare
 exact total-variation distances against rational bounds.
@@ -16,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .chain import CutsetChain, next_dist
 from .graph import DiGraph
-from .linalg import LinearSystem, solve_affine
+from .linalg import LinearSystem
 from .model import CapacityError, Gbn, JointDistribution
 
 ZERO = Fraction(0)
@@ -169,6 +171,57 @@ def total_variation(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return sum(abs(x - y) for x, y in zip(a, b)) / 2
 
 
+def fraction_rref(matrix, rhs) -> tuple[list[list[Fraction]], list[Fraction], list[int]]:
+    """Reduced row echelon form of [A | b] by ``Fraction`` row operations;
+    returns (A', b', pivot columns)."""
+    a = [list(row) for row in matrix]
+    b = list(rhs)
+    n_rows = len(a)
+    n_cols = len(a[0]) if a else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(n_cols):
+        pivot_row = next((i for i in range(r, n_rows) if a[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        b[r], b[pivot_row] = b[pivot_row], b[r]
+        inv = ONE / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        b[r] *= inv
+        for i in range(n_rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                b[i] -= f * b[r]
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return a, b, pivots
+
+
+def stationary_by_state_reduction(p: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
+    """Stationary vector of an irreducible chain by the Grassmann-Taksar-
+    Heyman state reduction: censor the states from the last one down,
+    with 1 - P[k][k] taken as the row sum off the diagonal, so nothing is
+    subtracted, then build the vector back up and normalize."""
+    a = [[Fraction(x) for x in row] for row in p]
+    for k in range(len(a) - 1, 0, -1):
+        out = sum(a[k][:k])
+        if not out:
+            raise ValueError("chain is not irreducible")
+        for i in range(k):
+            a[i][k] /= out
+            for j in range(k):
+                a[i][j] += a[i][k] * a[k][j]
+    pi = [ONE]
+    for k in range(1, len(a)):
+        pi.append(sum(pi[i] * a[i][k] for i in range(k)))
+    total = sum(pi)
+    return tuple(x / total for x in pi)
+
+
 def _vertices(matrix, rhs, n: int) -> set[tuple[Fraction, ...]]:
     """Basic feasible solutions of ``A x = b, x >= 0``: the solution on
     each column subset (at most one column per row) that has exactly one,
@@ -176,11 +229,11 @@ def _vertices(matrix, rhs, n: int) -> set[tuple[Fraction, ...]]:
     found = set()
     for k in range(min(n, len(matrix)) + 1):
         for cols in itertools.combinations(range(n), k):
-            space = solve_affine(LinearSystem(
-                tuple(tuple(row[j] for j in cols) for row in matrix), rhs))
-            if not space.is_empty and not space.basis \
-                    and all(x >= 0 for x in space.particular):
-                x = dict(zip(cols, space.particular))
+            _, b, pivots = fraction_rref(
+                [[row[j] for j in cols] for row in matrix], rhs)
+            if len(pivots) == k and not any(b[k:]) \
+                    and all(x >= 0 for x in b[:k]):
+                x = dict(zip(cols, b))
                 found.add(tuple(x.get(j, ZERO) for j in range(n)))
     return found
 

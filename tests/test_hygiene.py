@@ -6,13 +6,38 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cyclebn"
 
 
-def test_no_assert_statements_in_package():
-    # Invariants raise explicit errors: ``python -O`` strips asserts.
+def _trees():
     sources = sorted(PACKAGE.glob("*.py"))
     assert sources, f"no sources under {PACKAGE}"
-    found = [f"{path.name}:{node.lineno}"
-             for path in sources
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"),
-                                            filename=str(path)))
+    return [(path.name, ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+            for path in sources]
+
+
+def test_no_assert_statements_in_package():
+    # Invariants raise explicit errors: ``python -O`` strips asserts.
+    found = [f"{name}:{node.lineno}"
+             for name, tree in _trees()
+             for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the package: {', '.join(found)}"
+
+
+def test_no_floats_in_package():
+    # Everything is exact: no float literal and no call to ``float``.
+    found = [f"{name}:{node.lineno}"
+             for name, tree in _trees()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, float)
+             or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "float"]
+    assert not found, f"floats in the package: {', '.join(found)}"
+
+
+def test_no_true_division_in_linalg():
+    # ``int / int`` is a float: the integer kernel divides with ``//`` and
+    # builds its results with ``Fraction(num, den)``.
+    [tree] = [tree for name, tree in _trees() if name == "linalg.py"]
+    found = [str(node.lineno) for node in ast.walk(tree)
+             if isinstance(node, (ast.BinOp, ast.AugAssign))
+             and isinstance(node.op, ast.Div)]
+    assert not found, f"true division in linalg.py at lines {', '.join(found)}"

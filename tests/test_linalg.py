@@ -1,15 +1,18 @@
 """Exact linear algebra: row reduction, simplex, polytope classification."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
 from conftest import random_cyclic_gbn, two_cycle
+from cyclebn.chain import CutsetChain
 from cyclebn.constraints import build_cpt_system, build_wcpt_system
 from cyclebn.linalg import (LinearSystem, classify_polytope, null_space_left,
                             rref, simplex_maximize, solve_affine)
-from cyclebn.oracle import classify_by_vertices
+from cyclebn.oracle import (classify_by_vertices, fraction_rref,
+                            stationary_by_state_reduction)
 
 F = Fraction
 
@@ -171,3 +174,154 @@ def test_null_space_left_absorbing():
     space = null_space_left(p)
     assert not space.basis
     assert space.particular == (F(1), F(0))
+
+
+# --- the integer kernel against the Fraction reference --------------------
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+
+
+def _rational_system(rng: random.Random):
+    """0-8 rows and columns with pairwise-coprime, mixed or no
+    denominators, negative entries, zero columns, and dependent rows whose
+    right-hand side is kept consistent or nudged off."""
+    m, n = rng.randint(0, 8), rng.randint(0, 8)
+    dens = rng.choice((PRIMES, tuple(range(1, 13)), (1,)))
+
+    def entry():
+        return F(rng.randint(-9, 9), rng.choice(dens)) if rng.random() < 0.7 else F(0)
+    rows = [[entry() for _ in range(n)] + [entry()] for _ in range(m)]
+    for j in range(n):
+        if rng.random() < 0.15:
+            for row in rows:
+                row[j] = F(0)
+    for k in range(2, m):
+        if rng.random() < 0.3:
+            s, t = entry(), entry()
+            rows[k] = [s * x + t * y for x, y in zip(rows[0], rows[1])]
+            if rng.random() < 0.5:
+                rows[k][-1] += F(1, rng.choice(dens))
+    return tuple(tuple(row[:-1]) for row in rows), tuple(row[-1] for row in rows)
+
+
+def _space_from_rref(a, b, pivots, n):
+    """The affine space read off a reduced row echelon form."""
+    if any(b[len(pivots):]):
+        return None, ()
+    particular = [F(0)] * n
+    for i, c in enumerate(pivots):
+        particular[c] = b[i]
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        d = [F(0)] * n
+        d[f] = F(1)
+        for i, c in enumerate(pivots):
+            d[c] = -a[i][f]
+        basis.append(tuple(d))
+    return tuple(particular), tuple(basis)
+
+
+def test_kernel_rref_and_solve_affine_match_fraction_rref():
+    rng = random.Random(11)
+    inconsistent = deficient = 0
+    for _ in range(400):
+        matrix, rhs = _rational_system(rng)
+        n = len(matrix[0]) if matrix else 0
+        a, b, pivots = rref(matrix, rhs)
+        a0, b0, pivots0 = fraction_rref(matrix, rhs)
+        rank = len(pivots0)
+        assert (a, pivots) == (a0, pivots0)
+        assert b[:rank] == b0[:rank]
+        assert any(b[rank:]) == any(b0[rank:])
+        inconsistent += any(b0[rank:])
+        deficient += rank < min(len(matrix), n)
+        if matrix:
+            space = solve_affine(LinearSystem(matrix, rhs))
+            assert (space.particular, space.basis) == \
+                _space_from_rref(a0, b0, pivots0, n)
+    assert inconsistent > 20 and deficient > 50
+
+
+# --- stationary vectors against state reduction ---------------------------
+
+def _stochastic(weights):
+    return tuple(tuple(F(w, sum(row)) for w in row) for row in weights)
+
+
+def _irreducible_weights(rng: random.Random, n: int, smooth: bool):
+    """Smooth rows, or 0/1-heavy rows around a random Hamiltonian cycle."""
+    if smooth:
+        return [[rng.randint(1, 8) for _ in range(n)] for _ in range(n)]
+    order = rng.sample(range(n), n)
+    weights = [[0] * n for _ in range(n)]
+    for k, u in enumerate(order):
+        weights[u][order[(k + 1) % n]] = 1
+        if rng.random() < 0.3:
+            weights[u][rng.randrange(n)] += rng.randint(1, 3)
+    return weights
+
+
+def test_null_space_left_matches_state_reduction():
+    rng = random.Random(12)
+    for n in list(range(1, 21)) * 2:
+        p = _stochastic(_irreducible_weights(rng, n, rng.random() < 0.5))
+        space = null_space_left(p)
+        assert not space.basis
+        assert space.particular == stationary_by_state_reduction(p)
+
+
+def test_bscc_lrfs_match_state_reduction():
+    rng = random.Random(13)
+    for _ in range(30):
+        n_cut = rng.randint(2, 4)
+        n = 1 << n_cut
+        states = rng.sample(range(n), n)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(1, min(4, n - 1))))
+        classes = [states[i:j] for i, j in zip([0] + cuts, cuts)]
+        transient = states[cuts[-1]:]
+        weights = [[0] * n for _ in range(n)]
+        for cls in classes:
+            local = _irreducible_weights(rng, len(cls), rng.random() < 0.5)
+            for a, u in enumerate(cls):
+                for b, v in enumerate(cls):
+                    weights[u][v] = local[a][b]
+        for u in transient:
+            weights[u][rng.choice(states[:cuts[-1]])] = rng.randint(1, 4)
+            for v in rng.sample(range(n), rng.randint(0, n)):
+                weights[u][v] += rng.randint(0, 3)
+        chain = CutsetChain(tuple("ABCD"[:n_cut]), _stochastic(weights))
+        assert sorted(map(sorted, chain.bsccs)) == sorted(map(sorted, classes))
+        for comp, lrf in zip(chain.bsccs, chain.bscc_lrfs):
+            nodes = sorted(comp)
+            pi = stationary_by_state_reduction(
+                [[chain.matrix[u][v] for v in nodes] for u in nodes])
+            expect = dict(zip(nodes, pi))
+            assert lrf == tuple(expect.get(s, F(0)) for s in range(n))
+
+
+# --- Bland's pivot sequence, pinned ----------------------------------------
+
+#: sha256 of the classifications and LP optima below, recorded with the
+#: ``Fraction`` tableau this kernel replaced.
+WITNESS_DIGEST = "bace9087239812f49522214d9aabe9b4fb89d95f8e983ba6c114701d3a462ca9"
+
+
+def _text(xs):
+    return "none" if xs is None else ",".join(map(str, xs))
+
+
+def test_simplex_witnesses_are_pinned():
+    """Infinite families have many feasible points: the witness and the
+    optimum picked are the ones Bland's rule reaches, and only the same
+    pivot sequence reproduces them."""
+    rng = random.Random(40)
+    digest = hashlib.sha256()
+    for _ in range(40):
+        g = random_cyclic_gbn(rng, max_vars=4)
+        for system in (build_cpt_system(g), build_wcpt_system(g)):
+            cls = classify_polytope(system)
+            objective = tuple(F((5 * j) % 7 - 3) for j in range(system.num_cols))
+            status, value, x = simplex_maximize(system.matrix, system.rhs, objective)
+            digest.update(f"{cls.kind} {_text(cls.witness)} | "
+                          f"{status} {value} {_text(x)}\n".encode())
+    assert digest.hexdigest() == WITNESS_DIGEST
