@@ -24,6 +24,7 @@ Exit codes: 1 invalid input, 2 capacity exceeded, 3 result unsupported.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -268,7 +269,7 @@ def _cmd_cutsets(args) -> tuple[dict, int]:
     cuts = graphmod.enumerate_cutsets(inference.to_digraph(g),
                                       minimal_only=args.minimal)
     return {"command": "cutsets", "minimal": args.minimal,
-            "cutsets": [list(c) for c in cuts]}, 0
+            "cutsets": [sorted(c) for c in cuts]}, 0
 
 
 def _chain_out(mc: chainmod.CutsetChain) -> dict:
@@ -426,8 +427,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on its first call (not at import)
+    and reused: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         result, code = args.func(args)
     except DocumentError as e:

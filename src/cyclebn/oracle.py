@@ -1,8 +1,9 @@
 """Brute-force oracles: exact iteration of the unfolding, simple-path
-d-separation, Cesàro power iteration of the cutset chain, stationary
-vectors by state reduction, ``Fraction`` row reduction, and polytope
-classification by vertex enumeration.  None of them runs the integer
-elimination kernel of ``linalg``.
+d-separation, cutsets by testing every node subset, Cesàro power
+iteration of the cutset chain, stationary vectors by state reduction,
+``Fraction`` row reduction, and polytope classification by vertex
+enumeration.  None of them runs the integer elimination kernel of
+``linalg``.
 
 Everything here stays in exact rationals; closeness assertions compare
 exact total-variation distances against rational bounds.
@@ -17,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .chain import CutsetChain, next_dist
-from .graph import DiGraph
+from .graph import DiGraph, is_cutset
 from .linalg import LinearSystem
 from .model import CapacityError, Gbn, JointDistribution
 
@@ -115,6 +116,21 @@ def _blocked(g: DiGraph, path, zs: frozenset[str]) -> bool:
             if nodes[i] in zs:
                 return True
     return False
+
+
+def cutsets_by_subsets(g: DiGraph, minimal_only: bool = False) -> list[frozenset[str]]:
+    """All cutsets (or all inclusion-minimal cutsets), by size then name:
+    an SCC pass on what each node subset leaves, smallest subsets first."""
+    result: list[frozenset[str]] = []
+    for size in range(len(g.nodes) + 1):
+        for combo in itertools.combinations(g.nodes, size):
+            cand = frozenset(combo)
+            if not is_cutset(g, cand):
+                continue
+            if minimal_only and any(prev < cand for prev in result):
+                continue
+            result.append(cand)
+    return sorted(result, key=lambda c: (len(c), tuple(sorted(c))))
 
 
 def power_iteration(chain: CutsetChain, gamma0: Sequence[Fraction],

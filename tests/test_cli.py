@@ -337,3 +337,52 @@ def test_closed_stdout_is_quiet(ex52_path):
 def test_dsep_unknown_node_exit(fig1_path, capsys):
     assert main(["dsep", fig1_path, "--x", "X", "--y", "Q"]) == 1
     assert "Q" in capsys.readouterr().err
+
+
+CYCLE3 = json.dumps({
+    "variables": ["A", "B", "C"],
+    "edges": [["A", "B"], ["B", "C"], ["C", "A"]],
+    "cpts": {x: {"parents": [p], "rows": {"0": "1/2", "1": "1/3"}}
+             for x, p in (("A", "C"), ("B", "A"), ("C", "B"))},
+    "iota": {"": "1"}})
+
+
+def _fresh_run(argv, **env_changes):
+    """(exit code, stdout, stderr) of the command in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(cyclebn.__file__))
+    env = dict(os.environ, PYTHONPATH=src, **env_changes)
+    proc = subprocess.run([sys.executable, "-m", "cyclebn.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_cutsets_output_does_not_depend_on_hash_seed(tmp_path):
+    p = tmp_path / "cycle3.gbn"
+    p.write_text(CYCLE3)
+    for fmt in ("pretty", "machine"):
+        argv = ["--format", fmt, "cutsets", str(p)]
+        runs = [_fresh_run(argv, PYTHONHASHSEED=seed) for seed in ("1", "3")]
+        assert runs[0][0] == 0
+        assert runs[0] == runs[1]
+    assert json.loads(runs[0][1])["cutsets"] == [
+        ["A"], ["B"], ["C"], ["A", "B"], ["A", "C"], ["B", "C"], ["A", "B", "C"]]
+
+
+def test_reused_parser_answers_as_a_fresh_process(tmp_path, monkeypatch, capsys):
+    # usage lines wrap at the terminal width: fix it for both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    p = tmp_path / "cycle3.gbn"
+    p.write_text(CYCLE3)
+    queries = [["cutsets"],
+               ["--format", "machine", "dsep", str(p), "--x", "A", "--y", "B",
+                "--given", "C"],
+               ["--format", "machine", "cutsets", str(p), "--minimal"]]
+    codes = []
+    for argv in queries:
+        try:
+            codes.append(main(argv))
+        except SystemExit as e:          # argparse rejects the arguments
+            codes.append(e.code)
+        out = capsys.readouterr()
+        assert (codes[-1], out.out, out.err) == _fresh_run(argv, COLUMNS="80")
+    assert codes == [2, 0, 0]

@@ -1,11 +1,16 @@
 """Graph analysis: SCCs, cutsets, closure, cut-restriction, d-separation."""
 
+import random
+
 import pytest
 
 from conftest import three_cycle_graph
+from cyclebn import graph
 from cyclebn.graph import (DiGraph, close, cut_restrict, d_separated,
                            enumerate_cutsets, is_acyclic, is_cutset,
                            scc_decompose)
+from cyclebn.model import CapacityError
+from cyclebn.oracle import cutsets_by_subsets
 
 
 def chain_graph():
@@ -69,6 +74,42 @@ def test_enumerate_cutsets_minimal():
 def test_enumerate_cutsets_acyclic_includes_empty():
     cuts = enumerate_cutsets(chain_graph(), minimal_only=True)
     assert cuts == [frozenset()]
+
+
+def _random_digraph(rng: random.Random, n: int) -> DiGraph:
+    """Random digraph on n shuffled names: dense or sparse, with or
+    without self-loops, and acyclic one time in four."""
+    nodes = [f"N{i:02d}" for i in range(n)]
+    rng.shuffle(nodes)
+    p = rng.choice((0.05, 0.15, 0.3, 0.6))
+    acyclic = rng.random() < 0.25
+    loops = 0 if acyclic else rng.choice((0, 0.1))
+    edges = {(u, v) for i, u in enumerate(nodes) for j, v in enumerate(nodes)
+             if (i < j or not acyclic and i > j) and rng.random() < p
+             or i == j and rng.random() < loops}
+    return DiGraph(tuple(nodes), frozenset(edges))
+
+
+def test_enumerate_cutsets_matches_subset_oracle():
+    rng = random.Random(8)
+    sizes = [rng.randint(0, 9) for _ in range(150)] + [10, 11, 12, 12]
+    for n in sizes:
+        g = _random_digraph(rng, n)
+        for minimal in (False, True):
+            assert enumerate_cutsets(g, minimal) == cutsets_by_subsets(g, minimal), \
+                (g, minimal)
+        if is_acyclic(g):
+            assert enumerate_cutsets(g, True) == [frozenset()]
+
+
+def test_enumerate_cutsets_capacity_before_table(monkeypatch):
+    def no_table(size):
+        raise AssertionError(f"table of {size} entries allocated")
+    monkeypatch.setattr(graph, "bytearray", no_table, raising=False)
+    names = [f"V{i:02d}" for i in range(graph.MAX_CUTSET_NODES + 1)]
+    g = DiGraph(tuple(names), frozenset(zip(names, names[1:] + names[:1])))
+    with pytest.raises(CapacityError):
+        enumerate_cutsets(g)
 
 
 def test_close_links_initial_nodes():
