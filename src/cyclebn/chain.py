@@ -34,6 +34,8 @@ def _primed(name: str) -> str:
 
 def _check_cutset(g: Gbn, cut) -> tuple[str, ...]:
     cut = tuple(sorted(cut))
+    if len(set(cut)) != len(cut):
+        raise ValueError(f"duplicate variable names: {cut}")
     dg = to_digraph(g)
     if not graphmod.is_cutset(dg, cut):
         raise NotACutsetError(f"{list(cut)} is not a cutset")
@@ -220,7 +222,9 @@ def _extend(g: Gbn, cut: tuple[str, ...], gamma) -> JointDistribution:
 class CutsetChain:
     """DTMC over cutset assignments with exact transition matrix.
 
-    State ``i`` is the cutset assignment with canonical index ``i``.
+    State ``i`` is the cutset assignment with canonical index ``i``.  The
+    BSCCs, listed by smallest state, and their periods are read off the
+    support, built once as ``_successors``.
     """
 
     cutset: tuple[str, ...]
@@ -239,41 +243,36 @@ class CutsetChain:
                      for j in range(n))
 
     @cached_property
-    def _digraph(self) -> graphmod.DiGraph:
-        names = tuple(str(i) for i in range(self.num_states))
-        edges = frozenset((str(i), str(j))
-                          for i in range(self.num_states)
-                          for j in range(self.num_states)
-                          if self.matrix[i][j] > 0)
-        return graphmod.DiGraph(names, edges)
+    def _successors(self) -> tuple[tuple[int, ...], ...]:
+        """For each state, the states its row gives nonzero probability."""
+        return tuple(tuple(j for j, p in enumerate(row) if p)
+                     for row in self.matrix)
 
     @cached_property
     def bsccs(self) -> tuple[frozenset[int], ...]:
-        dec = graphmod.scc_decompose(self._digraph)
-        return tuple(frozenset(int(v) for v in comp)
-                     for comp in dec.bottom_components)
+        """Bottom strongly connected components, by smallest state."""
+        edges = frozenset((u, v) for u, vs in enumerate(self._successors)
+                          for v in vs)
+        dg = graphmod.DiGraph(tuple(range(self.num_states)), edges)
+        return tuple(sorted(graphmod.scc_decompose(dg).bottom_components,
+                            key=min))
 
     @cached_property
     def periods(self) -> tuple[int, ...]:
-        """Period of each BSCC: gcd of (1 + depth(u) - depth(v)) over its
-        internal edges, from a BFS depth labeling."""
+        """Period of each BSCC: gcd of (depth(u) + 1 - depth(v)) over its
+        edges, all of which stay inside it, from a BFS over the support."""
         out = []
         for comp in self.bsccs:
-            nodes = sorted(comp)
-            depth = {nodes[0]: 0}
-            queue = [nodes[0]]
-            while queue:
-                u = queue.pop(0)
-                for v in nodes:
-                    if self.matrix[u][v] > 0 and v not in depth:
-                        depth[v] = depth[u] + 1
-                        queue.append(v)
+            order = [min(comp)]
+            depth = {order[0]: 0}
             period = 0
-            for u in nodes:
-                for v in nodes:
-                    if self.matrix[u][v] > 0:
-                        period = math.gcd(period, depth[u] + 1 - depth[v])
-            out.append(abs(period))
+            for u in order:             # grows as the search goes
+                for v in self._successors[u]:
+                    if v not in depth:
+                        depth[v] = depth[u] + 1
+                        order.append(v)
+                    period = math.gcd(period, depth[u] + 1 - depth[v])
+            out.append(period)
         return tuple(out)
 
     @cached_property
@@ -304,8 +303,6 @@ def cutset_mc(g: Gbn, cut) -> CutsetChain:
     if len(cut) > MAX_CUTSET_SIZE:
         raise CapacityError(f"cutset size capped at {MAX_CUTSET_SIZE}")
     _validate(g)
-    if not cut:
-        return CutsetChain(cut, ((ONE,),))
     n, size = len(g.nodes), 1 << len(cut)
     rows = []
     for table in _forward_eliminate(g, cut, True,
@@ -319,27 +316,24 @@ def cutset_mc(g: Gbn, cut) -> CutsetChain:
 
 def reach_probs(chain: CutsetChain,
                 gamma0: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    """Exact probability of getting absorbed in each BSCC from ``gamma0``."""
-    n = chain.num_states
+    """Exact probability of getting absorbed in each BSCC from ``gamma0``:
+    its starting mass plus the flow y P into it, where one left solve
+    y (I - P_TT) = gamma0_T gives the expected visits y to transient states."""
     recurrent = set().union(*chain.bsccs)
-    transient = [s for s in range(n) if s not in recurrent]
-    # (I - P_TT) x = P_(T -> comp) . 1, one right-hand side per BSCC
+    transient = [s for s in range(chain.num_states) if s not in recurrent]
     rows = tuple(tuple((ONE if s == t else ZERO) - chain.matrix[s][t]
-                       for t in transient) for s in transient)
-    out = []
-    for comp in chain.bsccs:
-        hit = [ONE if s in comp else ZERO for s in range(n)]
-        if transient:
-            rhs = tuple(sum(chain.matrix[s][t] for t in comp) for s in transient)
-            space = solve_affine(LinearSystem(rows, rhs))
-            if space.is_empty or space.basis:
-                raise InternalError("absorption system must have a unique solution")
-            for pos, s in enumerate(transient):
-                hit[s] = space.particular[pos]
-        out.append(sum(gamma0[s] * hit[s] for s in range(n)))
+                       for s in transient) for t in transient)
+    space = solve_affine(LinearSystem(rows, tuple(gamma0[t] for t in transient)))
+    if space.is_empty or space.basis:
+        raise InternalError("absorption system must have a unique solution")
+    mass = list(gamma0)
+    for s, y in zip(transient, space.particular):
+        for c in chain._successors[s]:
+            mass[c] += y * chain.matrix[s][c]
+    out = tuple(sum(mass[c] for c in comp) for comp in chain.bsccs)
     if sum(out) != 1:
         raise InternalError(f"absorption probabilities sum to {sum(out)}, not 1")
-    return tuple(out)
+    return out
 
 
 def _mix(chain: CutsetChain, lam) -> tuple[Fraction, ...]:
@@ -388,24 +382,23 @@ class LimStatus:
 def lim(g: Gbn, cut, gamma0: JointDistribution) -> LimStatus:
     """Limit semantics: the extension of the limit of the cutset sequence.
 
-    Reported defined when ``gamma0`` is already stationary or every BSCC
-    reached with positive probability is aperiodic; either implies that
-    the sequence converges.  The test is sufficient, not necessary: a
-    start with no transient mass that gives each cyclic class of a
-    periodic BSCC the same mass also converges, yet is reported
-    undefined with that period.
+    It is the long-run frequency f from ``gamma0``, reported undefined,
+    with the periods of the periodic BSCCs that ``gamma0`` reaches, when
+    there are any and f differs from ``gamma0`` (so ``gamma0`` is not
+    stationary).  The test is sufficient, not necessary: a start with no
+    transient mass that gives each cyclic class of a periodic BSCC the
+    same mass also converges, yet is reported undefined with that period.
     """
     chain = cutset_mc(g, cut)
     if tuple(gamma0.variables) != chain.cutset:
         raise ValueError("gamma0 must cover exactly the cutset")
-    if chain.is_stationary(gamma0.probs):
-        return LimStatus(_extend(g, chain.cutset, gamma0.probs))
     lam = reach_probs(chain, gamma0.probs)
-    offending = tuple(chain.periods[k] for k in range(len(chain.bsccs))
-                      if lam[k] > 0 and chain.periods[k] > 1)
-    if offending:
+    freq = _mix(chain, lam)
+    offending = tuple(p for p, weight in zip(chain.periods, lam)
+                      if weight > 0 and p > 1)
+    if offending and freq != gamma0.probs:
         return LimStatus(None, offending)
-    return LimStatus(_extend(g, chain.cutset, _mix(chain, lam)))
+    return LimStatus(_extend(g, chain.cutset, freq))
 
 
 def lim_avg(g: Gbn, cut, gamma0: JointDistribution) -> JointDistribution:

@@ -33,8 +33,9 @@ from fractions import Fraction
 from . import chain as chainmod
 from . import constraints, graph as graphmod, inference, oracle
 from .families import UNIQUE, UNSUPPORTED, SemanticsFamily
-from .model import (CapacityError, Cpt, Gbn, JointDistribution, Violation,
-                    format_rational, parse_rational)
+from .model import (MAX_DENSE_VARS, CapacityError, Cpt, Gbn,
+                    JointDistribution, Violation, format_rational,
+                    parse_rational)
 
 EXIT_INVALID = 1
 EXIT_CAPACITY = 2
@@ -69,16 +70,35 @@ def _vector_from_keys(mapping, variables, what: str) -> tuple[Fraction, ...]:
         if vec[idx] is not None:
             raise ValueError(f"{what}: duplicate key {key!r}")
         vec[idx] = parse_rational(text)
-    missing = [_bits(i, n) for i, v in enumerate(vec) if v is None]
+    missing = [i for i, v in enumerate(vec) if v is None]
     if missing:
-        raise ValueError(f"{what}: missing keys {missing}")
+        more = f" and {len(missing) - 8} more" if len(missing) > 8 else ""
+        raise ValueError(f"{what}: missing keys "
+                         f"{[_bits(i, n) for i in missing[:8]]}{more}")
     return tuple(vec)
+
+
+def _check_width(names, what: str) -> None:
+    """Refuse a table over more than ``MAX_DENSE_VARS`` variables before
+    it is allocated."""
+    if len(names) > MAX_DENSE_VARS:
+        raise CapacityError(
+            f"{len(names)} {what} exceed the dense cap of {MAX_DENSE_VARS}")
 
 
 def _strings(value, what: str) -> tuple[str, ...]:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise ValueError(f"{what} must be a list of strings")
     return tuple(value)
+
+
+def _json(text: str):
+    """``json.loads``, with nesting too deep to decode reported as a
+    ValueError instead of a RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("not valid JSON: nested too deeply") from None
 
 
 def _object(value, what: str) -> dict:
@@ -88,11 +108,13 @@ def _object(value, what: str) -> dict:
 
 
 def parse_document(text: str) -> Gbn:
-    """Parse a JSON network document; raises DocumentError on problems."""
+    """Parse a JSON network document; raises DocumentError on problems
+    and CapacityError, before any table is read, over the dense cap."""
     problems: list[Violation] = []
     try:
-        doc = _object(json.loads(text), "document")
+        doc = _object(_json(text), "document")
         nodes = _strings(doc.get("variables", []), "variables")
+        _check_width(nodes, "variables")
         edges = doc.get("edges", [])
         if not isinstance(edges, list) or any(
                 len(_strings(e, "each edge")) != 2 for e in edges):
@@ -110,6 +132,7 @@ def parse_document(text: str) -> Gbn:
         try:
             entry = _object(entry, what)
             parents = tuple(sorted(_strings(entry.get("parents"), f"{what}: parents")))
+            _check_width(parents, f"parents of {name}")
             rows = _object(entry.get("rows"), f"{what}: rows")
             cpts[name] = Cpt(name, parents, _vector_from_keys(rows, parents, what))
         except ValueError as e:
@@ -176,6 +199,7 @@ def _parse_names(text: str | None) -> tuple[str, ...]:
 
 def _parse_gamma0(source: str, cut) -> JointDistribution:
     cut = tuple(sorted(cut))
+    _check_width(cut, "cutset variables")
     if source == "uniform":
         return JointDistribution.uniform(cut)
     if source.startswith("dirac:"):
@@ -187,7 +211,7 @@ def _parse_gamma0(source: str, cut) -> JointDistribution:
         probs[int(bits, 2) if cut else 0] = Fraction(1)
         return JointDistribution(cut, tuple(probs))
     with open(source, encoding="utf-8") as fh:
-        table = _object(json.load(fh), "gamma0")
+        table = _object(_json(fh.read()), "gamma0")
     return JointDistribution(cut, _vector_from_keys(table, cut, "gamma0"))
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable
+from typing import Hashable, Iterable
 
 from .model import CapacityError
 
@@ -15,10 +15,12 @@ MAX_CUTSET_NODES = 20
 
 @dataclass(frozen=True)
 class DiGraph:
-    """Finite directed graph; self-loops are allowed (cycles of length 1)."""
+    """Finite directed graph; self-loops are allowed (cycles of length 1).
+    A node name is any hashable value that sorts against the others, such
+    as a network variable (str) or a cutset-chain state (int)."""
 
-    nodes: tuple[str, ...]
-    edges: frozenset[tuple[str, str]]
+    nodes: tuple[Hashable, ...]
+    edges: frozenset[tuple[Hashable, Hashable]]
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(sorted(self.nodes)))
@@ -29,29 +31,29 @@ class DiGraph:
                 raise ValueError(f"edge ({u}, {v}) references unknown node")
 
     @cached_property
-    def _adjacency(self) -> tuple[dict[str, frozenset[str]], dict[str, frozenset[str]]]:
+    def _adjacency(self) -> tuple[dict[Hashable, frozenset], dict[Hashable, frozenset]]:
         """Successor and predecessor sets of every node, built once."""
-        succ: dict[str, set[str]] = {v: set() for v in self.nodes}
-        pred: dict[str, set[str]] = {v: set() for v in self.nodes}
+        succ: dict[Hashable, set[Hashable]] = {v: set() for v in self.nodes}
+        pred: dict[Hashable, set[Hashable]] = {v: set() for v in self.nodes}
         for (u, v) in self.edges:
             succ[u].add(v)
             pred[v].add(u)
         return ({v: frozenset(s) for v, s in succ.items()},
                 {v: frozenset(s) for v, s in pred.items()})
 
-    def successors(self, node: str) -> frozenset[str]:
+    def successors(self, node: Hashable) -> frozenset[Hashable]:
         return self._adjacency[0].get(node, frozenset())
 
-    def predecessors(self, node: str) -> frozenset[str]:
+    def predecessors(self, node: Hashable) -> frozenset[Hashable]:
         return self._adjacency[1].get(node, frozenset())
 
     @property
-    def initial_nodes(self) -> frozenset[str]:
+    def initial_nodes(self) -> frozenset[Hashable]:
         return frozenset(self.nodes) - {v for (_, v) in self.edges}
 
-    def post_star(self, node: str) -> frozenset[str]:
+    def post_star(self, node: Hashable) -> frozenset[Hashable]:
         """Nodes reachable from ``node`` via at least one edge."""
-        seen: set[str] = set()
+        seen: set[Hashable] = set()
         stack = list(self.successors(node))
         while stack:
             v = stack.pop()
@@ -66,22 +68,22 @@ class DiGraph:
 class SccDecomposition:
     """SCCs in condensation (topological) order, with bottom SCCs flagged."""
 
-    components: tuple[frozenset[str], ...]
+    components: tuple[frozenset[Hashable], ...]
     bottom: tuple[bool, ...]
 
     @property
-    def bottom_components(self) -> tuple[frozenset[str], ...]:
+    def bottom_components(self) -> tuple[frozenset[Hashable], ...]:
         return tuple(c for c, b in zip(self.components, self.bottom) if b)
 
 
 def scc_decompose(g: DiGraph) -> SccDecomposition:
     """Tarjan's algorithm (iterative); emits components in reverse
     topological discovery order, then reverses to condensation order."""
-    index: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    components: list[frozenset[str]] = []
+    index: dict[Hashable, int] = {}
+    lowlink: dict[Hashable, int] = {}
+    on_stack: set[Hashable] = set()
+    stack: list[Hashable] = []
+    components: list[frozenset[Hashable]] = []
     counter = [0]
     succ = {v: sorted(g.successors(v)) for v in g.nodes}
 

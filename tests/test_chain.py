@@ -1,5 +1,6 @@
 """Dissection, unfolding, cutset Markov chains, and the limit semantics."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from cyclebn.graph import DiGraph, is_acyclic
 from cyclebn.inference import chain_rule_dist
 from cyclebn.model import (Cpt, InternalError, JointDistribution,
                            assignment_from_index, dirac, make_gbn)
-from cyclebn.oracle import iterate_next
+from cyclebn.oracle import fraction_rref, iterate_next
 
 F = Fraction
 
@@ -86,6 +87,11 @@ def test_cutset_mc_matrix():
         (F(0), F(0), F(1), F(0)))
     assert mc.num_states == 4
     assert mc.state_assignment(2) == {"X": True, "Y": False}
+
+
+def test_cutset_mc_rejects_duplicate_names():
+    with pytest.raises(ValueError, match="duplicate variable names"):
+        cutset_mc(two_cycle(*EX52), ("X", "X"))
 
 
 def test_cutset_mc_capacity():
@@ -303,3 +309,118 @@ def test_invariant_failures_raise_internal_error():
     with pytest.raises(InternalError):
         leaky.bscc_lrfs
     assert not issubclass(InternalError, AssertionError)
+
+
+# --- literal definitions for the chain analysis ------------------------------
+
+def _reaches(matrix):
+    """reach[u][v]: v is reachable from u in zero or more steps."""
+    n = len(matrix)
+    reach = [[u == v or matrix[u][v] != 0 for v in range(n)] for u in range(n)]
+    for k in range(n):
+        for u in range(n):
+            if reach[u][k]:
+                reach[u] = [a or b for a, b in zip(reach[u], reach[k])]
+    return reach
+
+
+def _closed_sccs(matrix):
+    """The strongly connected components that no edge leaves, by smallest
+    state."""
+    reach = _reaches(matrix)
+    n = len(matrix)
+    comps = {frozenset(v for v in range(n) if reach[u][v] and reach[v][u])
+             for u in range(n)}
+    closed = [c for c in comps
+              if all(reach[u][v] <= (v in c) for u in c for v in range(n))]
+    return sorted(closed, key=min)
+
+
+def _period(matrix, comp):
+    """gcd of the lengths t <= |comp| of closed walks inside ``comp``,
+    from boolean matrix powers."""
+    nodes = sorted(comp)
+    adj = [[matrix[u][v] != 0 for v in nodes] for u in nodes]
+    power, period = adj, 0
+    for t in range(1, len(nodes) + 1):
+        if any(power[i][i] for i in range(len(nodes))):
+            period = math.gcd(period, t)
+        power = [[any(row[k] and adj[k][j] for k in range(len(nodes)))
+                  for j in range(len(nodes))] for row in power]
+    return period
+
+
+def _absorption(matrix, comps, gamma0):
+    """Per component, gamma0 times the hitting probabilities that solve
+    (I - P_TT) h = P_(T -> C) 1 by Fraction row reduction."""
+    recurrent = set().union(*comps)
+    transient = [s for s in range(len(matrix)) if s not in recurrent]
+    a = [[F(s == t) - matrix[s][t] for t in transient] for s in transient]
+    out = []
+    for comp in comps:
+        b = [sum(matrix[s][c] for c in comp) for s in transient]
+        _, x, pivots = fraction_rref(a, b)
+        assert pivots == list(range(len(transient)))
+        hit = dict(zip(transient, x))
+        out.append(sum(gamma0[s] * (1 if s in comp else hit.get(s, 0))
+                       for s in range(len(matrix))))
+    return out
+
+
+def _random_chain(rng):
+    """Random sparse chain on 1-12 states: closed classes whose cyclic
+    classes (1-4 of them) are visited in turn around one spanning cycle,
+    transient states each with an edge to a lower state, and the states
+    relabelled at random."""
+    succ = []
+    while not succ or (len(succ) <= 4 and rng.random() < 0.6):
+        d = rng.randint(1, 4)
+        size = d * rng.randint(1, 2) if d > 1 else rng.randint(1, 3)
+        first = len(succ)
+        for j in range(size):
+            nxt = {first + (j + 1) % size}
+            nxt |= {first + t for t in range((j + 1) % d, size, d)
+                    if rng.random() < 0.4}
+            succ.append(nxt)
+    for s in range(len(succ), rng.randint(len(succ), 12)):
+        succ.append({rng.randrange(s)} |
+                    {t for t in range(s + 1) if rng.random() < 0.25})
+    n = len(succ)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    matrix = [[F(0)] * n for _ in range(n)]
+    for s, nxt in enumerate(succ):
+        weights = {t: rng.randint(1, 4) for t in nxt}
+        for t, w in weights.items():
+            matrix[perm[s]][perm[t]] = F(w, sum(weights.values()))
+    return CutsetChain((), tuple(map(tuple, matrix)))
+
+
+def _random_start(rng, n):
+    weights = [rng.choice((0, 0, 1, 2, 5)) for _ in range(n)]
+    weights[rng.randrange(n)] += 1
+    return tuple(F(w, sum(weights)) for w in weights)
+
+
+def test_chain_analysis_matches_literal_definitions():
+    rng = random.Random(2024)
+    periods, multi, transient = set(), 0, 0
+    for i in range(150):
+        mc = _random_chain(rng) if i else CutsetChain((), ((F(1),),))
+        comps = _closed_sccs(mc.matrix)
+        assert list(mc.bsccs) == comps
+        assert list(mc.periods) == [_period(mc.matrix, c) for c in comps]
+        gamma0 = _random_start(rng, mc.num_states)
+        assert list(reach_probs(mc, gamma0)) == \
+            _absorption(mc.matrix, comps, gamma0)
+        lrf = long_run_frequency(mc, gamma0)
+        assert (lrf == gamma0) == mc.is_stationary(gamma0)
+        lam = [F(rng.randint(0, 3)) for _ in comps]
+        lam[0] += 1
+        mix = tuple(sum(w * v[s] for w, v in zip(lam, mc.bscc_lrfs)) / sum(lam)
+                    for s in range(mc.num_states))
+        assert mc.is_stationary(mix) and long_run_frequency(mc, mix) == mix
+        periods |= set(mc.periods)
+        multi += len(comps) > 1
+        transient += mc.num_states > len(set().union(*comps))
+    assert {1, 2, 3, 4} <= periods and multi > 20 and transient > 20

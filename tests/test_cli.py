@@ -103,6 +103,8 @@ def test_parse_missing_cpt_row():
 def test_parse_bad_json():
     with pytest.raises(DocumentError):
         parse_document("not json")
+    with pytest.raises(DocumentError, match="nested too deeply"):
+        parse_document("[" * 100_000)
 
 
 def test_validate_ok(fig1_path, capsys):
@@ -386,3 +388,49 @@ def test_reused_parser_answers_as_a_fresh_process(tmp_path, monkeypatch, capsys)
         out = capsys.readouterr()
         assert (codes[-1], out.out, out.err) == _fresh_run(argv, COLUMNS="80")
     assert codes == [2, 0, 0]
+
+
+@pytest.mark.parametrize("command", ["chain", "classify"])
+def test_duplicate_cutset_names_exit_1(ex52_path, capsys, command):
+    assert main(["--format", "machine", command, ex52_path,
+                 "--cutset", "X,X"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: duplicate variable names: ('X', 'X')\n"
+
+
+def _isolated(n):
+    return {"variables": [f"V{i:02d}" for i in range(n)], "edges": [],
+            "cpts": {}}
+
+
+@pytest.mark.parametrize("doc", [
+    _isolated(64),
+    _isolated(40),
+    _isolated(21),
+    {"variables": ["X"], "edges": [], "cpts": {"X": {
+        "parents": [f"P{i:02d}" for i in range(64)], "rows": {}}}},
+], ids=["64-isolated", "40-initial", "21-variables", "64-parents"])
+def test_oversized_document_is_refused_before_allocation(tmp_path, doc):
+    p = tmp_path / "big.gbn"
+    p.write_text(json.dumps(doc))
+    code, out, err = _fresh_run(["validate", str(p)])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: capacity: ")
+    assert "Traceback" not in err
+
+
+def test_oversized_dirac_start_is_refused(ex52_path):
+    names = ",".join(f"V{i:02d}" for i in range(64))
+    code, _, err = _fresh_run(["semantics", ex52_path, "--kind", "lim",
+                               "--cutset", names, "--gamma0", "dirac:" + "0" * 64])
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: capacity: ")
+
+
+def test_missing_keys_message_is_capped():
+    doc = dict(_isolated(12), iota={"0" * 12: "1"})
+    with pytest.raises(DocumentError) as info:
+        parse_document(json.dumps(doc))
+    [violation] = info.value.violations
+    assert violation.message.endswith("'000000001000'] and 4087 more")
