@@ -13,7 +13,7 @@ from .families import INFINITE, UNIQUE, SemanticsFamily
 from .inference import chain_rule_dist, to_digraph
 from .linalg import LinearSystem, null_space_left, solve_affine
 from .model import (CapacityError, Cpt, Gbn, InternalError,
-                    JointDistribution, assignment_from_index, sums_to_one)
+                    JointDistribution, assignment_from_index)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -90,6 +90,11 @@ def next_dist(g: Gbn, cut, gamma: JointDistribution) -> JointDistribution:
     return full.restrict(kept).rename({_primed(c): c for c in cut})
 
 
+def _check_cutset_size(cut) -> None:
+    if len(cut) > MAX_CUTSET_SIZE:
+        raise CapacityError(f"cutset size capped at {MAX_CUTSET_SIZE}")
+
+
 def _validate(g: Gbn) -> None:
     violations = g.validate()
     if violations:
@@ -102,6 +107,14 @@ def _spread(index: int, bits) -> int:
     return sum(b for j, b in enumerate(reversed(bits)) if index >> j & 1)
 
 
+def _scaled(values) -> tuple[list[int], int]:
+    """Numerators of the rationals ``values`` over the lcm of their
+    denominators, and that lcm."""
+    values = tuple(values)
+    d = math.lcm(*(q.denominator for q in values))
+    return [q.numerator * (d // q.denominator) for q in values], d
+
+
 def _forward_eliminate(g: Gbn, cut: tuple[str, ...], rows: bool,
                        gammas) -> list[dict[int, Fraction]]:
     """Chain-rule product over the dissected DAG of ``g`` for each sparse
@@ -111,12 +124,19 @@ def _forward_eliminate(g: Gbn, cut: tuple[str, ...], rows: bool,
     Keys are ints: bit n-1-i is the i-th sorted node and bit n+k-1-j the
     primed copy of cut node j, so a key over the original nodes is its
     canonical index.  Each table starts as iota x gamma.  The non-initial
-    nodes are placed in topological order, each entry splitting into
-    ``p*r`` and ``p - p*r``, and every other node is summed out once its
-    last child is placed.  What stays are the targets: the primed cut
-    nodes when ``rows`` is set, the original nodes otherwise.  Nodes that
-    are not ancestors of a target cannot change the result and are never
-    placed.
+    nodes are placed in topological order, and every other node is
+    summed out once its last child is placed.  What stays are the
+    targets: the primed cut nodes when ``rows`` is set, the original
+    nodes otherwise.  Nodes that are not ancestors of a target cannot
+    change the result and are never placed.
+
+    Table values are int numerators over one shared denominator ``D``.
+    The start scales iota and gamma each by the lcm of its denominators.
+    A node's CPT rows become ints ``num`` over the lcm ``d`` of their
+    denominators, and placing it splits an entry ``p`` into ``p*num[idx]``
+    and ``p*d - p*num[idx]`` and sets ``D *= d``.  The mass check is
+    ``sum == D``; entries become ``Fraction``s only on output, so no gcd
+    is taken before that.
     """
     n, k = len(g.nodes), len(cut)
     bit = {v: 1 << (n - 1 - i) for i, v in enumerate(g.nodes)}
@@ -154,7 +174,7 @@ def _forward_eliminate(g: Gbn, cut: tuple[str, ...], rows: bool,
             pending[u] -= 1
             if not pending[u] and u not in targets:
                 drop |= u
-        steps.append((b, parents[b], cpt_of[b].rows, ~drop))
+        steps.append((b, parents[b], *_scaled(cpt_of[b].rows), ~drop))
         for c in children.get(b, ()):
             unplaced[c] -= 1
             if not unplaced[c]:
@@ -165,23 +185,26 @@ def _forward_eliminate(g: Gbn, cut: tuple[str, ...], rows: bool,
 
     iota_bits = [bit[v] for v in g.iota.variables]
     cut_bits = [bit[c] for c in cut]
-    iota = [(_spread(a, iota_bits), p) for a, p in enumerate(g.iota.probs) if p]
+    iota_num, iota_den = _scaled(g.iota.probs)
+    iota = [(_spread(a, iota_bits), p) for a, p in enumerate(iota_num) if p]
     out = []
     for gamma in gammas:
-        table: dict[int, Fraction] = {}
-        for c, w in gamma.items():
+        gamma_num, den = _scaled(gamma.values())
+        den *= iota_den
+        table: dict[int, int] = {}
+        for c, w in zip(gamma, gamma_num):
             ckey = _spread(c, cut_bits)
             for ikey, p in iota:
                 key = (ikey | ckey) & start_keep
-                table[key] = table[key] + p * w if key in table else p * w
-        for b, pbits, cpt_rows, keep in steps:
-            placed: dict[int, Fraction] = {}
+                table[key] = table.get(key, 0) + p * w
+        for b, pbits, num, d, keep in steps:
+            placed: dict[int, int] = {}
             for key, p in table.items():
                 idx = 0
                 for u in pbits:
                     idx = idx << 1 | (key & u != 0)
-                pr = p * cpt_rows[idx]
-                q = p - pr
+                pr = p * num[idx]
+                q = p * d - pr
                 if pr:
                     hi = (key | b) & keep
                     placed[hi] = placed[hi] + pr if hi in placed else pr
@@ -189,10 +212,12 @@ def _forward_eliminate(g: Gbn, cut: tuple[str, ...], rows: bool,
                     lo = key & keep
                     placed[lo] = placed[lo] + q if lo in placed else q
             table = placed
-        if not sums_to_one(table.values()):
+            den *= d
+        mass = sum(table.values())
+        if mass != den:
             raise InternalError(
-                f"forward elimination mass is {sum(table.values())}, not 1")
-        out.append(table)
+                f"forward elimination mass is {Fraction(mass, den)}, not 1")
+        out.append({key: Fraction(p, den) for key, p in table.items()})
     return out
 
 
@@ -300,8 +325,7 @@ def cutset_mc(g: Gbn, cut) -> CutsetChain:
     """Transition matrix P(b, c) = one-step probability of cutset
     assignment c when starting from the point mass on b."""
     cut = _check_cutset(g, cut)
-    if len(cut) > MAX_CUTSET_SIZE:
-        raise CapacityError(f"cutset size capped at {MAX_CUTSET_SIZE}")
+    _check_cutset_size(cut)
     _validate(g)
     n, size = len(g.nodes), 1 << len(cut)
     rows = []
@@ -337,9 +361,14 @@ def reach_probs(chain: CutsetChain,
 
 
 def _mix(chain: CutsetChain, lam) -> tuple[Fraction, ...]:
-    """The BSCC frequency vectors mixed by the weights ``lam``."""
-    return tuple(sum(lam[k] * lrf[s] for k, lrf in enumerate(chain.bscc_lrfs))
-                 for s in range(chain.num_states))
+    """The BSCC frequency vectors mixed by the weights ``lam``; each
+    vector is zero off its own component."""
+    out = [ZERO] * chain.num_states
+    for weight, comp, lrf in zip(lam, chain.bsccs, chain.bscc_lrfs):
+        if weight:
+            for s in comp:
+                out[s] = weight * lrf[s]
+    return tuple(out)
 
 
 def long_run_frequency(chain: CutsetChain,

@@ -344,7 +344,6 @@ def _cmd_semantics(args) -> tuple[dict, int]:
         out.update(_family_out(fam))
         return out, EXIT_UNSUPPORTED if fam.status == UNSUPPORTED else 0
     cut = _parse_names(args.cutset) if args.cutset else _default_cutset(g)
-    gamma0 = _parse_gamma0(args.gamma0, cut)
     if kind == "mc":
         mc = chainmod.cutset_mc(g, cut)
         fam = chainmod.stationary_set(mc)
@@ -354,6 +353,9 @@ def _cmd_semantics(args) -> tuple[dict, int]:
         out.update(_family_out(SemanticsFamily(fam.kind, fam.status, extended)))
         out["cutset"] = list(cut)
         return out, 0
+    # the start has 2**|cut| entries: refuse an oversized cutset first
+    chainmod._check_cutset_size(cut)
+    gamma0 = _parse_gamma0(args.gamma0, cut)
     if kind == "lim":
         status = chainmod.lim(g, cut, gamma0)
         out["cutset"] = list(cut)

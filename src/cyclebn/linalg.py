@@ -34,7 +34,7 @@ Matrix = tuple[Vector, ...]
 
 
 def _vec(xs) -> Vector:
-    return tuple(Fraction(x) for x in xs)
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in xs)
 
 
 @dataclass(frozen=True)

@@ -280,6 +280,47 @@ def test_compiled_chain_matches_unfolding_on_random_networks():
     assert correlated and deterministic and sizes == {1, 2, 3}
 
 
+COPRIME = (2, 3, 5, 7, 8, 10**6 + 3)
+
+
+def _coprime_joint(rng, variables):
+    """Random joint whose entries share one odd denominator, zeros allowed."""
+    total = rng.choice((3, 5, 7, 9, 10**6 + 3))
+    cuts = sorted(rng.randint(0, total) for _ in range((1 << len(variables)) - 1))
+    weights = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+    return JointDistribution(tuple(variables),
+                             tuple(F(w, total) for w in weights))
+
+
+def test_compiled_chain_matches_unfolding_on_coprime_denominators():
+    # Rows of one CPT with coprime denominators catch a kernel that scales
+    # by anything but their lcm; the elimination's own mass check cannot.
+    g = two_cycle("1/3", "1/4", "2/5", "5/7")
+    _assert_compiled_matches_oracle(g, ("X",), _coprime_joint(random.Random(1), ("X",)))
+    rng = random.Random(43)
+    correlated = mixed = 0
+    for _ in range(40):
+        shape = random_cyclic_gbn(rng, max_vars=4)
+        initial = rng.choice(((), ("I",), ("I", "J")))
+        edges = shape.edges | {(i, rng.choice(shape.nodes)) for i in initial}
+        cpts = []
+        for x in shape.nodes:
+            parents = tuple(sorted(u for u, v in edges if v == x))
+            if parents:
+                cpts.append(Cpt(x, parents, tuple(
+                    rng.choice((F(0), F(1), rand_entry(rng, rng.choice(COPRIME))))
+                    for _ in range(1 << len(parents)))))
+        roots = sorted(set(shape.nodes + initial) - {c.owner for c in cpts})
+        g = make_gbn(shape.nodes + initial, edges, cpts,
+                     _coprime_joint(rng, roots))
+        cut = random_cutset(rng, g, max_size=3)
+        correlated += len(g.iota.variables) >= 2
+        mixed += any(len({r.denominator for r in c.rows} - {1}) >= 2
+                     for c in cpts)
+        _assert_compiled_matches_oracle(g, cut, _coprime_joint(rng, cut))
+    assert correlated and mixed
+
+
 def test_compiled_chain_matches_unfolding_on_ring_with_chords():
     rng = random.Random(10)
     names = [f"R{i}" for i in range(10)]

@@ -428,6 +428,40 @@ def test_oversized_dirac_start_is_refused(ex52_path):
     assert err.count("\n") == 1 and err.startswith("error: capacity: ")
 
 
+def _ring(n):
+    names = [f"R{i:02d}" for i in range(n)]
+    return {"variables": names,
+            "edges": [[names[i - 1], v] for i, v in enumerate(names)],
+            "cpts": {v: {"parents": [names[i - 1]],
+                         "rows": {"0": "1/3", "1": "3/4"}}
+                     for i, v in enumerate(names)},
+            "iota": {"": "1"}}
+
+
+@pytest.mark.parametrize("gamma0", ["uniform", "/nonexistent/gamma.json"])
+def test_oversized_cutset_is_refused_before_the_start_is_read(
+        tmp_path, capsys, gamma0):
+    doc = _ring(18)
+    p = tmp_path / "ring18.gbn"
+    p.write_text(json.dumps(doc))
+    names = ",".join(doc["variables"])
+    assert main(["chain", str(p), "--cutset", names]) == 2
+    refusal = capsys.readouterr()
+    for kind in ("lim", "limavg"):
+        assert main(["semantics", str(p), "--kind", kind, "--cutset", names,
+                     "--gamma0", gamma0]) == 2
+        assert capsys.readouterr() == refusal
+
+
+def test_mc_does_not_read_the_start(ex52_path, capsys):
+    assert main(["--format", "machine", "semantics", ex52_path,
+                 "--kind", "mc", "--cutset", "X,Y",
+                 "--gamma0", "/nonexistent/gamma.json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["distributions"][0]["probs"] == \
+        ["48/121", "18/121", "40/121", "15/121"]
+
+
 def test_missing_keys_message_is_capped():
     doc = dict(_isolated(12), iota={"0" * 12: "1"})
     with pytest.raises(DocumentError) as info:

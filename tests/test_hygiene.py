@@ -41,3 +41,13 @@ def test_no_true_division_in_linalg():
              if isinstance(node, (ast.BinOp, ast.AugAssign))
              and isinstance(node.op, ast.Div)]
     assert not found, f"true division in linalg.py at lines {', '.join(found)}"
+
+
+def test_no_true_division_in_chain():
+    # The forward elimination keeps int numerators over a shared int
+    # denominator, where ``int / int`` would silently become a float.
+    [tree] = [tree for name, tree in _trees() if name == "chain.py"]
+    found = [str(node.lineno) for node in ast.walk(tree)
+             if isinstance(node, (ast.BinOp, ast.AugAssign))
+             and isinstance(node.op, ast.Div)]
+    assert not found, f"true division in chain.py at lines {', '.join(found)}"
