@@ -29,6 +29,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import chain as chainmod
 from . import constraints, graph as graphmod, inference, oracle
@@ -219,21 +220,42 @@ def _default_cutset(g: Gbn) -> tuple[str, ...]:
     return tuple(sorted(set(g.nodes) - g.initial_nodes))
 
 
-def _texts(value):
-    """``value`` with every ``Fraction`` in it written as "p/q"."""
-    if isinstance(value, dict):
-        return {k: _texts(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [format_rational(v) if type(v) is Fraction else
-                v if type(v) is str else _texts(v) for v in value]
-    return value
+def _json_text(value, pad: str = "\n") -> str:
+    """``value`` in exactly the layout of ``json.dumps(value, indent=2)``,
+    each ``Fraction`` written as the string "p/q" (or "p" when integral).
+    ``pad`` is the newline and indent of the line ``value`` starts on."""
+    if type(value) is str:
+        return _encode_str(value)
+    if type(value) is Fraction:
+        return f'"{value!s}"'
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if type(value) is int:
+        return repr(value)
+    inner = pad + "  "
+    if type(value) is dict:
+        if not value:
+            return "{}"
+        return "{" + inner + ("," + inner).join([
+            _encode_str(k) + ": " + _json_text(v, inner)
+            for k, v in value.items()]) + pad + "}"
+    if type(value) is list or type(value) is tuple:
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([
+            _encode_str(v) if type(v) is str else _json_text(v, inner)
+            for v in value]) + pad + "]"
+    raise TypeError(f"{type(value).__name__} is not written as JSON")
 
 
 def _emit(result: dict, fmt: str) -> None:
     """Write a result whose rationals are still ``Fraction`` values."""
-    result = _texts(result)
     if fmt == "machine":
-        json.dump(result, sys.stdout, indent=2)
+        sys.stdout.write(_json_text(result))
         sys.stdout.write("\n")
         return
     _pretty(result, indent=0)
@@ -246,13 +268,14 @@ def _pretty(value, indent: int, label: str | None = None) -> None:
             print(f"{pad}{label}:")
         for k, v in value.items():
             _pretty(v, indent + (label is not None), k)
-    elif isinstance(value, list) and value and isinstance(value[0], (dict, list)):
+    elif isinstance(value, (list, tuple)) and value \
+            and isinstance(value[0], (dict, list, tuple)):
         if label is not None:
             print(f"{pad}{label}:")
         for v in value:
             _pretty(v, indent + 1)
     else:
-        text = " ".join(map(str, value)) if isinstance(value, list) else value
+        text = " ".join(map(str, value)) if isinstance(value, (list, tuple)) else value
         if label is None:
             print(f"{pad}{text}")
         else:
@@ -293,7 +316,7 @@ def _cmd_cutsets(args) -> tuple[dict, int]:
     cuts = graphmod.enumerate_cutsets(inference.to_digraph(g),
                                       minimal_only=args.minimal)
     return {"command": "cutsets", "minimal": args.minimal,
-            "cutsets": [sorted(c) for c in cuts]}, 0
+            "cutsets": cuts}, 0
 
 
 def _chain_out(mc: chainmod.CutsetChain) -> dict:

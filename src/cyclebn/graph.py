@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Hashable, Iterable
 
 from .model import CapacityError
@@ -150,8 +150,9 @@ def is_cutset(g: DiGraph, cut: Iterable[str]) -> bool:
     return is_acyclic(sub)
 
 
-def enumerate_cutsets(g: DiGraph, minimal_only: bool = False) -> list[frozenset[str]]:
-    """All cutsets (or all inclusion-minimal cutsets), by size then name.
+def enumerate_cutsets(g: DiGraph, minimal_only: bool = False) -> list[tuple[str, ...]]:
+    """All cutsets (or all inclusion-minimal cutsets), by size then name,
+    each a tuple of its node names in sorted order.
 
     One table over the 2^n node subsets, bit i standing for the i-th
     sorted node, records which subsets R induce an acyclic subgraph:
@@ -191,12 +192,13 @@ def enumerate_cutsets(g: DiGraph, minimal_only: bool = False) -> list[frozenset[
             lacks_b = (b"\1" * b + b"\0" * b) * ((1 << n) // (2 * b))
             grown |= (table >> 8 * b) & int.from_bytes(lacks_b, "little")
         acyc = (table & ~grown).to_bytes(1 << n, "little")
+    # combinations over the node bits and over the sorted names run in
+    # step, so each kept subset is read off as its tuple of names
     full = (1 << n) - 1
-    result: list[frozenset[str]] = []
+    result: list[tuple[str, ...]] = []
     for size in range(n + 1):
-        for combo in combinations(name, size):
-            if acyc[full ^ sum(combo)]:
-                result.append(frozenset(map(name.__getitem__, combo)))
+        result += compress(combinations(g.nodes, size),
+                           [acyc[full ^ sum(c)] for c in combinations(name, size)])
     return result
 
 
@@ -221,8 +223,8 @@ def d_separated(g: DiGraph, xs: Iterable[str], ys: Iterable[str],
 
     Computed by reachability over (node, arrival-direction) states; a
     collider is passable iff the collider node or one of its descendants
-    is observed (checked against precomputed descendant sets).  Self-loop
-    edges are never part of a simple path and are ignored.
+    is observed, that is iff it is an observed node or an ancestor of
+    one.  Self-loop edges are never part of a simple path and are ignored.
     """
     xs, ys, zs = frozenset(xs), frozenset(ys), frozenset(zs)
     unknown = (xs | ys | zs) - set(g.nodes)
@@ -231,8 +233,14 @@ def d_separated(g: DiGraph, xs: Iterable[str], ys: Iterable[str],
     if xs & ys or xs & zs or ys & zs:
         raise ValueError("query sets must be pairwise disjoint")
     observed = zs
-    collider_open = {v: v in observed or bool(g.post_star(v) & observed)
-                     for v in g.nodes}
+    # Z and its ancestors, by one search over predecessors from Z
+    collider_open = set(zs)
+    stack = list(zs)
+    while stack:
+        for u in g.predecessors(stack.pop()):
+            if u not in collider_open:
+                collider_open.add(u)
+                stack.append(u)
     children = {v: sorted(g.successors(v) - {v}) for v in g.nodes}
     parents = {v: sorted(g.predecessors(v) - {v}) for v in g.nodes}
 
@@ -250,7 +258,7 @@ def d_separated(g: DiGraph, xs: Iterable[str], ys: Iterable[str],
         if direction == "down":
             if v not in observed:
                 nxt += [(w, "down") for w in children[v]]       # chain
-            if collider_open[v]:
+            if v in collider_open:
                 nxt += [(w, "up") for w in parents[v]]          # collider
         else:
             if v not in observed:

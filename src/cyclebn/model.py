@@ -46,6 +46,10 @@ def _check_capacity(variables: Iterable[str]) -> tuple[str, ...]:
     return vs
 
 
+#: Plain "p" or "p/q" in ASCII digits, read without ``Fraction``'s parser.
+_PLAIN_RATIONAL = re.compile(r"([0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or a decimal literal into an exact fraction."""
     if not isinstance(text, str):
@@ -55,7 +59,10 @@ def parse_rational(text: str) -> Fraction:
     limit = exponent and getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and abs(int(exponent[1])) > limit:
         raise ValueError(f"decimal exponent in {text!r} exceeds {limit} digits")
+    plain = _PLAIN_RATIONAL.fullmatch(text)
     try:
+        if plain:
+            return Fraction(int(plain[1]), int(plain[2] or 1))
         return Fraction(text.strip())
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
@@ -205,7 +212,8 @@ class Cpt:
     def __post_init__(self):
         parents = _check_capacity(self.parents)
         object.__setattr__(self, "parents", parents)
-        rows = tuple(Fraction(r) for r in self.rows)
+        rows = tuple(r if type(r) is Fraction else Fraction(r)
+                     for r in self.rows)
         object.__setattr__(self, "rows", rows)
         if len(rows) != 1 << len(parents):
             raise ValueError(
@@ -257,10 +265,12 @@ class Gbn:
     def validate(self) -> list[Violation]:
         report: list[Violation] = []
         node_set = set(self.nodes)
+        preds: dict[str, set[str]] = {}
         for (u, v) in self.edges:
             if u not in node_set or v not in node_set:
                 report.append(Violation("ParentMismatch", u,
                                         f"edge ({u}, {v}) references unknown node"))
+            preds.setdefault(v, set()).add(u)
         init = self.initial_nodes
         non_initial = set(self.nodes) - init
         for x in sorted(non_initial):
@@ -268,13 +278,13 @@ class Gbn:
             if cpt is None:
                 report.append(Violation("MissingCptRow", x, "no CPT for non-initial node"))
                 continue
-            if set(cpt.parents) != set(self.predecessors(x)):
+            if set(cpt.parents) != preds[x]:
                 report.append(Violation(
                     "ParentMismatch", x,
                     f"CPT parents {cpt.parents} differ from predecessors "
-                    f"{tuple(sorted(self.predecessors(x)))}"))
+                    f"{tuple(sorted(preds[x]))}"))
             for i, r in enumerate(cpt.rows):
-                if not 0 <= r <= 1:
+                if not 0 <= r.numerator <= r.denominator:
                     report.append(Violation("OutOfRange", x, f"CPT row {i} entry {r}"))
         for x in sorted(set(self.cpts) - non_initial):
             report.append(Violation("ParentMismatch", x,

@@ -93,6 +93,6 @@ def random_cutset(rng: random.Random, g: Gbn,
     """Random cutset avoiding the initial nodes (required by dissection)."""
     dg = DiGraph(g.nodes, g.edges)
     options = [c for c in enumerate_cutsets(dg)
-               if not c & g.initial_nodes
+               if not g.initial_nodes.intersection(c)
                and (max_size is None or len(c) <= max_size)]
     return tuple(sorted(rng.choice(options)))

@@ -195,7 +195,7 @@ def test_criterion_8_consistency_split():
             # agreeing singleton cutset families force full consistency
             dg = to_digraph(g)
             family = [tuple(sorted(c)) for c in enumerate_cutsets(dg)
-                      if not c & g.initial_nodes]
+                      if not g.initial_nodes.intersection(c)]
             covered = all(any(x not in set(c) for c in family)
                           for x in g.nodes)
             if not covered:

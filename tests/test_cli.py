@@ -7,10 +7,12 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cyclebn
-from cyclebn.cli import (DocumentError, main, parse_document,
+from cyclebn.cli import (DocumentError, _json_text, main, parse_document,
                          serialize_document)
+from cyclebn.model import format_rational
 
 F = Fraction
 
@@ -286,6 +288,52 @@ def test_exact_answers_longer_than_the_digit_cap_print(tmp_path, capsys):
         sys.set_int_max_str_digits(limit)
     assert longest > limit
     assert sum(probs) == 1
+
+
+def _fractions_as_text(value):
+    if type(value) is Fraction:
+        return format_rational(value)
+    if isinstance(value, dict):
+        return {k: _fractions_as_text(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_fractions_as_text(v) for v in value]
+    return value
+
+
+STRINGS = (st.text(max_size=6)
+           | st.text(alphabet=st.characters(max_codepoint=0x1f), max_size=4)
+           | st.text(alphabet="aé中\U0001f600\"\\/\x7f ", max_size=6))
+WRITER_SCALARS = (st.none() | st.booleans() | st.integers() | STRINGS
+                  | st.fractions()
+                  | st.integers(4301, 4400).map(lambda d: 10 ** d - 1)
+                  | st.integers(4301, 4400).map(lambda d: 1 - 10 ** d))
+WRITER_VALUES = st.recursive(
+    WRITER_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(STRINGS, inner, max_size=4),
+    max_leaves=24)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="Python without the int-string digit cap")
+@settings(deadline=None)
+@given(WRITER_VALUES)
+def test_machine_writer_matches_json_dumps_layout(value):
+    # main lifts the digit cap around the output; do the same here
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert _json_text(value) == json.dumps(_fractions_as_text(value), indent=2)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("value", [0.5, {1, 2}, frozenset(), b"x", 1j,
+                                   [Fraction(1, 2), 0.5], {"a": (1, {2})}])
+def test_machine_writer_refuses_unsupported_types(value):
+    with pytest.raises(TypeError):
+        _json_text(value)
 
 
 def _fig1_with(**changes):

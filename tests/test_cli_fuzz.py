@@ -1,6 +1,7 @@
 """Command-line fuzzing: ``cli.main`` answers mutated documents and
 argument vectors for every subcommand with one of its exit codes, never
-with an escaped exception or a traceback."""
+with an escaped exception or a traceback, and writes machine output in
+exactly the layout of ``json.dumps(..., indent=2)``."""
 
 import contextlib
 import copy
@@ -144,3 +145,6 @@ def test_cli_answers_every_input_without_a_traceback(workdir, data):
             code = e.code
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+    if argv[:2] == ["--format", "machine"] and out.getvalue():
+        # machine output is exactly the ``json.dumps(indent=2)`` layout
+        assert out.getvalue() == json.dumps(json.loads(out.getvalue()), indent=2) + "\n"

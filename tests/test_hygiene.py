@@ -1,6 +1,7 @@
 """Source checks over the package itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cyclebn"
@@ -51,3 +52,20 @@ def test_no_true_division_in_chain():
              if isinstance(node, (ast.BinOp, ast.AugAssign))
              and isinstance(node.op, ast.Div)]
     assert not found, f"true division in chain.py at lines {', '.join(found)}"
+
+
+def test_stdlib_only_imports():
+    # The package runs on the standard library alone; relative imports
+    # name its own modules.
+    found = []
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{name}:{node.lineno} {module}" for module in modules
+                      if module.partition(".")[0] not in sys.stdlib_module_names]
+    assert not found, f"imports outside the standard library: {', '.join(found)}"

@@ -23,6 +23,42 @@ def test_parse_rational_rejects_zero_denominator_and_non_strings():
             parse_rational(bad)
 
 
+def _outcome(parse, text):
+    """What ``parse(text)`` returns, with its type, or the text of the
+    ValueError it raises."""
+    try:
+        q = parse(text)
+    except ValueError as e:
+        return "error", str(e)
+    return type(q), q
+
+
+def _via_fraction(text):
+    """The general route: ``Fraction`` parses the stripped text."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+PLAIN_EDGES = ["0", "00", "007", "3/4", "03/004", "6/8", "0/5", "5/1", "1/0",
+               "00/0", "9" * 5000, "1/" + "9" * 5000, "9" * 4300 + "/7",
+               " 1/2", "1/2 ", "1 / 2", "\t3\n", "+1/2", "-1/2", "1/-2",
+               "1_0/3", "1/1_0", "_1", "1__0", "0.25", "-.5", "1.", "1e3",
+               "2.5E-2", "1e+2", "٣/٤", "٣", "1/٤", "", "/", "1/", "/2", "1//2",
+               "1/2/3", "abc", "0x1", "nan", "inf"]
+
+
+@pytest.mark.parametrize("text", PLAIN_EDGES, ids=range(len(PLAIN_EDGES)))
+def test_parse_rational_matches_fraction_route(text):
+    assert _outcome(parse_rational, text) == _outcome(_via_fraction, text)
+
+
+@given(st.text(alphabet="0123456789/ +-_.٣\t", max_size=12))
+def test_parse_rational_matches_fraction_route_on_any_text(text):
+    assert _outcome(parse_rational, text) == _outcome(_via_fraction, text)
+
+
 def test_format_rational():
     assert format_rational(Fraction(3, 4)) == "3/4"
     assert format_rational(Fraction(2)) == "2"
@@ -156,6 +192,21 @@ def test_validate_parent_mismatch():
                  JointDistribution.uniform(("X", "Z")))
     kinds = {v.kind for v in g.validate()}
     assert "ParentMismatch" in kinds
+
+
+def test_validate_reports_each_fault_with_its_message():
+    g = make_gbn(["X", "Y", "Z"], [("X", "Y"), ("Z", "Y"), ("Q", "Z")],
+                 [Cpt("Y", ("X",), (Fraction(3, 2), Fraction(-1, 2))),
+                  Cpt("Z", (), (Fraction(1),))],
+                 JointDistribution.uniform(("X",)))
+    assert [(v.kind, v.node, v.message) for v in g.validate()] == [
+        ("ParentMismatch", "Q", "edge (Q, Z) references unknown node"),
+        ("ParentMismatch", "Y",
+         "CPT parents ('X',) differ from predecessors ('X', 'Z')"),
+        ("OutOfRange", "Y", "CPT row 0 entry 3/2"),
+        ("OutOfRange", "Y", "CPT row 1 entry -1/2"),
+        ("ParentMismatch", "Z", "CPT parents () differ from predecessors ('Q',)"),
+    ]
 
 
 def test_validate_iota_domain_mismatch():
