@@ -21,7 +21,8 @@ def _weak_rows(g: Gbn):
     for x in sorted(set(g.nodes) - g.initial_nodes):
         cpt = g.cpts[x]
         parent_of = sub_indices(g.nodes, cpt.parents)
-        yield cpt, parent_of, [cpt.rows[k] - t for k, t in
+        rows = cpt.rows
+        yield cpt, parent_of, [rows[k] - 1 if t else rows[k] for k, t in
                                zip(parent_of, sub_indices(g.nodes, (x,)))]
 
 

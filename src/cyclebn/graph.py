@@ -221,10 +221,14 @@ def d_separated(g: DiGraph, xs: Iterable[str], ys: Iterable[str],
                 zs: Iterable[str]) -> bool:
     """d-separation of node sets, valid also on cyclic graphs.
 
-    Computed by reachability over (node, arrival-direction) states; a
-    collider is passable iff the collider node or one of its descendants
-    is observed, that is iff it is an observed node or an ancestor of
-    one.  Self-loop edges are never part of a simple path and are ignored.
+    Computed by reachability over (node, arrival-direction) states, as
+    Bayes-ball: a collider is passable iff the collider node or one of
+    its descendants is observed.  Only observed nodes bounce the ball
+    back up; a collider with an observed descendant needs no test of its
+    own, because the ball goes on down through unobserved nodes to the
+    nearest observed descendant, bounces there, and comes back up to the
+    collider.  Self-loop edges are never part of a simple path and are
+    ignored.
     """
     xs, ys, zs = frozenset(xs), frozenset(ys), frozenset(zs)
     unknown = (xs | ys | zs) - set(g.nodes)
@@ -232,15 +236,6 @@ def d_separated(g: DiGraph, xs: Iterable[str], ys: Iterable[str],
         raise ValueError(f"unknown nodes: {sorted(unknown)}")
     if xs & ys or xs & zs or ys & zs:
         raise ValueError("query sets must be pairwise disjoint")
-    observed = zs
-    # Z and its ancestors, by one search over predecessors from Z
-    collider_open = set(zs)
-    stack = list(zs)
-    while stack:
-        for u in g.predecessors(stack.pop()):
-            if u not in collider_open:
-                collider_open.add(u)
-                stack.append(u)
     children = {v: sorted(g.successors(v) - {v}) for v in g.nodes}
     parents = {v: sorted(g.predecessors(v) - {v}) for v in g.nodes}
 
@@ -256,14 +251,13 @@ def d_separated(g: DiGraph, xs: Iterable[str], ys: Iterable[str],
             return False
         nxt = []
         if direction == "down":
-            if v not in observed:
-                nxt += [(w, "down") for w in children[v]]       # chain
-            if v in collider_open:
+            if v in zs:
                 nxt += [(w, "up") for w in parents[v]]          # collider
-        else:
-            if v not in observed:
-                nxt += [(w, "down") for w in children[v]]       # fork
-                nxt += [(w, "up") for w in parents[v]]          # chain
+            else:
+                nxt += [(w, "down") for w in children[v]]       # chain
+        elif v not in zs:
+            nxt += [(w, "down") for w in children[v]]           # fork
+            nxt += [(w, "up") for w in parents[v]]              # chain
         for state in nxt:
             if state not in seen:
                 seen.add(state)

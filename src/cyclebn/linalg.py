@@ -12,8 +12,12 @@ one denominator d, the previous pivot, and every update
 Row reduction gives affine solution spaces.  An exact two-phase simplex
 (Bland's rule, so termination needs no perturbation), run on
 ``A x = b, x >= 0`` as given, classifies the set of nonnegative
-solutions as empty, a single point, or an infinite polytope: one LP
-finds a vertex, a second tests whether anything lies off its support.
+solutions as empty, a single point, or an infinite polytope: one
+phase 1 finds a vertex, and phase 2, started from that vertex's basis,
+tests whether anything lies off its support.  Phase 1 carries no
+artificial columns.  Bland's rule tries the original columns first, so
+it pivots as it would with them until the artificial sum is minimal, and
+any later pivot would be degenerate and leave the vertex as it is.
 On the integer tableau d stays positive, ratios are compared by
 cross-multiplying, and positive column scales keep every sign and ratio
 order, so Bland's rule takes the pivots it takes over ``Fraction``.
@@ -162,31 +166,21 @@ def solve_affine(sys: LinearSystem) -> AffineSpace:
 
 # --- exact simplex ---------------------------------------------------------
 
-def simplex_maximize(a_eq: Sequence[Sequence[Fraction]],
-                     b_eq: Sequence[Fraction],
-                     objective: Sequence[Fraction]):
-    """Maximize c.x subject to A x = b, x >= 0, exactly.
-
-    Returns ("infeasible", None, None), ("unbounded", None, None), or
-    ("optimal", value, x).  Two-phase with artificial variables; Bland's
-    rule on both phases guarantees termination.
-    """
+def _phase_one(a_eq: Sequence[Sequence[Fraction]], b_eq: Sequence[Fraction],
+               n: int):
+    """Phase 1 on ``A x = b, x >= 0``: the feasible tableau
+    ``(rows, basis, d, scale)`` over the original columns and the rhs, or
+    None when the system is infeasible.  A row whose artificial is basic
+    has ``basis[i] >= n``; at the optimum these artificials (at zero) are
+    driven out, and rows where none can be are redundant and dropped."""
     m = len(a_eq)
-    n = len(objective)
     rows, scale = _scaled([[*row, x] for row, x in zip(a_eq, b_eq)], n + 1)
-    # Tableau rows 0..m-1: [original cols | artificial cols | rhs], with
-    # rows of negative rhs negated; row m is the reduced-cost row of the
-    # phase-1 objective (minimize the artificial sum).
     tab = [[-x for x in row] if row[-1] < 0 else row for row in rows]
-    tab = [row[:n] + [int(j == i) for j in range(m)] + row[n:]
-           for i, row in enumerate(tab)]
     basis = list(range(n, n + m))
-    sums = [sum(col) for col in zip(*tab)] or [0] * (n + m + 1)
-    tab.append([-s for s in sums[:n]] + [0] * m + [-sums[-1]])
-    d = _pivot_to_optimum(tab, basis, n + m, 1)
-    if tab[m][-1] != 0:          # phase-1 optimum = -(residual artificial sum)
-        return "infeasible", None, None
-    # Drive any artificial still basic (necessarily at zero) out of the basis.
+    tab.append([-sum(col) for col in zip(*tab)] or [0] * (n + 1))
+    d = _pivot_to_optimum(tab, basis, n, 1)
+    if tab.pop()[-1] != 0:       # phase-1 optimum = -(residual artificial sum)
+        return None
     for i in range(m):
         if basis[i] >= n:
             col = next((j for j in range(n) if tab[i][j] != 0), None)
@@ -195,28 +189,52 @@ def simplex_maximize(a_eq: Sequence[Sequence[Fraction]],
                     tab[i] = [-x for x in tab[i]]
                 d = _pivot(tab, i, col, d)
                 basis[i] = col
-    keep = [i for i in range(m) if basis[i] < n]   # drop redundant zero rows
-    tab = [tab[i][:n] + tab[i][-1:] for i in keep]
-    basis = [basis[i] for i in keep]
+    keep = [i for i in range(m) if basis[i] < n]
+    return [tab[i] for i in keep], [basis[i] for i in keep], d, scale
+
+
+def _vertex(rows, basis, d, scale, n) -> Vector:
+    """The basic solution of a tableau, unscaled."""
+    x = [ZERO] * n
+    for row, bi in zip(rows, basis):
+        x[bi] = Fraction(row[-1] * scale[bi], d * scale[-1])
+    return tuple(x)
+
+
+def simplex_maximize(a_eq: Sequence[Sequence[Fraction]],
+                     b_eq: Sequence[Fraction],
+                     objective: Sequence[Fraction], start=None):
+    """Maximize c.x subject to A x = b, x >= 0, exactly.
+
+    Returns ("infeasible", None, None), ("unbounded", None, None), or
+    ("optimal", value, x).  Phase 2 starts from ``start``, the tableau
+    ``_phase_one`` returned for the same system, or from a phase 1 run
+    here when it is None.  Bland's rule on both phases guarantees
+    termination.
+    """
+    n = len(objective)
+    if start is None:
+        start = _phase_one(a_eq, b_eq, n)
+        if start is None:
+            return "infeasible", None, None
+    rows, basis, d, scale = start
+    basis = list(basis)
     # Phase 2: minimize -objective, in the scaled variables and times the
     # lcm of the denominators, over the shared denominator d.
     c = _vec(objective)
     lcm = math.lcm(*(x.denominator for x in c))
     zrow = [-d * s * x.numerator * (lcm // x.denominator)
             for x, s in zip(c, scale)] + [0]
-    for i, bi in enumerate(basis):
+    for row, bi in zip(rows, basis):
         f = zrow[bi] // d
         if f:
-            zrow = [z - f * t for z, t in zip(zrow, tab[i])]
-    tab.append(zrow)
+            zrow = [z - f * t for z, t in zip(zrow, row)]
+    tab = [*rows, zrow]
     d = _pivot_to_optimum(tab, basis, n, d)
     if d is None:
         return "unbounded", None, None
-    x = [ZERO] * n
-    for i, bi in enumerate(basis):
-        x[bi] = Fraction(tab[i][-1] * scale[bi], d * scale[-1])
-    value = sum(ci * xi for ci, xi in zip(c, x))
-    return "optimal", value, tuple(x)
+    x = _vertex(tab, basis, d, scale, n)
+    return "optimal", sum(ci * xi for ci, xi in zip(c, x)), x
 
 
 def _pivot_to_optimum(tab, basis, n_cols, d):
@@ -243,21 +261,22 @@ def _pivot_to_optimum(tab, basis, n_cols, d):
 def classify_polytope(system: LinearSystem) -> PolytopeClass:
     """Classify {x : A x = b, x >= 0} as empty, a single point, or infinite.
 
-    A first LP with a zero objective proves the set empty or returns a
-    vertex v.  The columns of A on the support of a vertex are linearly
+    One phase 1 proves the set empty or reaches a vertex v, read off its
+    basis.  The columns of A on the support of a vertex are linearly
     independent, so no other feasible point has its support inside
     supp(v): the set is {v} iff the sum of the coordinates off supp(v)
-    has maximum 0, which a second LP decides.  The witness is v.
+    has maximum 0, which phase 2 decides, started from v's basis.  The
+    witness is v.
     """
     n = system.num_cols
-    status, _, v = simplex_maximize(system.matrix, system.rhs, (ZERO,) * n)
-    if status == "infeasible":
+    start = _phase_one(system.matrix, system.rhs, n)
+    if start is None:
         return PolytopeClass("empty")
+    v = _vertex(*start, n)
     off = tuple(ZERO if x else ONE for x in v)
-    if any(off):
-        status, value, _ = simplex_maximize(system.matrix, system.rhs, off)
-        if status == "unbounded" or value:
-            return PolytopeClass("infinite", v)
+    status, value, _ = simplex_maximize(system.matrix, system.rhs, off, start)
+    if status == "unbounded" or value:
+        return PolytopeClass("infinite", v)
     return PolytopeClass("point", v)
 
 

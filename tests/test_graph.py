@@ -1,5 +1,6 @@
 """Graph analysis: SCCs, cutsets, closure, cut-restriction, d-separation."""
 
+import itertools
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from cyclebn.graph import (DiGraph, close, cut_restrict, d_separated,
                            enumerate_cutsets, is_acyclic, is_cutset,
                            scc_decompose)
 from cyclebn.model import CapacityError
-from cyclebn.oracle import cutsets_by_subsets
+from cyclebn.oracle import cutsets_by_subsets, dsep_by_paths
 
 
 def chain_graph():
@@ -195,3 +196,55 @@ def test_dsep_ignores_self_loops():
     g = DiGraph(("X", "Y", "Z"),
                 frozenset({("X", "Y"), ("Y", "Z"), ("Y", "Y")}))
     assert d_separated(g, {"X"}, {"Z"}, {"Y"})
+
+
+def _digraphs_up_to_isomorphism(n: int):
+    """One digraph per isomorphism class on n nodes, self-loops included:
+    edge (u, v) is bit u*n + v of a mask, and each mask's orbit under the
+    node permutations is marked off as it is met."""
+    nodes = "ABCD"[:n]
+    pairs = [(u, v) for u in range(n) for v in range(n)]
+    images = [[1 << (p[u] * n + p[v]) for u, v in pairs]
+              for p in itertools.permutations(range(n))]
+    seen = bytearray(1 << (n * n))
+    for mask in range(1 << (n * n)):
+        if seen[mask]:
+            continue
+        bits = [k for k in range(n * n) if mask >> k & 1]
+        for image in images:
+            seen[sum(image[k] for k in bits)] = 1
+        yield DiGraph(tuple(nodes), frozenset(
+            (nodes[pairs[k][0]], nodes[pairs[k][1]]) for k in bits))
+
+
+def _dsep_queries(nodes):
+    """Every (X, Y, Z) with X and Y nonempty and the three disjoint, with
+    the (x, y) pairs between X and Y."""
+    for roles in itertools.product(range(4), repeat=len(nodes)):
+        xs, ys, zs = (frozenset(v for v, r in zip(nodes, roles) if r == k)
+                      for k in range(3))
+        if xs and ys:
+            yield xs, ys, zs, [(min(p), max(p), zs)
+                               for p in itertools.product(xs, ys)]
+
+
+def test_dsep_matches_paths_on_every_small_digraph():
+    """Every query on every digraph of at most 4 nodes, self-loops
+    included.  Relabelling the nodes maps queries onto queries, so one
+    graph per isomorphism class covers all of them; X and Y are
+    d-separated iff every pair from them is, and d-separation of a pair
+    is symmetric, so the path oracle is asked about each unordered pair
+    once."""
+    graphs = queries = 0
+    for n in range(1, 5):
+        batch = list(_dsep_queries("ABCD"[:n]))
+        singles = {q for *_, pairs in batch for q in pairs}
+        for g in _digraphs_up_to_isomorphism(n):
+            graphs += 1
+            paths = {(x, y, z): dsep_by_paths(g, {x}, {y}, z)
+                     for x, y, z in singles}
+            for xs, ys, zs, pairs in batch:
+                assert d_separated(g, xs, ys, zs) == all(paths[q] for q in pairs)
+            queries += len(batch)
+    assert graphs == 2 + 10 + 104 + 3044
+    assert queries == 2 * 10 + 18 * 104 + 110 * 3044

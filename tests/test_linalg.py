@@ -7,10 +7,12 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from conftest import random_cyclic_gbn, two_cycle
+from cyclebn import linalg
 from cyclebn.chain import CutsetChain
 from cyclebn.constraints import build_cpt_system, build_wcpt_system
-from cyclebn.linalg import (LinearSystem, classify_polytope, null_space_left,
-                            rref, simplex_maximize, solve_affine)
+from cyclebn.linalg import (LinearSystem, _phase_one, classify_polytope,
+                            null_space_left, rref, simplex_maximize,
+                            solve_affine)
 from cyclebn.oracle import (classify_by_vertices, fraction_rref,
                             stationary_by_state_reduction)
 
@@ -325,3 +327,108 @@ def test_simplex_witnesses_are_pinned():
             digest.update(f"{cls.kind} {_text(cls.witness)} | "
                           f"{status} {value} {_text(x)}\n".encode())
     assert digest.hexdigest() == WITNESS_DIGEST
+
+
+#: sha256 of the classifications below, recorded with a phase 1 that
+#: carried one artificial column per row and was run again by a second LP.
+LARGE_WITNESS_DIGEST = "b0f7034fab23f9d188e3988c5d5c3130c7436f140d839524c3735e641d799882"
+
+
+def test_classify_witnesses_on_larger_systems_are_pinned():
+    """The cpt and wcpt systems of 5- and 6-node networks (up to 64
+    columns; 0/1, halves or eighths as CPT entries, so every kind
+    occurs): the witness is the vertex Bland's rule reaches in phase 1."""
+    rng = random.Random(2)
+    digest = hashlib.sha256()
+    networks = 0
+    while networks < 28:
+        g = random_cyclic_gbn(rng, max_vars=6, denom=rng.choice((1, 2, 8)))
+        if len(g.nodes) < 5:
+            continue
+        networks += 1
+        for system in (build_cpt_system(g), build_wcpt_system(g)):
+            cls = classify_polytope(system)
+            digest.update(f"{cls.kind} {_text(cls.witness)}\n".encode())
+    assert digest.hexdigest() == LARGE_WITNESS_DIGEST
+
+
+# --- one phase 1, phase 2 started from its tableau ------------------------
+
+def test_warm_started_simplex_matches_cold():
+    rng = random.Random(14)
+    statuses = set()
+    for k in range(400):
+        if k % 2:
+            system = _random_system(rng)
+            a, b = system.matrix, system.rhs
+        else:
+            a, b = _rational_system(rng)
+        n = len(a[0]) if a else rng.randint(0, 3)
+        c = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
+        cold = simplex_maximize(a, b, c)
+        statuses.add(cold[0])
+        start = _phase_one(a, b, n)
+        if start is None:
+            assert cold[0] == "infeasible"
+            continue
+        assert simplex_maximize(a, b, c, start) == cold
+        assert simplex_maximize(a, b, c, start) == cold    # start is reusable
+    assert statuses == {"infeasible", "unbounded", "optimal"}
+
+
+def test_classify_runs_phase_one_once(monkeypatch):
+    calls = {"_phase_one": 0, "simplex_maximize": 0}
+
+    def counted(name):
+        real = getattr(linalg, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(linalg, name, wrapper)
+    counted("_phase_one")
+    counted("simplex_maximize")
+    rng = random.Random(15)
+    for _ in range(60):
+        before = dict(calls)
+        kind = classify_polytope(_random_system(rng)).kind
+        assert calls["_phase_one"] == before["_phase_one"] + 1
+        # phase 2 runs through simplex_maximize on every nonempty set
+        assert calls["simplex_maximize"] == \
+            before["simplex_maximize"] + (kind != "empty")
+
+
+#: Systems that take phase 1's drive-out and row-drop paths.  An
+#: artificial still basic (at zero) when phase 1 ends is pivoted out on an
+#: original column, its row negated first when that entry is negative (the
+#: rows 0 = -x0 - x1 ...), or its row, which no original column can
+#: replace, is dropped.  Negative right-hand sides are negated up front.
+DEGENERATE = [
+    (((1, 1), (2, 2)), (1, 2)),                         # repeated row
+    (((1, 1), (0, 0)), (1, 0)),                         # all-zero row
+    (((0, 0), (1, 1)), (0, 1)),                         # all-zero row first
+    (((0, 0),), (1,)),                                  # 0 = 1
+    (((-1, -1),), (0,)),                                # drive-out
+    (((-1, -1, 0), (1, 1, 1)), (0, 1)),                 # drive-out, then a vertex
+    (((-1, -2, 0), (0, 1, 1), (-1, -1, 1)), (0, 1, 1)), # drive-out, dependent rows
+    (((-1, -1, 1), (1, -1, 0)), (-1, 0)),               # negative rhs
+    (((-1, -1, 0), (-2, -2, 0)), (-1, -2)),             # negative rhs, repeated
+    (((1, -1, 0), (-1, 1, 0), (1, 1, 1)), (0, 0, 1)),   # two rows summing to 0
+]
+
+
+def test_drive_out_and_row_drop_keep_a_basis_of_original_columns():
+    for matrix, rhs in DEGENERATE:
+        system = LinearSystem(matrix, rhs)
+        n = system.num_cols
+        kind, vertices = classify_by_vertices(system)
+        start = _phase_one(system.matrix, system.rhs, n)
+        assert (start is None) == (kind == "empty")
+        if start is not None:
+            rows, basis, _, _ = start
+            assert all(b < n for b in basis)
+            assert len(rows) == len(rref(system.matrix, system.rhs)[2])
+        cls = classify_polytope(system)
+        assert cls.kind == kind
+        if kind != "empty":
+            assert cls.witness in vertices
