@@ -25,9 +25,8 @@ from .inference import (CyclicGraphError, IndependenceTriple,
                         chain_rule_dist, check_independence,
                         dsep_implies_indep_check, enumerate_dsep_triples,
                         to_digraph)
-from .linalg import (AffineSpace, LinearSystem, PolytopeClass,
-                     classify_polytope, null_space_left, rref,
-                     simplex_maximize, solve_affine)
+from .linalg import (LinearSystem, PolytopeClass, classify_polytope,
+                     null_space_left, simplex_maximize, solve_affine)
 from .model import (CapacityError, Cpt, Gbn, InternalError, JointDistribution,
                     Violation,
                     all_assignments, assignment_from_index,

@@ -11,7 +11,7 @@ from functools import cached_property
 from . import graph as graphmod
 from .families import INFINITE, UNIQUE, SemanticsFamily
 from .inference import chain_rule_dist, to_digraph
-from .linalg import LinearSystem, null_space_left, solve_affine
+from .linalg import null_space_left, solve_affine
 from .model import (CapacityError, Cpt, Gbn, InternalError,
                     JointDistribution, assignment_from_index)
 
@@ -307,13 +307,13 @@ class CutsetChain:
         for comp in self.bsccs:
             nodes = sorted(comp)
             sub = [[self.matrix[u][v] for v in nodes] for u in nodes]
-            space = null_space_left(sub)
-            if space.is_empty or space.basis:
+            pi = null_space_left(sub)
+            if pi is None:
                 raise InternalError(
                     "irreducible chain must have a unique stationary vector")
             vec = [ZERO] * self.num_states
-            for pos, u in enumerate(nodes):
-                vec[u] = space.particular[pos]
+            for u, x in zip(nodes, pi):
+                vec[u] = x
             out.append(tuple(vec))
         return tuple(out)
 
@@ -347,11 +347,11 @@ def reach_probs(chain: CutsetChain,
     transient = [s for s in range(chain.num_states) if s not in recurrent]
     rows = tuple(tuple((ONE if s == t else ZERO) - chain.matrix[s][t]
                        for s in transient) for t in transient)
-    space = solve_affine(LinearSystem(rows, tuple(gamma0[t] for t in transient)))
-    if space.is_empty or space.basis:
+    visits = solve_affine(rows, [gamma0[t] for t in transient])
+    if visits is None:
         raise InternalError("absorption system must have a unique solution")
     mass = list(gamma0)
-    for s, y in zip(transient, space.particular):
+    for s, y in zip(transient, visits):
         for c in chain._successors[s]:
             mass[c] += y * chain.matrix[s][c]
     out = tuple(sum(mass[c] for c in comp) for comp in chain.bsccs)

@@ -236,13 +236,10 @@ def d_separated(g: DiGraph, xs: Iterable[str], ys: Iterable[str],
         raise ValueError(f"unknown nodes: {sorted(unknown)}")
     if xs & ys or xs & zs or ys & zs:
         raise ValueError("query sets must be pairwise disjoint")
-    children = {v: sorted(g.successors(v) - {v}) for v in g.nodes}
-    parents = {v: sorted(g.predecessors(v) - {v}) for v in g.nodes}
-
     # States: (node, 'down') arrived via an incoming edge,
     #         (node, 'up') arrived via an outgoing edge traversed backwards.
-    start = [(w, "down") for x in xs for w in children[x]] \
-        + [(w, "up") for x in xs for w in parents[x]]
+    start = [(w, "down") for x in xs for w in g.successors(x) if w != x] \
+        + [(w, "up") for x in xs for w in g.predecessors(x) if w != x]
     seen = set(start)
     stack = list(start)
     while stack:
@@ -252,12 +249,12 @@ def d_separated(g: DiGraph, xs: Iterable[str], ys: Iterable[str],
         nxt = []
         if direction == "down":
             if v in zs:
-                nxt += [(w, "up") for w in parents[v]]          # collider
+                nxt += [(w, "up") for w in g.predecessors(v) if w != v]  # collider
             else:
-                nxt += [(w, "down") for w in children[v]]       # chain
+                nxt += [(w, "down") for w in g.successors(v) if w != v]  # chain
         elif v not in zs:
-            nxt += [(w, "down") for w in children[v]]           # fork
-            nxt += [(w, "up") for w in parents[v]]              # chain
+            nxt += [(w, "down") for w in g.successors(v) if w != v]  # fork
+            nxt += [(w, "up") for w in g.predecessors(v) if w != v]  # chain
         for state in nxt:
             if state not in seen:
                 seen.add(state)

@@ -9,8 +9,10 @@ one denominator d, the previous pivot, and every update
 ``(p*x - f*y) // d`` divides exactly.  Results are turned back into
 ``Fraction`` values only at the end.
 
-Row reduction gives affine solution spaces.  An exact two-phase simplex
-(Bland's rule, so termination needs no perturbation), run on
+``solve_affine`` returns the unique solution of a system, or None when
+it has none or more than one; the stationary vectors and absorption
+probabilities of a cutset chain are such solutions.  An exact two-phase
+simplex (Bland's rule, so termination needs no perturbation), run on
 ``A x = b, x >= 0`` as given, classifies the set of nonnegative
 solutions as empty, a single point, or an infinite polytope: one
 phase 1 finds a vertex, and phase 2, started from that vertex's basis,
@@ -70,27 +72,6 @@ class LinearSystem:
 
 
 @dataclass(frozen=True)
-class AffineSpace:
-    """Solution space ``particular + span(basis)``; ``particular is None`` means empty."""
-
-    dimension: int                       # ambient dimension n
-    particular: Vector | None
-    basis: tuple[Vector, ...] = ()
-
-    @property
-    def is_empty(self) -> bool:
-        return self.particular is None
-
-    def point(self, coefficients: Sequence[Fraction]) -> Vector:
-        if self.particular is None:
-            raise ValueError("empty space has no points")
-        if len(coefficients) != len(self.basis):
-            raise ValueError("wrong number of coefficients")
-        return tuple(p + sum(c * d[i] for c, d in zip(coefficients, self.basis))
-                     for i, p in enumerate(self.particular))
-
-
-@dataclass(frozen=True)
 class PolytopeClass:
     """Classification of {x : A x = b, x >= 0}: 'empty', 'point', or 'infinite'."""
 
@@ -118,50 +99,6 @@ def _pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
             continue
         rows[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
     return p
-
-
-def rref(matrix: Matrix, rhs: Vector) -> tuple[list[list[Fraction]], list[Fraction], list[int]]:
-    """Reduced row echelon form of [A | b]; returns (A', b', pivot columns).
-    Rows of b' below the rank are zero exactly when A x = b is consistent."""
-    n_cols = len(matrix[0]) if matrix else 0
-    rows, scale = _scaled([[*row, x] for row, x in zip(matrix, rhs)], n_cols + 1)
-    pivots: list[int] = []
-    d = 1
-    for c in range(n_cols):
-        r = len(pivots)
-        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if k is None:
-            continue
-        rows[r], rows[k] = rows[k], rows[r]
-        d = _pivot(rows, r, c, d)
-        pivots.append(c)
-        if r + 1 == len(rows):
-            break
-    # entry (i, j) of the unscaled RREF is R'[i][j] * scale[pivot_i] / scale[j]
-    row_scale = [scale[c] for c in pivots] + [1] * (len(rows) - len(pivots))
-    out = [[Fraction(x * s, d * t) if x else ZERO for x, t in zip(row, scale)]
-           for row, s in zip(rows, row_scale)]
-    return [row[:-1] for row in out], [row[-1] for row in out], pivots
-
-
-def solve_affine(sys: LinearSystem) -> AffineSpace:
-    """Exact solution space of ``A x = b``."""
-    n = sys.num_cols
-    a, b, pivots = rref(sys.matrix, sys.rhs)
-    if any(b[len(pivots):]):
-        return AffineSpace(n, None)
-    free = [c for c in range(n) if c not in pivots]
-    particular = [ZERO] * n
-    for i, c in enumerate(pivots):
-        particular[c] = b[i]
-    basis = []
-    for f in free:
-        d = [ZERO] * n
-        d[f] = ONE
-        for i, c in enumerate(pivots):
-            d[c] = -a[i][f]
-        basis.append(tuple(d))
-    return AffineSpace(n, tuple(particular), tuple(basis))
 
 
 # --- exact simplex ---------------------------------------------------------
@@ -280,11 +217,30 @@ def classify_polytope(system: LinearSystem) -> PolytopeClass:
     return PolytopeClass("point", v)
 
 
-def null_space_left(p: Sequence[Sequence[Fraction]]) -> AffineSpace:
-    """Affine space of row vectors g with g.P = g and sum(g) = 1."""
+def solve_affine(matrix: Sequence[Sequence[Fraction]],
+                 rhs: Sequence[Fraction]) -> Vector | None:
+    """The unique solution of ``A x = b``, or None when the system has no
+    solution or more than one: column c pivots in row c, and every row
+    past the last column must reduce to 0 = 0."""
+    n = len(matrix[0]) if matrix else 0
+    rows, scale = _scaled([[*row, x] for row, x in zip(matrix, rhs)], n + 1)
+    d = 1
+    for c in range(n):
+        k = next((i for i in range(c, len(rows)) if rows[i][c]), None)
+        if k is None:
+            return None
+        rows[c], rows[k] = rows[k], rows[c]
+        d = _pivot(rows, c, c, d)
+    if any(row[-1] for row in rows[n:]):
+        return None
+    return _vertex(rows, range(n), d, scale, n)
+
+
+def null_space_left(p: Sequence[Sequence[Fraction]]) -> Vector | None:
+    """The row vector g with g.P = g and sum(g) = 1, or None when there
+    is none or more than one: all n balance rows and the sum row."""
     n = len(p)
     rows = [[p[i][j] - 1 if i == j else p[i][j] for i in range(n)]
             for j in range(n)]
     rows.append([ONE] * n)
-    rhs = [ZERO] * n + [ONE]
-    return solve_affine(LinearSystem(tuple(rows), tuple(rhs)))
+    return solve_affine(rows, [ZERO] * n + [ONE])

@@ -96,3 +96,21 @@ def random_cutset(rng: random.Random, g: Gbn,
                if not g.initial_nodes.intersection(c)
                and (max_size is None or len(c) <= max_size)]
     return tuple(sorted(rng.choice(options)))
+
+
+def space_from_rref(a, b, pivots, n):
+    """The affine solution space (particular, basis) read off a reduced
+    row echelon form; (None, ()) when the system is inconsistent."""
+    if any(b[len(pivots):]):
+        return None, ()
+    particular = [Fraction(0)] * n
+    for i, c in enumerate(pivots):
+        particular[c] = b[i]
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        d = [Fraction(0)] * n
+        d[f] = Fraction(1)
+        for i, c in enumerate(pivots):
+            d[c] = -a[i][f]
+        basis.append(tuple(d))
+    return tuple(particular), tuple(basis)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from conftest import (rand_joint, random_acyclic_gbn, random_cyclic_gbn,
-                      random_cutset, two_cycle)
+                      random_cutset, space_from_rref, two_cycle)
 from cyclebn.chain import cutset_mc, lim, lim_avg, long_run_frequency, mcs, \
     next_dist, stationary_set
 from cyclebn.constraints import (build_cpt_system, check_consistency,
@@ -23,8 +23,8 @@ from cyclebn.inference import (chain_rule_dist, dsep_implies_indep_check,
                                enumerate_dsep_triples, to_digraph)
 from cyclebn.linalg import solve_affine
 from cyclebn.model import JointDistribution, dirac
-from cyclebn.oracle import (dsep_by_paths, iterate_next, power_iteration,
-                            total_variation)
+from cyclebn.oracle import (dsep_by_paths, fraction_rref, iterate_next,
+                            power_iteration, total_variation)
 
 F = Fraction
 
@@ -52,9 +52,11 @@ def test_criterion_1_consistency_trichotomy():
         assert w.prob({"X": True, "Y": True}) == \
             1 - w.prob({"X": False, "Y": False})
         # the whole solution space keeps those two coordinates at zero
-        space = solve_affine(build_cpt_system(two_cycle(0, 1, 0, 1)))
-        assert space.particular[1] == space.particular[2] == 0
-        for d in space.basis:
+        system = build_cpt_system(two_cycle(0, 1, 0, 1))
+        particular, basis = space_from_rref(
+            *fraction_rref(system.matrix, system.rhs), system.num_cols)
+        assert particular[1] == particular[2] == 0
+        for d in basis:
             assert d[1] == d[2] == 0
             assert d[0] + d[3] == 0
 
@@ -127,11 +129,11 @@ def test_criterion_5_acyclic_conservativity():
             mu = chain_rule_dist(g)
             system = build_cpt_system(g)
             assert system.is_solution(mu.probs)
-            space = solve_affine(system)
-            if not space.basis:
+            x = solve_affine(system.matrix, system.rhs)
+            if x is not None:
                 # consistency constraints already pin a unique distribution
                 affine_unique += 1
-                assert space.particular == mu.probs
+                assert x == mu.probs
             assert mcs(g, (), JointDistribution((), (F(1),))) == mu
             triples = enumerate_dsep_triples(close(to_digraph(g)))
             assert check_cpt_i_member(mu, g, triples)

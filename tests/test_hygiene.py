@@ -4,6 +4,8 @@ import ast
 import sys
 from pathlib import Path
 
+import pytest
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cyclebn"
 
 
@@ -34,24 +36,16 @@ def test_no_floats_in_package():
     assert not found, f"floats in the package: {', '.join(found)}"
 
 
-def test_no_true_division_in_linalg():
-    # ``int / int`` is a float: the integer kernel divides with ``//`` and
-    # builds its results with ``Fraction(num, den)``.
-    [tree] = [tree for name, tree in _trees() if name == "linalg.py"]
+@pytest.mark.parametrize("module", ["linalg.py", "chain.py"])
+def test_no_true_division(module):
+    # ``int / int`` is a float: the integer kernel of linalg.py and the
+    # forward elimination of chain.py divide with ``//`` and build their
+    # results with ``Fraction(num, den)``.
+    [tree] = [tree for name, tree in _trees() if name == module]
     found = [str(node.lineno) for node in ast.walk(tree)
              if isinstance(node, (ast.BinOp, ast.AugAssign))
              and isinstance(node.op, ast.Div)]
-    assert not found, f"true division in linalg.py at lines {', '.join(found)}"
-
-
-def test_no_true_division_in_chain():
-    # The forward elimination keeps int numerators over a shared int
-    # denominator, where ``int / int`` would silently become a float.
-    [tree] = [tree for name, tree in _trees() if name == "chain.py"]
-    found = [str(node.lineno) for node in ast.walk(tree)
-             if isinstance(node, (ast.BinOp, ast.AugAssign))
-             and isinstance(node.op, ast.Div)]
-    assert not found, f"true division in chain.py at lines {', '.join(found)}"
+    assert not found, f"true division in {module} at lines {', '.join(found)}"
 
 
 def test_stdlib_only_imports():
