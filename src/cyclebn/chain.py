@@ -116,7 +116,7 @@ def _scaled(values) -> tuple[list[int], int]:
 
 
 def _forward_eliminate(g: Gbn, cut: tuple[str, ...], rows: bool,
-                       gammas) -> list[dict[int, Fraction]]:
+                       gammas) -> list[tuple[dict[int, int], int]]:
     """Chain-rule product over the dissected DAG of ``g`` for each sparse
     cutset distribution ``{index: prob}`` in ``gammas``, without building
     the dissected network.  ``g`` must be valid and ``cut`` a cutset.
@@ -135,8 +135,8 @@ def _forward_eliminate(g: Gbn, cut: tuple[str, ...], rows: bool,
     A node's CPT rows become ints ``num`` over the lcm ``d`` of their
     denominators, and placing it splits an entry ``p`` into ``p*num[idx]``
     and ``p*d - p*num[idx]`` and sets ``D *= d``.  The mass check is
-    ``sum == D``; entries become ``Fraction``s only on output, so no gcd
-    is taken before that.
+    ``sum == D``.  Each table is returned with its ``D``, and no gcd is
+    taken here: callers reduce what they keep.
     """
     n, k = len(g.nodes), len(cut)
     bit = {v: 1 << (n - 1 - i) for i, v in enumerate(g.nodes)}
@@ -217,7 +217,7 @@ def _forward_eliminate(g: Gbn, cut: tuple[str, ...], rows: bool,
         if mass != den:
             raise InternalError(
                 f"forward elimination mass is {Fraction(mass, den)}, not 1")
-        out.append({key: Fraction(p, den) for key, p in table.items()})
+        out.append((table, den))
     return out
 
 
@@ -235,29 +235,44 @@ def extend(g: Gbn, cut, gamma: JointDistribution) -> JointDistribution:
 def _extend(g: Gbn, cut: tuple[str, ...], gamma) -> JointDistribution:
     """:func:`extend` without its checks: ``g`` must be valid, ``cut`` a
     sorted cutset and ``gamma`` a distribution over it in canonical order."""
-    [table] = _forward_eliminate(
+    [(table, den)] = _forward_eliminate(
         g, cut, False, [{i: p for i, p in enumerate(gamma) if p}])
     probs = [ZERO] * (1 << len(g.nodes))
     for key, p in table.items():
-        probs[key] = p
+        probs[key] = Fraction(p, den)
     return JointDistribution(g.nodes, tuple(probs))
 
 
-@dataclass(frozen=True)
 class CutsetChain:
-    """DTMC over cutset assignments with exact transition matrix.
+    """DTMC over cutset assignments with an exact transition matrix.
 
-    State ``i`` is the cutset assignment with canonical index ``i``.  The
-    BSCCs, listed by smallest state, and their periods are read off the
-    support, built once as ``_successors``.
+    State ``i`` is the cutset assignment with canonical index ``i``.
+    Row ``u`` is held as integers ``rows[u]`` over its least denominator
+    ``dens[u]``, so ``P[u][v] = rows[u][v] / dens[u]`` and the gcd of a
+    row and its denominator is 1.  The support, the BSCCs (listed by
+    smallest state), their periods and both solves read these integers;
+    the ``Fraction`` ``matrix`` is built only when it is read.
+    ``CutsetChain(cutset, matrix)`` builds a chain from ``Fraction`` rows.
     """
 
-    cutset: tuple[str, ...]
-    matrix: tuple[tuple[Fraction, ...], ...]
+    def __init__(self, cutset, matrix):
+        self.cutset = tuple(cutset)
+        self.rows, self.dens = zip(*map(_scaled, matrix)) if matrix else ((), ())
+
+    @classmethod
+    def _of_rows(cls, cutset, rows, dens) -> CutsetChain:
+        chain = cls.__new__(cls)
+        chain.cutset, chain.rows, chain.dens = cutset, rows, dens
+        return chain
+
+    @cached_property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(x, d) for x in row)
+                     for row, d in zip(self.rows, self.dens))
 
     @property
     def num_states(self) -> int:
-        return len(self.matrix)
+        return len(self.rows)
 
     def state_assignment(self, index: int) -> dict[str, bool]:
         return assignment_from_index(index, self.cutset)
@@ -268,35 +283,36 @@ class CutsetChain:
                      for j in range(n))
 
     @cached_property
-    def _successors(self) -> tuple[tuple[int, ...], ...]:
+    def _successors(self) -> list[list[int]]:
         """For each state, the states its row gives nonzero probability."""
-        return tuple(tuple(j for j, p in enumerate(row) if p)
-                     for row in self.matrix)
+        return [[j for j, x in enumerate(row) if x] for row in self.rows]
 
     @cached_property
     def bsccs(self) -> tuple[frozenset[int], ...]:
         """Bottom strongly connected components, by smallest state."""
-        edges = frozenset((u, v) for u, vs in enumerate(self._successors)
-                          for v in vs)
-        dg = graphmod.DiGraph(tuple(range(self.num_states)), edges)
-        return tuple(sorted(graphmod.scc_decompose(dg).bottom_components,
+        comps, bottom = graphmod.strong_components(self._successors)
+        return tuple(sorted((frozenset(c) for c, b in zip(comps, bottom) if b),
                             key=min))
 
     @cached_property
     def periods(self) -> tuple[int, ...]:
         """Period of each BSCC: gcd of (depth(u) + 1 - depth(v)) over its
         edges, all of which stay inside it, from a BFS over the support."""
+        succ = self._successors
+        depth = [-1] * self.num_states
         out = []
         for comp in self.bsccs:
             order = [min(comp)]
-            depth = {order[0]: 0}
+            depth[order[0]] = 0
             period = 0
             for u in order:             # grows as the search goes
-                for v in self._successors[u]:
-                    if v not in depth:
-                        depth[v] = depth[u] + 1
+                du = depth[u] + 1
+                for v in succ[u]:
+                    if depth[v] < 0:
+                        depth[v] = du
                         order.append(v)
-                    period = math.gcd(period, depth[u] + 1 - depth[v])
+                    else:
+                        period = math.gcd(period, du - depth[v])
             out.append(period)
         return tuple(out)
 
@@ -306,8 +322,8 @@ class CutsetChain:
         out = []
         for comp in self.bsccs:
             nodes = sorted(comp)
-            sub = [[self.matrix[u][v] for v in nodes] for u in nodes]
-            pi = null_space_left(sub)
+            pi = null_space_left([[self.rows[u][v] for v in nodes] for u in nodes],
+                                 [self.dens[u] for u in nodes])
             if pi is None:
                 raise InternalError(
                     "irreducible chain must have a unique stationary vector")
@@ -323,37 +339,44 @@ class CutsetChain:
 
 def cutset_mc(g: Gbn, cut) -> CutsetChain:
     """Transition matrix P(b, c) = one-step probability of cutset
-    assignment c when starting from the point mass on b."""
+    assignment c when starting from the point mass on b.  Every row
+    comes over the elimination's shared denominator and is reduced by
+    one gcd."""
     cut = _check_cutset(g, cut)
     _check_cutset_size(cut)
     _validate(g)
     n, size = len(g.nodes), 1 << len(cut)
-    rows = []
-    for table in _forward_eliminate(g, cut, True,
-                                    ({i: ONE} for i in range(size))):
-        row = [ZERO] * size
+    rows, dens = [], []
+    for table, den in _forward_eliminate(g, cut, True,
+                                         ({i: ONE} for i in range(size))):
+        common = math.gcd(den, *table.values())
+        row = [0] * size
         for key, p in table.items():
-            row[key >> n] = p
-        rows.append(tuple(row))
-    return CutsetChain(cut, tuple(rows))
+            row[key >> n] = p // common
+        rows.append(row)
+        dens.append(den // common)
+    return CutsetChain._of_rows(cut, tuple(rows), tuple(dens))
 
 
 def reach_probs(chain: CutsetChain,
                 gamma0: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     """Exact probability of getting absorbed in each BSCC from ``gamma0``:
     its starting mass plus the flow y P into it, where one left solve
-    y (I - P_TT) = gamma0_T gives the expected visits y to transient states."""
+    y (I - P_TT) = gamma0_T gives the expected visits y to transient
+    states.  It is solved in z_s = y_s / dens[s], whose coefficients
+    ``dens[s]*[s == t] - rows[s][t]`` are integers."""
     recurrent = set().union(*chain.bsccs)
     transient = [s for s in range(chain.num_states) if s not in recurrent]
-    rows = tuple(tuple((ONE if s == t else ZERO) - chain.matrix[s][t]
-                       for s in transient) for t in transient)
-    visits = solve_affine(rows, [gamma0[t] for t in transient])
+    rows, dens = chain.rows, chain.dens
+    system = [[dens[s] - rows[s][t] if s == t else -rows[s][t]
+               for s in transient] for t in transient]
+    visits = solve_affine(system, [gamma0[t] for t in transient])
     if visits is None:
         raise InternalError("absorption system must have a unique solution")
     mass = list(gamma0)
-    for s, y in zip(transient, visits):
+    for s, z in zip(transient, visits):
         for c in chain._successors[s]:
-            mass[c] += y * chain.matrix[s][c]
+            mass[c] += z * rows[s][c]
     out = tuple(sum(mass[c] for c in comp) for comp in chain.bsccs)
     if sum(out) != 1:
         raise InternalError(f"absorption probabilities sum to {sum(out)}, not 1")

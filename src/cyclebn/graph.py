@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, compress
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Sequence
 
 from .model import CapacityError
 
@@ -76,60 +76,78 @@ class SccDecomposition:
         return tuple(c for c, b in zip(self.components, self.bottom) if b)
 
 
-def scc_decompose(g: DiGraph) -> SccDecomposition:
-    """Tarjan's algorithm (iterative); emits components in reverse
-    topological discovery order, then reverses to condensation order."""
-    index: dict[Hashable, int] = {}
-    lowlink: dict[Hashable, int] = {}
-    on_stack: set[Hashable] = set()
-    stack: list[Hashable] = []
-    components: list[frozenset[Hashable]] = []
-    counter = [0]
-    succ = {v: sorted(g.successors(v)) for v in g.nodes}
+def strong_components(succ: Sequence[Sequence[int]]
+                      ) -> tuple[list[list[int]], list[bool]]:
+    """Tarjan's algorithm, iterative, on nodes 0..n-1 with successor lists
+    ``succ``: the components in condensation (topological) order, and
+    for each whether it is bottom, that is, no edge leaves it.
 
-    for root in g.nodes:
-        if root in index:
+    Roots and successors are taken in list order.  A node with an index
+    but no component yet is on the stack, and an edge to such a node
+    stays inside the component.  An edge leaves it exactly when its
+    target's component is complete by the time the edge is done with."""
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    comp_of = [-1] * n
+    exits = [False] * n
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    bottom: list[bool] = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        work = [(root, iter(succ[root]))]
-        index[root] = lowlink[root] = counter[0]
-        counter[0] += 1
+        index[root] = low[root] = counter
+        counter += 1
         stack.append(root)
-        on_stack.add(root)
+        work = [(root, iter(succ[root]))]
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
-                if w not in index:
-                    index[w] = lowlink[w] = counter[0]
-                    counter[0] += 1
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
                     stack.append(w)
-                    on_stack.add(w)
                     work.append((w, iter(succ[w])))
-                    advanced = True
                     break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                components.append(frozenset(comp))
-    components.reverse()   # Tarjan yields reverse topological order
-    bottom = []
-    for comp in components:
-        leaves = any(v not in comp for u in comp for v in g.successors(u))
-        bottom.append(not leaves)
-    return SccDecomposition(tuple(components), tuple(bottom))
+                if comp_of[w] >= 0:
+                    exits[v] = True
+                elif index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    comp, leaves = [], False
+                    while True:
+                        w = stack.pop()
+                        comp_of[w] = len(comps)
+                        comp.append(w)
+                        leaves = leaves or exits[w]
+                        if w == v:
+                            break
+                    comps.append(comp)
+                    bottom.append(not leaves)
+                if work:
+                    u = work[-1][0]
+                    if comp_of[v] >= 0:
+                        exits[u] = True
+                    elif low[v] < low[u]:
+                        low[u] = low[v]
+    comps.reverse()
+    bottom.reverse()
+    return comps, bottom
+
+
+def scc_decompose(g: DiGraph) -> SccDecomposition:
+    """:func:`strong_components` on the sorted nodes and their sorted
+    successors, with the components as sets of node names."""
+    number = {v: i for i, v in enumerate(g.nodes)}
+    comps, bottom = strong_components(
+        [sorted(number[w] for w in g.successors(v)) for v in g.nodes])
+    return SccDecomposition(
+        tuple(frozenset(g.nodes[i] for i in comp) for comp in comps),
+        tuple(bottom))
 
 
 def is_acyclic(g: DiGraph) -> bool:
@@ -227,8 +245,7 @@ def d_separated(g: DiGraph, xs: Iterable[str], ys: Iterable[str],
     back up; a collider with an observed descendant needs no test of its
     own, because the ball goes on down through unobserved nodes to the
     nearest observed descendant, bounces there, and comes back up to the
-    collider.  Self-loop edges are never part of a simple path and are
-    ignored.
+    collider.
     """
     xs, ys, zs = frozenset(xs), frozenset(ys), frozenset(zs)
     unknown = (xs | ys | zs) - set(g.nodes)
@@ -238,8 +255,8 @@ def d_separated(g: DiGraph, xs: Iterable[str], ys: Iterable[str],
         raise ValueError("query sets must be pairwise disjoint")
     # States: (node, 'down') arrived via an incoming edge,
     #         (node, 'up') arrived via an outgoing edge traversed backwards.
-    start = [(w, "down") for x in xs for w in g.successors(x) if w != x] \
-        + [(w, "up") for x in xs for w in g.predecessors(x) if w != x]
+    start = [(w, "down") for x in xs for w in g.successors(x)] \
+        + [(w, "up") for x in xs for w in g.predecessors(x)]
     seen = set(start)
     stack = list(start)
     while stack:
@@ -249,12 +266,12 @@ def d_separated(g: DiGraph, xs: Iterable[str], ys: Iterable[str],
         nxt = []
         if direction == "down":
             if v in zs:
-                nxt += [(w, "up") for w in g.predecessors(v) if w != v]  # collider
+                nxt += [(w, "up") for w in g.predecessors(v)]  # collider
             else:
-                nxt += [(w, "down") for w in g.successors(v) if w != v]  # chain
+                nxt += [(w, "down") for w in g.successors(v)]  # chain
         elif v not in zs:
-            nxt += [(w, "down") for w in g.successors(v) if w != v]  # fork
-            nxt += [(w, "up") for w in g.predecessors(v) if w != v]  # chain
+            nxt += [(w, "down") for w in g.successors(v)]  # fork
+            nxt += [(w, "up") for w in g.predecessors(v)]  # chain
         for state in nxt:
             if state not in seen:
                 seen.add(state)

@@ -1,28 +1,36 @@
-"""Exact rational linear algebra on one fraction-free integer kernel.
+"""Exact rational linear algebra on fraction-free integer elimination.
 
 Every solve scales its rows to integers once, column by column: each
 column, the right-hand side included, is multiplied by the lcm of its
 own denominators (one global lcm would multiply the denominators of all
-rows together).  Gauss-Jordan elimination then runs on integers in the
-manner of Bareiss and Edmonds: all rows, a simplex z-row included, share
-one denominator d, the previous pivot, and every update
-``(p*x - f*y) // d`` divides exactly.  Results are turned back into
-``Fraction`` values only at the end.
+rows together).  Elimination then runs on integers in the manner of
+Bareiss and Edmonds: the rows being updated share one denominator d,
+the previous pivot, and every update ``(p*x - f*y) // d`` divides
+exactly.  Results are turned back into ``Fraction`` values only at the
+end.
 
 ``solve_affine`` returns the unique solution of a system, or None when
 it has none or more than one; the stationary vectors and absorption
-probabilities of a cutset chain are such solutions.  An exact two-phase
-simplex (Bland's rule, so termination needs no perturbation), run on
-``A x = b, x >= 0`` as given, classifies the set of nonnegative
-solutions as empty, a single point, or an infinite polytope: one
-phase 1 finds a vertex, and phase 2, started from that vertex's basis,
-tests whether anything lies off its support.  Phase 1 carries no
-artificial columns.  Bland's rule tries the original columns first, so
-it pivots as it would with them until the artificial sum is minimal, and
-any later pivot would be degenerate and leave the vertex as it is.
-On the integer tableau d stays positive, ratios are compared by
-cross-multiplying, and positive column scales keep every sign and ratio
-order, so Bland's rule takes the pivots it takes over ``Fraction``.
+probabilities of a cutset chain are such solutions.  It runs Bareiss's
+forward elimination, which updates only the rows below each pivot, and
+then an integer back substitution: with d the last pivot, y = d x is
+integral by Cramer's rule.  ``null_space_left`` feeds it a chain's
+integer rows directly.
+
+An exact two-phase simplex (Bland's rule, so termination needs no
+perturbation), run on ``A x = b, x >= 0`` as given, classifies the set
+of nonnegative solutions as empty, a single point, or an infinite
+polytope: one phase 1 finds a vertex, and phase 2, started from that
+vertex's basis, tests whether anything lies off its support.  The
+simplex keeps Gauss-Jordan pivots, which update every row, the z-row
+included, so that the whole tableau stays on one denominator.  Phase 1
+carries no artificial columns.  Bland's rule tries the original columns
+first, so it pivots as it would with them until the artificial sum is
+minimal, and any later pivot would be degenerate and leave the vertex
+as it is.  On the integer tableau d stays positive, ratios are compared
+by cross-multiplying, and positive column scales keep every sign and
+ratio order, so Bland's rule takes the pivots it takes over
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -217,30 +225,70 @@ def classify_polytope(system: LinearSystem) -> PolytopeClass:
     return PolytopeClass("point", v)
 
 
-def solve_affine(matrix: Sequence[Sequence[Fraction]],
-                 rhs: Sequence[Fraction]) -> Vector | None:
-    """The unique solution of ``A x = b``, or None when the system has no
-    solution or more than one: column c pivots in row c, and every row
-    past the last column must reduce to 0 = 0."""
-    n = len(matrix[0]) if matrix else 0
-    rows, scale = _scaled([[*row, x] for row, x in zip(matrix, rhs)], n + 1)
+def _solve(rows: list[list[int]], n: int) -> tuple[list[int], int] | None:
+    """Integer rows ``[A | b]`` over n columns: ``(y, d)`` with
+    ``x = y / d`` the unique solution of ``A x = b``, or None.
+
+    Forward elimination pivots column c in row c and updates only the
+    rows below, each cut down to its columns past c; a row with f = 0
+    is still rescaled by p / d onto the new denominator.  A row past the
+    n-th is then its bare rhs and must be 0.  Back substitution on the
+    pivot rows U gives ``y[c] = (d*b[c] - sum U[c][j]*y[j]) // U[c][c]``
+    over j > c, which divides exactly because y is integral."""
     d = 1
     for c in range(n):
-        k = next((i for i in range(c, len(rows)) if rows[i][c]), None)
+        k = next((i for i in range(c, len(rows)) if rows[i][0]), None)
         if k is None:
             return None
         rows[c], rows[k] = rows[k], rows[c]
-        d = _pivot(rows, c, c, d)
-    if any(row[-1] for row in rows[n:]):
+        p, *tail = rows[c]
+        for i in range(c + 1, len(rows)):
+            f, *row = rows[i]
+            if f:
+                rows[i] = [(p * x - f * y) // d for x, y in zip(row, tail)]
+            elif p != d:
+                rows[i] = [p * x // d for x in row]
+            else:
+                rows[i] = row
+        d = p
+    if any(rhs for [rhs] in rows[n:]):
         return None
-    return _vertex(rows, range(n), d, scale, n)
+    y = [0] * n
+    for c in range(n - 1, -1, -1):
+        u = rows[c]
+        y[c] = (d * u[-1] - sum(map(int.__mul__, u[1:-1], y[c + 1:]))) // u[0]
+    return y, d
 
 
-def null_space_left(p: Sequence[Sequence[Fraction]]) -> Vector | None:
+def solve_affine(matrix: Sequence[Sequence[Fraction]],
+                 rhs: Sequence[Fraction]) -> Vector | None:
+    """The unique solution of ``A x = b``, or None when the system has no
+    solution or more than one.  Entries may be ints or ``Fraction``s."""
+    n = len(matrix[0]) if matrix else 0
+    rows, scale = _scaled([[*row, x] for row, x in zip(matrix, rhs)], n + 1)
+    solved = _solve(rows, n)
+    if solved is None:
+        return None
+    y, d = solved
+    d *= scale[-1]
+    return tuple(Fraction(yc * s, d) for yc, s in zip(y, scale))
+
+
+def null_space_left(rows: Sequence[Sequence[int]],
+                    dens: Sequence[int]) -> Vector | None:
     """The row vector g with g.P = g and sum(g) = 1, or None when there
-    is none or more than one: all n balance rows and the sum row."""
-    n = len(p)
-    rows = [[p[i][j] - 1 if i == j else p[i][j] for i in range(n)]
-            for j in range(n)]
-    rows.append([ONE] * n)
-    return solve_affine(rows, [ZERO] * n + [ONE])
+    is none or more than one, where ``P[u][v] = rows[u][v] / dens[u]``.
+
+    In z_u = g_u / dens[u] the n balance rows and the sum row are
+    integer: ``sum_u z_u rows[u][v] - z_v dens[v] = 0`` and
+    ``sum_u z_u dens[u] = 1``.  With each row over its least
+    denominator these are the integers that column scaling would give."""
+    n = len(rows)
+    system = [[rows[u][v] - dens[u] if u == v else rows[u][v]
+               for u in range(n)] + [0] for v in range(n)]
+    system.append([*dens, 1])
+    solved = _solve(system, n)
+    if solved is None:
+        return None
+    z, d = solved
+    return tuple(Fraction(zu * du, d) for zu, du in zip(z, dens))

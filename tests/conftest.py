@@ -88,6 +88,17 @@ def random_cyclic_gbn(rng: random.Random, max_vars: int = 4,
             return _attach_tables(rng, nodes, edges, smooth, denom)
 
 
+def dense_cyclic_gbn(rng: random.Random, n: int) -> Gbn:
+    """Dense smooth n-node network in which every node has a parent, so
+    that all n nodes form a cutset and the cutset chain has 2**n states."""
+    nodes = list(NAMES[:n])
+    while True:
+        edges = {(u, v) for u in nodes for v in nodes
+                 if u != v and rng.random() < 0.6}
+        if all(any(w == v for _, w in edges) for v in nodes):
+            return _attach_tables(rng, nodes, edges, True, 8)
+
+
 def random_cutset(rng: random.Random, g: Gbn,
                   max_size: int | None = None) -> tuple[str, ...]:
     """Random cutset avoiding the initial nodes (required by dissection)."""

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (rand_entry, rand_joint, random_cyclic_gbn,
-                      random_cutset, two_cycle)
+from conftest import (dense_cyclic_gbn, rand_entry, rand_joint,
+                      random_cyclic_gbn, random_cutset, two_cycle)
 from cyclebn.chain import (CutsetChain, NotACutsetError, _forward_eliminate,
                            cutset_mc, dissect, extend, is_smooth, lim,
                            lim_avg, long_run_frequency, mcs, next_dist,
@@ -17,7 +17,8 @@ from cyclebn.graph import DiGraph, is_acyclic
 from cyclebn.inference import chain_rule_dist
 from cyclebn.model import (Cpt, InternalError, JointDistribution,
                            assignment_from_index, dirac, make_gbn)
-from cyclebn.oracle import fraction_rref, iterate_next
+from cyclebn.oracle import (fraction_rref, iterate_next,
+                            stationary_by_state_reduction)
 
 F = Fraction
 
@@ -278,6 +279,33 @@ def test_compiled_chain_matches_unfolding_on_random_networks():
         sizes.add(len(cut))
         _assert_compiled_matches_oracle(g, cut, gamma)
     assert correlated and deterministic and sizes == {1, 2, 3}
+
+
+def test_cutset_mc_rows_are_integers_over_least_denominators():
+    rng = random.Random(47)
+    wide = 0
+    for _ in range(40):
+        g = random_cyclic_gbn(rng, max_vars=4, denom=rng.choice((2, 6, 8)))
+        cut = random_cutset(rng, g, max_size=3)
+        mc = cutset_mc(g, cut)
+        assert all(math.gcd(den, *row) == 1 for row, den in zip(mc.rows, mc.dens))
+        for b, row in enumerate(mc.matrix):
+            trace = iterate_next(g, cut, dirac(assignment_from_index(b, cut)), 1)
+            assert row == trace.steps[1]
+        # Fraction rows give the same integer form
+        again = CutsetChain(cut, mc.matrix)
+        assert (again.rows, again.dens) == (mc.rows, mc.dens)
+        wide += max(mc.dens) > 1
+    assert wide > 30
+
+
+def test_bscc_lrfs_of_a_smooth_64_state_chain_match_state_reduction():
+    # 64 states, beyond the chains of the other tests: the stationary
+    # vector's denominators run to a few hundred bits.
+    g = dense_cyclic_gbn(random.Random(64), 6)
+    mc = cutset_mc(g, g.nodes)
+    assert mc.num_states == 64 and len(mc.bsccs) == 1
+    assert mc.bscc_lrfs == (stationary_by_state_reduction(mc.matrix),)
 
 
 COPRIME = (2, 3, 5, 7, 8, 10**6 + 3)

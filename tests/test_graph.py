@@ -9,7 +9,7 @@ from conftest import three_cycle_graph
 from cyclebn import graph
 from cyclebn.graph import (DiGraph, close, cut_restrict, d_separated,
                            enumerate_cutsets, is_acyclic, is_cutset,
-                           scc_decompose)
+                           scc_decompose, strong_components)
 from cyclebn.model import CapacityError
 from cyclebn.oracle import cutsets_by_subsets, dsep_by_paths
 
@@ -42,6 +42,53 @@ def test_scc_multiple_bottoms():
     g = DiGraph(("A", "B", "C"), frozenset({("A", "B"), ("A", "C")}))
     dec = scc_decompose(g)
     assert set(dec.bottom_components) == {frozenset({"B"}), frozenset({"C"})}
+
+
+def _mutual_reachability(succ):
+    """Components and bottom components by their definitions: u and v
+    share a component iff each reaches the other, and a component is
+    bottom iff nothing outside it is reachable from it."""
+    n = len(succ)
+    reach = []
+    for u in range(n):
+        seen, stack = {u}, [u]
+        while stack:
+            for w in succ[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        reach.append(seen)
+    comps = {frozenset(v for v in reach[u] if u in reach[v]) for u in range(n)}
+    bottom = {c for c in comps if all(reach[u] <= c for u in c)}
+    return comps, bottom
+
+
+def test_strong_components_match_mutual_reachability():
+    rng = random.Random(72)
+    shapes = {"loop": 0, "isolated": 0, "sinks": 0}
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        p = rng.choice((0.02, 0.05, 0.1, 0.3))
+        succ = [[] for _ in range(n)]
+        for u in range(n):
+            if rng.random() < 0.15:      # an isolated node
+                continue
+            succ[u] = sorted({v for v in range(n)
+                              if v != u and rng.random() < p
+                              or v == u and rng.random() < 0.2})
+            rng.shuffle(succ[u])
+        comps, bottom = strong_components(succ)
+        want, want_bottom = _mutual_reachability(succ)
+        assert sorted(map(sorted, comps)) == sorted(map(sorted, want))
+        assert {frozenset(c) for c, b in zip(comps, bottom) if b} == want_bottom
+        # condensation order: no edge runs to an earlier component
+        rank = {v: i for i, c in enumerate(comps) for v in c}
+        assert all(rank[u] <= rank[v] for u in range(n) for v in succ[u])
+        shapes["loop"] += any(u in succ[u] for u in range(n))
+        shapes["isolated"] += any(not succ[u] and all(u not in s for s in succ)
+                                  for u in range(n))
+        shapes["sinks"] += len(want_bottom) > 2
+    assert min(shapes.values()) > 50, shapes
 
 
 def test_is_acyclic():
@@ -196,6 +243,30 @@ def test_dsep_ignores_self_loops():
     g = DiGraph(("X", "Y", "Z"),
                 frozenset({("X", "Y"), ("Y", "Z"), ("Y", "Y")}))
     assert d_separated(g, {"X"}, {"Z"}, {"Y"})
+
+
+def test_dsep_matches_paths_with_self_loops():
+    """Random 5-7-node digraphs, each with self-loops on a random set of
+    nodes, against the path oracle; the loops sit on x, y, observed and
+    unobserved nodes in turn."""
+    rng = random.Random(73)
+    roles = dict.fromkeys(("x", "y", "observed", "unobserved"), 0)
+    for _ in range(400):
+        n = rng.randint(5, 7)
+        nodes = [f"V{i}" for i in range(n)]
+        p = rng.choice((0.15, 0.3, 0.5))
+        loops = set(rng.sample(nodes, rng.randint(1, n)))
+        edges = {(u, v) for u in nodes for v in nodes
+                 if u != v and rng.random() < p} | {(v, v) for v in loops}
+        g = DiGraph(tuple(nodes), frozenset(edges))
+        x, y, *rest = rng.sample(nodes, n)
+        zs = set(rng.sample(rest, rng.randint(0, len(rest))))
+        assert d_separated(g, {x}, {y}, zs) == dsep_by_paths(g, {x}, {y}, zs)
+        roles["x"] += x in loops
+        roles["y"] += y in loops
+        roles["observed"] += bool(loops & zs)
+        roles["unobserved"] += bool(loops & set(rest) - zs)
+    assert min(roles.values()) > 100, roles
 
 
 def _digraphs_up_to_isomorphism(n: int):

@@ -1,6 +1,7 @@
 """Exact linear algebra: unique solves, simplex, polytope classification."""
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -145,18 +146,25 @@ def test_classify_matches_vertex_enumeration():
     assert kinds == {"empty", "point", "infinite"}
 
 
+def _int_rows(p):
+    """Each row of ``p`` as integers over the lcm of its denominators."""
+    dens = [math.lcm(*(x.denominator for x in row)) for row in p]
+    return ([[x.numerator * (d // x.denominator) for x in row]
+             for row, d in zip(p, dens)], dens)
+
+
 def test_null_space_left_identity():
     # every distribution is stationary for the identity
-    assert null_space_left(((F(1), F(0)), (F(0), F(1)))) is None
+    assert null_space_left([[1, 0], [0, 1]], [1, 1]) is None
 
 
 def test_null_space_left_two_cycle():
-    assert null_space_left(((F(0), F(1)), (F(1), F(0)))) == (F(1, 2), F(1, 2))
+    assert null_space_left([[0, 1], [1, 0]], [1, 1]) == (F(1, 2), F(1, 2))
 
 
 def test_null_space_left_absorbing():
-    p = ((F(1), F(0)), (F(1, 2), F(1, 2)))
-    assert null_space_left(p) == (F(1), F(0))
+    # rows (1, 0) and (1/2, 1/2)
+    assert null_space_left([[1, 0], [1, 1]], [1, 2]) == (F(1), F(0))
 
 
 # --- the integer kernel against the Fraction reference --------------------
@@ -247,7 +255,23 @@ def test_null_space_left_matches_state_reduction():
     rng = random.Random(12)
     for n in list(range(1, 21)) * 2:
         p = _stochastic(_irreducible_weights(rng, n, rng.random() < 0.5))
-        assert null_space_left(p) == stationary_by_state_reduction(p)
+        assert null_space_left(*_int_rows(p)) == stationary_by_state_reduction(p)
+
+
+def test_null_space_left_with_row_denominators_matches_state_reduction():
+    # rows over their least denominators, and over random multiples of them
+    rng = random.Random(14)
+    wide = 0
+    for n in list(range(2, 17)) * 2:
+        p = _stochastic(_irreducible_weights(rng, n, rng.random() < 0.5))
+        want = stationary_by_state_reduction(p)
+        rows, dens = _int_rows(p)
+        wide += max(dens) > 1
+        assert null_space_left(rows, dens) == want
+        k = [rng.randint(2, 9) for _ in range(n)]
+        assert null_space_left([[x * m for x in row] for row, m in zip(rows, k)],
+                               [d * m for d, m in zip(dens, k)]) == want
+    assert wide > 20
 
 
 def test_bscc_lrfs_match_state_reduction():
