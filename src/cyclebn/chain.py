@@ -13,7 +13,7 @@ from .families import INFINITE, UNIQUE, SemanticsFamily
 from .inference import chain_rule_dist, to_digraph
 from .linalg import null_space_left, solve_affine
 from .model import (CapacityError, Cpt, Gbn, InternalError,
-                    JointDistribution, assignment_from_index)
+                    JointDistribution, assignment_from_index, scaled)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -107,14 +107,6 @@ def _spread(index: int, bits) -> int:
     return sum(b for j, b in enumerate(reversed(bits)) if index >> j & 1)
 
 
-def _scaled(values) -> tuple[list[int], int]:
-    """Numerators of the rationals ``values`` over the lcm of their
-    denominators, and that lcm."""
-    values = tuple(values)
-    d = math.lcm(*(q.denominator for q in values))
-    return [q.numerator * (d // q.denominator) for q in values], d
-
-
 def _forward_eliminate(g: Gbn, cut: tuple[str, ...], rows: bool,
                        gammas) -> list[tuple[dict[int, int], int]]:
     """Chain-rule product over the dissected DAG of ``g`` for each sparse
@@ -174,7 +166,7 @@ def _forward_eliminate(g: Gbn, cut: tuple[str, ...], rows: bool,
             pending[u] -= 1
             if not pending[u] and u not in targets:
                 drop |= u
-        steps.append((b, parents[b], *_scaled(cpt_of[b].rows), ~drop))
+        steps.append((b, parents[b], *scaled(cpt_of[b].rows), ~drop))
         for c in children.get(b, ()):
             unplaced[c] -= 1
             if not unplaced[c]:
@@ -185,11 +177,11 @@ def _forward_eliminate(g: Gbn, cut: tuple[str, ...], rows: bool,
 
     iota_bits = [bit[v] for v in g.iota.variables]
     cut_bits = [bit[c] for c in cut]
-    iota_num, iota_den = _scaled(g.iota.probs)
-    iota = [(_spread(a, iota_bits), p) for a, p in enumerate(iota_num) if p]
+    iota_den = g.iota.den
+    iota = [(_spread(a, iota_bits), p) for a, p in enumerate(g.iota.nums) if p]
     out = []
     for gamma in gammas:
-        gamma_num, den = _scaled(gamma.values())
+        gamma_num, den = scaled(gamma.values())
         den *= iota_den
         table: dict[int, int] = {}
         for c, w in zip(gamma, gamma_num):
@@ -237,10 +229,10 @@ def _extend(g: Gbn, cut: tuple[str, ...], gamma) -> JointDistribution:
     sorted cutset and ``gamma`` a distribution over it in canonical order."""
     [(table, den)] = _forward_eliminate(
         g, cut, False, [{i: p for i, p in enumerate(gamma) if p}])
-    probs = [ZERO] * (1 << len(g.nodes))
+    nums = [0] * (1 << len(g.nodes))
     for key, p in table.items():
-        probs[key] = Fraction(p, den)
-    return JointDistribution(g.nodes, tuple(probs))
+        nums[key] = p
+    return JointDistribution._of_table(g.nodes, nums, den)
 
 
 class CutsetChain:
@@ -257,7 +249,7 @@ class CutsetChain:
 
     def __init__(self, cutset, matrix):
         self.cutset = tuple(cutset)
-        self.rows, self.dens = zip(*map(_scaled, matrix)) if matrix else ((), ())
+        self.rows, self.dens = zip(*map(scaled, matrix)) if matrix else ((), ())
 
     @classmethod
     def _of_rows(cls, cutset, rows, dens) -> CutsetChain:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -36,7 +37,7 @@ from . import constraints, graph as graphmod, inference, oracle
 from .families import UNIQUE, UNSUPPORTED, SemanticsFamily
 from .model import (MAX_DENSE_VARS, CapacityError, Cpt, Gbn,
                     JointDistribution, Violation, format_rational,
-                    parse_rational)
+                    parse_rational, rational_text)
 
 EXIT_INVALID = 1
 EXIT_CAPACITY = 2
@@ -56,8 +57,29 @@ def _bits(index: int, width: int) -> str:
 
 
 def _bit_keys(variables) -> list[str]:
-    n = len(tuple(variables))
-    return [_bits(i, n) for i in range(1 << n)]
+    """Bitstring of every canonical index, first variable leftmost,
+    built by doubling."""
+    keys = [""]
+    for _ in variables:
+        keys = [k + b for k in keys for b in "01"]
+    return keys
+
+
+class _Table:
+    """Rationals ``nums[i] / den`` in a result, spelled out in lowest
+    terms only when written, without a ``Fraction`` per entry."""
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums, den: int):
+        self.nums, self.den = nums, den
+
+    def texts(self) -> list[str]:
+        den, out = self.den, []
+        for p in self.nums:
+            g = math.gcd(p, den)
+            out.append(rational_text(p // g, den // g))
+        return out
 
 
 def _vector_from_keys(mapping, variables, what: str) -> tuple[Fraction, ...]:
@@ -186,10 +208,10 @@ def _load(path: str) -> Gbn:
         return parse_document(fh.read())
 
 
-def _vector_out(variables, probs) -> dict:
-    return {"variables": list(variables),
-            "assignment_order": _bit_keys(variables),
-            "probs": list(probs)}
+def _vector_out(d: JointDistribution) -> dict:
+    return {"variables": list(d.variables),
+            "assignment_order": _bit_keys(d.variables),
+            "probs": _Table(d.nums, d.den)}
 
 
 def _parse_names(text: str | None) -> tuple[str, ...]:
@@ -222,12 +244,13 @@ def _default_cutset(g: Gbn) -> tuple[str, ...]:
 
 def _json_text(value, pad: str = "\n") -> str:
     """``value`` in exactly the layout of ``json.dumps(value, indent=2)``,
-    each ``Fraction`` written as the string "p/q" (or "p" when integral).
-    ``pad`` is the newline and indent of the line ``value`` starts on."""
+    each ``Fraction`` written as the string "p/q" (or "p" when integral)
+    and each ``_Table`` as the list of those strings.  ``pad`` is the
+    newline and indent of the line ``value`` starts on."""
     if type(value) is str:
         return _encode_str(value)
     if type(value) is Fraction:
-        return f'"{value!s}"'
+        return f'"{format_rational(value)}"'
     if value is None:
         return "null"
     if value is True:
@@ -237,6 +260,10 @@ def _json_text(value, pad: str = "\n") -> str:
     if type(value) is int:
         return repr(value)
     inner = pad + "  "
+    if type(value) is _Table:
+        # rational texts need no escaping
+        return ("[" + inner + '"' + ('",' + inner + '"').join(value.texts())
+                + '"' + pad + "]")
     if type(value) is dict:
         if not value:
             return "{}"
@@ -253,7 +280,8 @@ def _json_text(value, pad: str = "\n") -> str:
 
 
 def _emit(result: dict, fmt: str) -> None:
-    """Write a result whose rationals are still ``Fraction`` values."""
+    """Write a result whose rationals are still ``Fraction`` values or
+    ``_Table`` integers."""
     if fmt == "machine":
         sys.stdout.write(_json_text(result))
         sys.stdout.write("\n")
@@ -263,13 +291,15 @@ def _emit(result: dict, fmt: str) -> None:
 
 def _pretty(value, indent: int, label: str | None = None) -> None:
     pad = "  " * indent
+    if type(value) is _Table:
+        value = value.texts()
     if isinstance(value, dict):
         if label is not None:
             print(f"{pad}{label}:")
         for k, v in value.items():
             _pretty(v, indent + (label is not None), k)
     elif isinstance(value, (list, tuple)) and value \
-            and isinstance(value[0], (dict, list, tuple)):
+            and isinstance(value[0], (dict, list, tuple, _Table)):
         if label is not None:
             print(f"{pad}{label}:")
         for v in value:
@@ -285,8 +315,7 @@ def _pretty(value, indent: int, label: str | None = None) -> None:
 def _family_out(fam: SemanticsFamily) -> dict:
     out = {"kind": fam.kind, "status": fam.status}
     if fam.distributions:
-        out["distributions"] = [_vector_out(d.variables, d.probs)
-                                for d in fam.distributions]
+        out["distributions"] = [_vector_out(d) for d in fam.distributions]
     if fam.notes:
         out["notes"] = fam.notes
     return out
@@ -323,7 +352,7 @@ def _chain_out(mc: chainmod.CutsetChain) -> dict:
     return {
         "cutset": list(mc.cutset),
         "assignment_order": _bit_keys(mc.cutset),
-        "matrix": [list(row) for row in mc.matrix],
+        "matrix": [_Table(row, d) for row, d in zip(mc.rows, mc.dens)],
         "bsccs": [sorted(_bits(s, len(mc.cutset)) for s in comp)
                   for comp in mc.bsccs],
         "periods": list(mc.periods),
@@ -348,7 +377,7 @@ def _cmd_semantics(args) -> tuple[dict, int]:
             out.update(status="empty", notes="cyclic graph")
             return out, 0
         out.update(status=UNIQUE,
-                   distributions=[_vector_out(mu.variables, mu.probs)])
+                   distributions=[_vector_out(mu)])
         return out, 0
     if kind in ("cpt", "wcpt"):
         fam = constraints.solve_family(g, kind)
@@ -387,12 +416,12 @@ def _cmd_semantics(args) -> tuple[dict, int]:
                        offending_periods=list(status.offending_periods))
             return out, 0
         d = status.distribution
-        out.update(status=UNIQUE, distributions=[_vector_out(d.variables, d.probs)])
+        out.update(status=UNIQUE, distributions=[_vector_out(d)])
         return out, 0
     if kind == "limavg":
         d = chainmod.lim_avg(g, cut, gamma0)
         out.update(status=UNIQUE, cutset=list(cut),
-                   distributions=[_vector_out(d.variables, d.probs)])
+                   distributions=[_vector_out(d)])
         return out, 0
     raise ValueError(f"unknown semantics kind: {kind}")
 

@@ -147,7 +147,7 @@ def cpt_i_via_cutsets(g: Gbn, cutsets: Sequence[Iterable[str]]) -> SemanticsFami
         # every start: the extension of its stationary vector.
         singletons.append(_extend(g, chain.cutset, chain.bscc_lrfs[0]))
     first = singletons[0]
-    if any(d.probs != first.probs for d in singletons[1:]):
+    if any(d != first for d in singletons[1:]):
         return SemanticsFamily("cpti", EMPTY,
                                notes="cutset semantics disagree")
     return SemanticsFamily("cpti", UNIQUE, (first,),

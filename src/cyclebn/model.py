@@ -1,15 +1,17 @@
 """Core value types: assignments, joint distributions, CPTs, and networks.
 
-All probabilities are exact ``fractions.Fraction`` values; there is no
-floating point anywhere in the package.  Variables are Boolean and named by
-strings; the canonical variable order is ascending lexicographic, and the
-canonical index of an assignment treats the first-sorted variable as the
-most significant bit (F=0, T=1).
+All probabilities are exact: rationals or integers over a common
+denominator; there is no floating point anywhere in the package.
+Variables are Boolean and named by strings; the canonical variable order
+is ascending lexicographic, and the canonical index of an assignment
+treats the first-sorted variable as the most significant bit (F=0, T=1).
 
-Every table is a dense tuple in canonical index order.  :func:`sub_indices`
-maps each index over a variable set to the index of the assignment's
-restriction to some of those variables, so marginals, products and
-renamings build no dict per assignment.
+Every table is dense and in canonical index order.  A joint distribution
+holds its table as integer numerators over their least common
+denominator, and its ``Fraction`` tuple is built only when read.
+:func:`sub_indices` maps each index over a variable set to the index of
+the assignment's restriction to some of those variables, so marginals,
+products and renamings build no dict per assignment.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 ZERO = Fraction(0)
@@ -68,16 +71,28 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
+def scaled(values) -> tuple[list[int], int]:
+    """Numerators of the rationals ``values`` over the lcm of their
+    denominators, and that lcm."""
+    values = tuple(values)
+    d = math.lcm(*(q.denominator for q in values))
+    return [q.numerator * (d // q.denominator) for q in values], d
+
+
 def sums_to_one(values) -> bool:
     """Exact test that rationals sum to 1, done in integers over their
     least common denominator instead of by pairwise Fraction addition."""
-    values = tuple(values)
-    d = math.lcm(*(q.denominator for q in values))
-    return sum(q.numerator * (d // q.denominator) for q in values) == d
+    nums, d = scaled(values)
+    return sum(nums) == d
+
+
+def rational_text(p: int, q: int) -> str:
+    """The text of p/q in lowest terms: "p/q", or "p" when q = 1."""
+    return f"{p}/{q}" if q != 1 else str(p)
 
 
 def format_rational(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
+    return rational_text(q.numerator, q.denominator)
 
 
 def canonical_index(assignment: Mapping[str, bool],
@@ -122,61 +137,87 @@ def sub_indices(variables: Sequence[str], names: Sequence[str]) -> list[int]:
     return idx
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class JointDistribution:
     """Dense distribution over all assignments of a variable set.
 
-    ``probs[i]`` is the probability of the assignment with canonical
-    index ``i``; the entries sum to exactly one.
+    The assignment with canonical index ``i`` has probability
+    ``nums[i] / den``: non-negative integers over their least common
+    denominator, so the numerators sum to ``den`` and share no factor
+    with it.  Equality and hashing compare this reduced form.
+    ``JointDistribution(variables, probs)`` checks and stores rationals;
+    the ``Fraction`` tuple ``probs`` is otherwise built only when read.
     """
 
     variables: tuple[str, ...]
-    probs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
-    def __post_init__(self):
-        vs = _check_capacity(self.variables)
-        object.__setattr__(self, "variables", vs)
-        probs = tuple(p if type(p) is Fraction else Fraction(p)
-                      for p in self.probs)
-        object.__setattr__(self, "probs", probs)
+    def __init__(self, variables: Iterable[str], probs: Iterable) -> None:
+        vs = _check_capacity(variables)
+        probs = tuple(p if type(p) is Fraction else Fraction(p) for p in probs)
         if len(probs) != 1 << len(vs):
             raise ValueError("probability vector length must be 2**n")
         if any(not 0 <= p.numerator <= p.denominator for p in probs):
             raise ValueError("probabilities must lie in [0, 1]")
-        if not sums_to_one(probs):
-            raise ValueError(f"probabilities sum to {sum(probs)}, not 1")
+        nums, den = scaled(probs)
+        if sum(nums) != den:
+            raise ValueError(
+                f"probabilities sum to {Fraction(sum(nums), den)}, not 1")
+        vars(self).update(variables=vs, nums=tuple(nums), den=den, probs=probs)
+
+    @classmethod
+    def _of_table(cls, variables: tuple[str, ...], nums,
+                  den: int) -> "JointDistribution":
+        """Trusted constructor: ``variables`` sorted and distinct, ``nums``
+        non-negative ints in canonical order summing to ``den``.  Only
+        reduces them by their gcd with ``den``; checks nothing."""
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums, den = [p // g for p in nums], den // g
+        dist = cls.__new__(cls)
+        vars(dist).update(variables=variables, nums=tuple(nums), den=den)
+        return dist
+
+    @cached_property
+    def probs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(p, den) for p in self.nums)
 
     @staticmethod
     def uniform(variables: Iterable[str]) -> "JointDistribution":
         vs = _check_capacity(variables)
         n = 1 << len(vs)
-        return JointDistribution(vs, tuple([Fraction(1, n)] * n))
+        return JointDistribution._of_table(vs, (1,) * n, n)
 
     def prob(self, assignment: Mapping[str, bool]) -> Fraction:
-        return self.probs[canonical_index(assignment, self.variables)]
+        return Fraction(self.nums[canonical_index(assignment, self.variables)],
+                        self.den)
 
     def partial_prob(self, partial: Mapping[str, bool]) -> Fraction:
         """Probability mass of all completions of a partial assignment."""
-        return self.restrict(partial).probs[canonical_index(partial)]
+        return self.restrict(partial).prob(partial)
 
     def restrict(self, subset: Iterable[str]) -> "JointDistribution":
         """Marginalize onto a subset of the variables."""
-        sub = tuple(sorted(subset))
-        probs = [ZERO] * (1 << len(sub))
-        for k, p in zip(sub_indices(self.variables, sub), self.probs):
+        sub = _check_capacity(subset)
+        nums = [0] * (1 << len(sub))
+        for k, p in zip(sub_indices(self.variables, sub), self.nums):
             if p:
-                probs[k] += p
-        return JointDistribution(sub, tuple(probs))
+                nums[k] += p
+        return JointDistribution._of_table(sub, nums, self.den)
 
     def product(self, other: "JointDistribution") -> "JointDistribution":
         """Product distribution over the disjoint union of variables."""
         overlap = set(self.variables) & set(other.variables)
         if overlap:
             raise ValueError(f"variable sets overlap: {sorted(overlap)}")
-        vs = tuple(sorted(self.variables + other.variables))
-        return JointDistribution(vs, tuple(
-            self.probs[i] * other.probs[j] for i, j in
-            zip(sub_indices(vs, self.variables), sub_indices(vs, other.variables))))
+        vs = _check_capacity(self.variables + other.variables)
+        a, b = self.nums, other.nums
+        return JointDistribution._of_table(vs, [
+            a[i] * b[j] for i, j in
+            zip(sub_indices(vs, self.variables), sub_indices(vs, other.variables))],
+            self.den * other.den)
 
     def rename(self, mapping: Mapping[str, str]) -> "JointDistribution":
         """Relabel variables; the table is re-sorted to the new canonical order."""
@@ -185,16 +226,16 @@ class JointDistribution:
         if len(set(new_vars)) != len(new_vars):
             raise ValueError("renaming collapses variables")
         # a new assignment read over ``renamed`` is its old canonical index
-        return JointDistribution(new_vars, tuple(
-            self.probs[i] for i in sub_indices(new_vars, renamed)))
+        return JointDistribution._of_table(new_vars, [
+            self.nums[i] for i in sub_indices(new_vars, renamed)], self.den)
 
 
 def dirac(assignment: Mapping[str, bool]) -> JointDistribution:
     """Point mass on a single assignment."""
-    vs = tuple(sorted(assignment))
-    probs = [ZERO] * (1 << len(vs))
-    probs[canonical_index(assignment, vs)] = ONE
-    return JointDistribution(vs, tuple(probs))
+    vs = _check_capacity(assignment)
+    nums = [0] * (1 << len(vs))
+    nums[canonical_index(assignment, vs)] = 1
+    return JointDistribution._of_table(vs, nums, 1)
 
 
 @dataclass(frozen=True)

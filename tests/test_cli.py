@@ -1,5 +1,7 @@
 """Command-line interface: document parsing, subcommands, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -10,9 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cyclebn
-from cyclebn.cli import (DocumentError, _json_text, main, parse_document,
+from cyclebn.chain import cutset_mc
+from cyclebn.cli import (DocumentError, _bit_keys, _chain_out, _json_text,
+                         _load, _pretty, _vector_out, main, parse_document,
                          serialize_document)
-from cyclebn.model import format_rational
+from cyclebn.model import JointDistribution, format_rational
 
 F = Fraction
 
@@ -327,6 +331,70 @@ def test_machine_writer_matches_json_dumps_layout(value):
         assert _json_text(value) == json.dumps(_fractions_as_text(value), indent=2)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@st.composite
+def long_distributions(draw):
+    """A distribution over 0-2 variables whose numerators and common
+    denominator have up to 4,400 digits, given to the trusted
+    constructor scaled by a common factor."""
+    width = draw(st.integers(0, 2))
+    n = 1 << width
+    den = draw(st.integers(1, 10 ** 4400)
+               | st.integers(4301, 4400).map(lambda d: 10 ** d - 1)
+               | st.integers(1, 60))
+    cuts = sorted(draw(st.lists(st.integers(0, den), min_size=n - 1,
+                                max_size=n - 1)))
+    nums = [b - a for a, b in zip([0] + cuts, cuts + [den])]
+    k = draw(st.integers(1, 12))
+    return JointDistribution._of_table(
+        ("X", "Y")[:width], [k * p for p in nums], k * den)
+
+
+def _pretty_text(value) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _pretty(value, indent=0)
+    return out.getvalue()
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="Python without the int-string digit cap")
+@settings(deadline=None)
+@given(long_distributions())
+def test_distributions_write_as_their_fractions(d):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        texts = [str(p) for p in d.probs]
+        result = {"command": "semantics", "distributions": [_vector_out(d)]}
+        as_text = {"command": "semantics", "distributions": [
+            {"variables": list(d.variables),
+             "assignment_order": _bit_keys(d.variables), "probs": texts}]}
+        assert _json_text(result) == json.dumps(as_text, indent=2)
+        pretty = _pretty_text(result)
+        assert pretty == _pretty_text(as_text)
+        assert "  probs: " + " ".join(texts) + "\n" in pretty
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_chain_matrix_writes_as_its_fractions(ex52_path, fig1_path):
+    for path, cut in ((ex52_path, ("X", "Y")), (fig1_path, ("X",)),
+                      (fig1_path, ("X", "Y"))):
+        mc = cutset_mc(_load(path), cut)
+        texts = [[str(x) for x in row] for row in mc.matrix]
+        assert any("/" in t for row in texts for t in row)
+        out = _chain_out(mc)
+        assert _json_text(out) == json.dumps(dict(out, matrix=texts), indent=2)
+        assert _pretty_text(out) == _pretty_text(dict(out, matrix=texts))
+
+
+def test_bit_keys_put_the_first_variable_leftmost():
+    for n in range(7):
+        assert _bit_keys("ABCDEFG"[:n]) == [
+            format(i, f"0{n}b") if n else "" for i in range(1 << n)]
+    assert _bit_keys(("P", "Q")) == ["00", "01", "10", "11"]
 
 
 @pytest.mark.parametrize("value", [0.5, {1, 2}, frozenset(), b"x", 1j,

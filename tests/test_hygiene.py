@@ -36,11 +36,13 @@ def test_no_floats_in_package():
     assert not found, f"floats in the package: {', '.join(found)}"
 
 
-@pytest.mark.parametrize("module", ["linalg.py", "chain.py", "graph.py"])
+@pytest.mark.parametrize("module", ["linalg.py", "chain.py", "graph.py",
+                                    "model.py", "cli.py"])
 def test_no_true_division(module):
     # ``int / int`` is a float: the integer kernel of linalg.py, the
-    # integer chain rows of chain.py and the index arithmetic of graph.py
-    # divide with ``//`` and build rationals with ``Fraction(num, den)``.
+    # integer chain rows of chain.py, the index arithmetic of graph.py
+    # and the integer tables of model.py and cli.py divide with ``//``
+    # and build rationals with ``Fraction(num, den)``.
     [tree] = [tree for name, tree in _trees() if name == module]
     found = [str(node.lineno) for node in ast.walk(tree)
              if isinstance(node, (ast.BinOp, ast.AugAssign))

@@ -92,12 +92,49 @@ def test_index_round_trip_property(n, seed):
 
 
 def test_joint_distribution_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^probabilities sum to 3/4, not 1$"):
         JointDistribution(("X",), (Fraction(1, 2), Fraction(1, 4)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^probabilities sum to 2, not 1$"):
+        JointDistribution(("X",), (Fraction(1), 1))
+    with pytest.raises(ValueError, match=r"^probabilities must lie in \[0, 1\]$"):
         JointDistribution(("X",), (Fraction(3, 2), Fraction(-1, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^probabilities must lie in \[0, 1\]$"):
+        JointDistribution(("X",), (Fraction(-1, 2), Fraction(1, 2)))
+    with pytest.raises(ValueError, match=r"^probability vector length must be 2\*\*n$"):
         JointDistribution(("X", "Y"), (Fraction(1),))
+    with pytest.raises(ValueError, match=r"^probability vector length must be 2\*\*n$"):
+        JointDistribution((), ())
+    with pytest.raises(ValueError, match=r"^duplicate variable names: \('X', 'X'\)$"):
+        JointDistribution(("X", "X"), (Fraction(1, 4),) * 4)
+
+
+def test_trusted_table_equals_the_fraction_distribution():
+    probs = (Fraction(1, 10), Fraction(0), Fraction(3, 10), Fraction(3, 5))
+    mu = JointDistribution(("X", "Y"), probs)
+    assert (mu.nums, mu.den) == ((1, 0, 3, 6), 10)
+    # the same table scaled by 6, as an elimination may leave it
+    six = JointDistribution._of_table(("X", "Y"), [6, 0, 18, 36], 60)
+    assert six == mu and hash(six) == hash(mu)
+    assert (six.nums, six.den) == (mu.nums, mu.den)
+    assert six.probs == probs
+    assert {mu: "found"}[six] == "found"
+    assert six != JointDistribution.uniform(("X", "Y"))
+    assert six != JointDistribution(("Y", "Z"), probs)
+    one = JointDistribution._of_table((), [6], 6)
+    assert one == JointDistribution((), (1,)) and one.nums == (1,) and one.den == 1
+    assert hash(one) == hash(JointDistribution((), (1,)))
+
+
+def test_probs_are_built_once_from_the_integers():
+    mu = JointDistribution._of_table(("X",), [1, 3], 4)
+    assert "probs" not in vars(mu)
+    assert mu.probs == (Fraction(1, 4), Fraction(3, 4))
+    assert mu.probs is mu.probs
+    assert all(type(p) is Fraction for p in mu.probs)
+    # rationals given to the constructor are kept as given
+    given = (Fraction(1, 4), Fraction(3, 4))
+    assert JointDistribution(("X",), given).probs == given
+    assert JointDistribution(("X",), (0, 1)).probs == (Fraction(0), Fraction(1))
 
 
 def test_sums_to_one_is_exact():

@@ -15,8 +15,8 @@ from cyclebn.constraints import (build_cpt_system, build_wcpt_system,
                                  check_consistency)
 from cyclebn.inference import (IndependenceTriple, chain_rule_dist,
                                check_independence)
-from cyclebn.model import (all_assignments, assignment_from_index,
-                           canonical_index, sub_indices)
+from cyclebn.model import (JointDistribution, all_assignments,
+                           assignment_from_index, canonical_index, sub_indices)
 
 ZERO, ONE = Fraction(0), Fraction(1)
 VARS = "ABCDEF"
@@ -88,6 +88,52 @@ def test_table_operations_match_definitions():
         mu.restrict(("Z",))
     with pytest.raises(ValueError, match=r"unknown variables: \['Z'\]"):
         mu.partial_prob({"Z": True})
+
+
+def with_factor(mu, k):
+    """``mu`` built by the trusted constructor from its table scaled by k."""
+    return JointDistribution._of_table(mu.variables, [k * p for p in mu.nums],
+                                       k * mu.den)
+
+
+def fraction_at(mu, b):
+    """mu's ``Fraction`` entry for the restriction of assignment b."""
+    return mu.probs[canonical_index({v: b[v] for v in mu.variables}, mu.variables)]
+
+
+def test_integer_table_operations_equal_fraction_definitions():
+    rng = random.Random(6)
+    seen = set()
+    for i in range(150):
+        mu = rand_table(rng, VARS[:i % 5])
+        other = rand_table(rng, "PQR"[:rng.randint(0, 3)])
+        if i % 2:
+            mu, other = with_factor(mu, rng.randint(2, 30)), with_factor(other, 6)
+        seen.update(["zeros"] * (0 in mu.nums), ["empty"] * (not mu.variables))
+        sub = tuple(v for v in mu.variables if rng.random() < 0.5)
+        new_names = list("stuvw"[:len(mu.variables)])
+        rng.shuffle(new_names)
+        mapping = dict(zip(mu.variables, new_names))
+        new_vars = tuple(sorted(new_names))
+        prod_vars = tuple(sorted(mu.variables + other.variables))
+        literal = [
+            (mu.restrict(sub), sub,
+             [sum((p for p, b in zip(mu.probs, all_assignments(mu.variables))
+                   if agrees(b, c)), ZERO) for c in all_assignments(sub)]),
+            (mu.product(other), prod_vars,
+             [fraction_at(mu, b) * fraction_at(other, b)
+              for b in all_assignments(prod_vars)]),
+            (mu.rename(mapping), new_vars,
+             [fraction_at(mu, {v: b[mapping[v]] for v in mu.variables})
+              for b in all_assignments(new_vars)]),
+        ]
+        for got, variables, probs in literal:
+            want = JointDistribution(variables, probs)
+            assert got.variables == variables
+            assert got.probs == tuple(probs)
+            assert got == want and hash(got) == hash(want)
+            assert (got.nums, got.den) == (want.nums, want.den)
+    assert seen == {"zeros", "empty"}
 
 
 def networks():
