@@ -13,7 +13,7 @@ from .families import INFINITE, UNIQUE, SemanticsFamily
 from .inference import chain_rule_dist, to_digraph
 from .linalg import null_space_left, solve_affine
 from .model import (CapacityError, Cpt, Gbn, InternalError,
-                    JointDistribution, assignment_from_index, scaled)
+                    JointDistribution, scaled)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -93,12 +93,6 @@ def next_dist(g: Gbn, cut, gamma: JointDistribution) -> JointDistribution:
 def _check_cutset_size(cut) -> None:
     if len(cut) > MAX_CUTSET_SIZE:
         raise CapacityError(f"cutset size capped at {MAX_CUTSET_SIZE}")
-
-
-def _validate(g: Gbn) -> None:
-    violations = g.validate()
-    if violations:
-        raise ValueError(f"invalid network: {violations}")
 
 
 def _spread(index: int, bits) -> int:
@@ -220,7 +214,7 @@ def extend(g: Gbn, cut, gamma: JointDistribution) -> JointDistribution:
     if tuple(gamma.variables) != cut:
         raise ValueError(
             f"gamma covers {gamma.variables}, cutset is {cut}")
-    _validate(g)
+    g._require_valid()
     return _extend(g, cut, gamma.probs)
 
 
@@ -265,9 +259,6 @@ class CutsetChain:
     @property
     def num_states(self) -> int:
         return len(self.rows)
-
-    def state_assignment(self, index: int) -> dict[str, bool]:
-        return assignment_from_index(index, self.cutset)
 
     def step(self, gamma: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
         n = self.num_states
@@ -325,9 +316,6 @@ class CutsetChain:
             out.append(tuple(vec))
         return tuple(out)
 
-    def is_stationary(self, gamma: tuple[Fraction, ...]) -> bool:
-        return self.step(gamma) == tuple(gamma)
-
 
 def cutset_mc(g: Gbn, cut) -> CutsetChain:
     """Transition matrix P(b, c) = one-step probability of cutset
@@ -336,7 +324,7 @@ def cutset_mc(g: Gbn, cut) -> CutsetChain:
     one gcd."""
     cut = _check_cutset(g, cut)
     _check_cutset_size(cut)
-    _validate(g)
+    g._require_valid()
     n, size = len(g.nodes), 1 << len(cut)
     rows, dens = [], []
     for table, den in _forward_eliminate(g, cut, True,

@@ -220,8 +220,8 @@ def _parse_names(text: str | None) -> tuple[str, ...]:
     return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
-def _parse_gamma0(source: str, cut) -> JointDistribution:
-    cut = tuple(sorted(cut))
+def _parse_gamma0(source: str, cut: tuple[str, ...]) -> JointDistribution:
+    """The start over the sorted cutset ``cut``."""
     _check_width(cut, "cutset variables")
     if source == "uniform":
         return JointDistribution.uniform(cut)
@@ -238,7 +238,11 @@ def _parse_gamma0(source: str, cut) -> JointDistribution:
     return JointDistribution(cut, _vector_from_keys(table, cut, "gamma0"))
 
 
-def _default_cutset(g: Gbn) -> tuple[str, ...]:
+def _cutset(args, g: Gbn) -> tuple[str, ...]:
+    """The ``--cutset`` names, or else every non-initial node, sorted:
+    the order of the output and of ``dirac:`` bits."""
+    if args.cutset:
+        return tuple(sorted(_parse_names(args.cutset)))
     return tuple(sorted(set(g.nodes) - g.initial_nodes))
 
 
@@ -395,7 +399,7 @@ def _cmd_semantics(args) -> tuple[dict, int]:
         fam = constraints.cpt_i_via_cutsets(g, cutsets)
         out.update(_family_out(fam))
         return out, EXIT_UNSUPPORTED if fam.status == UNSUPPORTED else 0
-    cut = _parse_names(args.cutset) if args.cutset else _default_cutset(g)
+    cut = _cutset(args, g)
     if kind == "mc":
         mc = chainmod.cutset_mc(g, cut)
         fam = chainmod.stationary_set(mc)
@@ -428,7 +432,7 @@ def _cmd_semantics(args) -> tuple[dict, int]:
 
 def _cmd_classify(args) -> tuple[dict, int]:
     g = _load(args.file)
-    cut = _parse_names(args.cutset) if args.cutset else _default_cutset(g)
+    cut = _cutset(args, g)
     mc = chainmod.cutset_mc(g, cut)
     aperiodic = all(p == 1 for p in mc.periods)
     return {"command": "classify", "cutset": list(cut),
@@ -441,7 +445,7 @@ def _cmd_classify(args) -> tuple[dict, int]:
 
 def _cmd_oracle_iterate(args) -> tuple[dict, int]:
     g = _load(args.file)
-    cut = _parse_names(args.cutset) if args.cutset else _default_cutset(g)
+    cut = _cutset(args, g)
     gamma0 = _parse_gamma0(args.gamma0, cut)
     trace = oracle.iterate_next(g, cut, gamma0, args.steps)
     return {"command": "oracle-iterate", "cutset": list(cut),

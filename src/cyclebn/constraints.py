@@ -1,15 +1,14 @@
 """Linear constraint systems for CPT consistency, and the
-independence-extended semantics computed through cutset intersections."""
+independence-extended semantics computed through cutset intersections.
+Membership in that family by its definition, with the independence
+triples it needs, is checked in ``oracle``."""
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from . import graph as graphmod
 from .chain import _extend, cutset_mc
 from .families import (EMPTY, INFINITE, UNIQUE, UNSUPPORTED, SemanticsFamily)
-from .inference import (IndependenceTriple, check_independence,
-                        enumerate_dsep_triples, to_digraph)
 from .linalg import LinearSystem, classify_polytope
 from .model import ONE, ZERO, Gbn, JointDistribution, sub_indices
 
@@ -103,25 +102,6 @@ def is_strongly_consistent(mu: JointDistribution, g: Gbn) -> bool:
                for x in set(g.nodes) - init)
 
 
-def check_cpt_i_member(mu: JointDistribution, g: Gbn,
-                       independencies: Iterable[IndependenceTriple]) -> bool:
-    """Membership in the independence-extended consistency family.
-
-    Requires strong consistency everywhere, the pinned initial
-    distribution, and each independence constraint in division-free
-    product form: mu(b) * mu(b_W) == mu(b_{X union W}) * mu(b_{U union W})
-    for every assignment b over X, U and W.
-    """
-    if not is_strongly_consistent(mu, g):
-        return False
-    for t in independencies:
-        if len(t.x) != 1:
-            raise ValueError("constraints expect singleton left-hand sets")
-        if not check_independence(mu, t):
-            return False
-    return True
-
-
 def cpt_i_via_cutsets(g: Gbn, cutsets: Sequence[Iterable[str]]) -> SemanticsFamily:
     """Intersection of the chain semantics over a family of cutsets.
 
@@ -152,9 +132,3 @@ def cpt_i_via_cutsets(g: Gbn, cutsets: Sequence[Iterable[str]]) -> SemanticsFami
                                notes="cutset semantics disagree")
     return SemanticsFamily("cpti", UNIQUE, (first,),
                            notes=f"intersection of {len(cutsets)} cutset chains")
-
-
-def closed_cut_triples(g: Gbn, cut) -> list[IndependenceTriple]:
-    """Bounded independence triples of the closed cut-restricted graph."""
-    dg = graphmod.cut_restrict(to_digraph(g), cut)
-    return enumerate_dsep_triples(graphmod.close(dg))

@@ -1,4 +1,6 @@
-"""Directed-graph analysis: SCCs, cutsets, closure, cut-restriction, d-separation."""
+"""Directed-graph analysis: SCCs (Tarjan, on integer successor lists),
+acyclicity (Kahn), cutsets and d-separation.  Closure, cut-restriction and
+the simple-path d-separation reference live in ``oracle``."""
 
 from __future__ import annotations
 
@@ -50,30 +52,6 @@ class DiGraph:
     @property
     def initial_nodes(self) -> frozenset[Hashable]:
         return frozenset(self.nodes) - {v for (_, v) in self.edges}
-
-    def post_star(self, node: Hashable) -> frozenset[Hashable]:
-        """Nodes reachable from ``node`` via at least one edge."""
-        seen: set[Hashable] = set()
-        stack = list(self.successors(node))
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(self.successors(v) - seen)
-        return frozenset(seen)
-
-
-@dataclass(frozen=True)
-class SccDecomposition:
-    """SCCs in condensation (topological) order, with bottom SCCs flagged."""
-
-    components: tuple[frozenset[Hashable], ...]
-    bottom: tuple[bool, ...]
-
-    @property
-    def bottom_components(self) -> tuple[frozenset[Hashable], ...]:
-        return tuple(c for c, b in zip(self.components, self.bottom) if b)
 
 
 def strong_components(succ: Sequence[Sequence[int]]
@@ -139,22 +117,17 @@ def strong_components(succ: Sequence[Sequence[int]]
     return comps, bottom
 
 
-def scc_decompose(g: DiGraph) -> SccDecomposition:
-    """:func:`strong_components` on the sorted nodes and their sorted
-    successors, with the components as sets of node names."""
-    number = {v: i for i, v in enumerate(g.nodes)}
-    comps, bottom = strong_components(
-        [sorted(number[w] for w in g.successors(v)) for v in g.nodes])
-    return SccDecomposition(
-        tuple(frozenset(g.nodes[i] for i in comp) for comp in comps),
-        tuple(bottom))
-
-
 def is_acyclic(g: DiGraph) -> bool:
-    dec = scc_decompose(g)
-    if any(len(c) > 1 for c in dec.components):
-        return False
-    return all((v, v) not in g.edges for v in g.nodes)
+    """Kahn's test: every node is removed by repeatedly removing nodes
+    with no in-edge left, a self-loop counting as one."""
+    indegree = {v: len(g.predecessors(v)) for v in g.nodes}
+    ready = [v for v, k in indegree.items() if not k]
+    for v in ready:                     # grows as nodes are removed
+        for w in g.successors(v):
+            indegree[w] -= 1
+            if not indegree[w]:
+                ready.append(w)
+    return len(ready) == len(g.nodes)
 
 
 def is_cutset(g: DiGraph, cut: Iterable[str]) -> bool:
@@ -218,21 +191,6 @@ def enumerate_cutsets(g: DiGraph, minimal_only: bool = False) -> list[tuple[str,
         result += compress(combinations(g.nodes, size),
                            [acyc[full ^ sum(c)] for c in combinations(name, size)])
     return result
-
-
-def close(g: DiGraph) -> DiGraph:
-    """Add both edges between every pair of distinct initial nodes."""
-    init = sorted(g.initial_nodes)
-    extra = {(a, b) for a in init for b in init if a != b}
-    return DiGraph(g.nodes, g.edges | extra)
-
-
-def cut_restrict(g: DiGraph, cut: Iterable[str]) -> DiGraph:
-    """G[C]: drop every edge targeting a cut node; the cut becomes initial."""
-    cut = set(cut)
-    if not is_cutset(g, cut):
-        raise ValueError(f"{sorted(cut)} is not a cutset")
-    return DiGraph(g.nodes, frozenset((u, v) for (u, v) in g.edges if v not in cut))
 
 
 def d_separated(g: DiGraph, xs: Iterable[str], ys: Iterable[str],

@@ -71,13 +71,6 @@ class LinearSystem:
     def num_cols(self) -> int:
         return len(self.matrix[0]) if self.matrix else 0
 
-    def residuals(self, x: Sequence[Fraction]) -> Vector:
-        return tuple(sum(a * xi for a, xi in zip(row, x)) - b
-                     for row, b in zip(self.matrix, self.rhs))
-
-    def is_solution(self, x: Sequence[Fraction]) -> bool:
-        return all(r == 0 for r in self.residuals(x))
-
 
 @dataclass(frozen=True)
 class PolytopeClass:

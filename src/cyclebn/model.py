@@ -194,10 +194,6 @@ class JointDistribution:
         return Fraction(self.nums[canonical_index(assignment, self.variables)],
                         self.den)
 
-    def partial_prob(self, partial: Mapping[str, bool]) -> Fraction:
-        """Probability mass of all completions of a partial assignment."""
-        return self.restrict(partial).prob(partial)
-
     def restrict(self, subset: Iterable[str]) -> "JointDistribution":
         """Marginalize onto a subset of the variables."""
         sub = _check_capacity(subset)
@@ -295,15 +291,14 @@ class Gbn:
         object.__setattr__(self, "edges", frozenset(self.edges))
         object.__setattr__(self, "cpts", dict(self.cpts))
 
-    def predecessors(self, node: str) -> frozenset[str]:
-        return frozenset(u for (u, v) in self.edges if v == node)
-
     @property
     def initial_nodes(self) -> frozenset[str]:
         targets = {v for (_, v) in self.edges}
         return frozenset(self.nodes) - targets
 
-    def validate(self) -> list[Violation]:
+    @cached_property
+    def _violations(self) -> tuple[Violation, ...]:
+        """What :meth:`validate` reports, scanned once per network."""
         report: list[Violation] = []
         node_set = set(self.nodes)
         preds: dict[str, set[str]] = {}
@@ -334,10 +329,18 @@ class Gbn:
             report.append(Violation(
                 "IotaDomainMismatch", ",".join(sorted(init)),
                 f"iota covers {self.iota.variables}, initial nodes are {tuple(sorted(init))}"))
-        return report
+        return tuple(report)
+
+    def validate(self) -> list[Violation]:
+        return list(self._violations)
 
     def is_valid(self) -> bool:
-        return not self.validate()
+        return not self._violations
+
+    def _require_valid(self) -> None:
+        """Raise ValueError when the network has violations."""
+        if self._violations:
+            raise ValueError(f"invalid network: {list(self._violations)}")
 
 
 def make_gbn(nodes: Iterable[str],

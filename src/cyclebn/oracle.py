@@ -1,9 +1,13 @@
-"""Brute-force oracles: exact iteration of the unfolding, simple-path
-d-separation, cutsets by testing every node subset, Cesàro power
-iteration of the cutset chain, stationary vectors by state reduction,
-``Fraction`` row reduction, and polytope classification by vertex
-enumeration.  None of them runs the integer elimination kernel of
-``linalg``.
+"""Brute-force oracles and the reference checks the tests hold the
+compiled routes to: exact iteration of the unfolding, simple-path
+d-separation, closure and cut-restriction of a graph, conditional
+independence over every d-separation triple, membership in the
+independence-extended family, cutsets by testing every node subset,
+Cesàro power iteration of the cutset chain, stationary vectors by state
+reduction, ``Fraction`` row reduction, and polytope classification by
+vertex enumeration.  None of them runs the integer elimination kernel
+of ``linalg``, and no other module of the package but the command line
+calls them.
 
 Everything here stays in exact rationals; closeness assertions compare
 exact total-variation distances against rational bounds.
@@ -18,9 +22,11 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .chain import CutsetChain, next_dist
-from .graph import DiGraph, is_cutset
+from .constraints import is_strongly_consistent
+from .graph import DiGraph, d_separated, is_cutset
+from .inference import chain_rule_dist, to_digraph
 from .linalg import LinearSystem
-from .model import CapacityError, Gbn, JointDistribution
+from .model import CapacityError, Gbn, JointDistribution, sub_indices
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -30,6 +36,9 @@ MAX_PATH_NODES = 7
 
 #: Column-subset enumeration is exponential; keep it to tiny systems.
 MAX_VERTEX_COLUMNS = 8
+
+#: Exhaustive triple enumeration is capped at this many variables.
+MAX_ENUM_VARS = 8
 
 
 @dataclass(frozen=True)
@@ -110,7 +119,7 @@ def _blocked(g: DiGraph, path, zs: frozenset[str]) -> bool:
         into = dirs[i - 1]          # edge nodes[i-1] -> nodes[i]?
         out = dirs[i]               # edge nodes[i] -> nodes[i+1]?
         if into and not out:        # collider
-            if nodes[i] not in zs and not (g.post_star(nodes[i]) & zs):
+            if nodes[i] not in zs and not (post_star(g, nodes[i]) & zs):
                 return True
         else:                       # chain or fork
             if nodes[i] in zs:
@@ -118,9 +127,116 @@ def _blocked(g: DiGraph, path, zs: frozenset[str]) -> bool:
     return False
 
 
+def post_star(g: DiGraph, node) -> frozenset:
+    """Nodes reachable from ``node`` via at least one edge."""
+    seen: set = set()
+    stack = list(g.successors(node))
+    while stack:
+        v = stack.pop()
+        if v not in seen:
+            seen.add(v)
+            stack.extend(g.successors(v) - seen)
+    return frozenset(seen)
+
+
+def close(g: DiGraph) -> DiGraph:
+    """Add both edges between every pair of distinct initial nodes."""
+    init = sorted(g.initial_nodes)
+    extra = {(a, b) for a in init for b in init if a != b}
+    return DiGraph(g.nodes, g.edges | extra)
+
+
+def cut_restrict(g: DiGraph, cut: Iterable[str]) -> DiGraph:
+    """G[C]: drop every edge targeting a cut node; the cut becomes initial."""
+    cut = set(cut)
+    if not is_cutset(g, cut):
+        raise ValueError(f"{sorted(cut)} is not a cutset")
+    return DiGraph(g.nodes, frozenset((u, v) for (u, v) in g.edges if v not in cut))
+
+
+@dataclass(frozen=True)
+class IndependenceTriple:
+    """(X independent of Y given Z) for pairwise disjoint variable sets."""
+
+    x: frozenset[str]
+    y: frozenset[str]
+    z: frozenset[str]
+
+    def __post_init__(self):
+        for name in ("x", "y", "z"):
+            object.__setattr__(self, name, frozenset(getattr(self, name)))
+        if self.x & self.y or self.x & self.z or self.y & self.z:
+            raise ValueError("independence triple sets must be pairwise disjoint")
+
+
+def check_independence(mu: JointDistribution, t: IndependenceTriple) -> bool:
+    """Exact conditional independence of a triple under ``mu``.
+
+    Checked in the division-free product form
+    mu(a,b,c) * mu(c) == mu(a,c) * mu(b,c), which is equivalent to the
+    conditional formulation with the zero-mass escape applied per
+    assignment.
+    """
+    joint = mu.restrict(t.x | t.y | t.z)
+    vs = joint.variables
+    xz = joint.restrict(t.x | t.z)
+    yz = joint.restrict(t.y | t.z)
+    z = joint.restrict(t.z)
+    return all(p * z.probs[k] == xz.probs[i] * yz.probs[j]
+               for p, i, j, k in zip(joint.probs, sub_indices(vs, xz.variables),
+                                     sub_indices(vs, yz.variables),
+                                     sub_indices(vs, z.variables)))
+
+
+def enumerate_dsep_triples(dg: DiGraph) -> list[IndependenceTriple]:
+    """Singleton-pair d-separation triples with every conditioning set:
+    x and y range over single nodes, z over all subsets of the rest."""
+    if len(dg.nodes) > MAX_ENUM_VARS:
+        raise CapacityError(
+            f"triple enumeration capped at {MAX_ENUM_VARS} variables")
+    triples = []
+    for x, y in itertools.combinations(dg.nodes, 2):
+        rest = [v for v in dg.nodes if v not in (x, y)]
+        for k in range(len(rest) + 1):
+            for z in itertools.combinations(rest, k):
+                if d_separated(dg, {x}, {y}, z):
+                    triples.append(IndependenceTriple({x}, {y}, z))
+    return triples
+
+
+def dsep_implies_indep_check(g: Gbn) -> bool:
+    """Executable form of: graph separations of the closed graph hold as
+    independencies of the chain-rule distribution.  A cyclic network
+    raises ``CyclicGraphError``, as ``chain_rule_dist`` does."""
+    mu = chain_rule_dist(g)
+    return all(check_independence(mu, t)
+               for t in enumerate_dsep_triples(close(to_digraph(g))))
+
+
+def check_cpt_i_member(mu: JointDistribution, g: Gbn,
+                       independencies: Iterable[IndependenceTriple]) -> bool:
+    """Membership in the independence-extended consistency family.
+
+    Requires strong consistency everywhere, the pinned initial
+    distribution, and each independence constraint in division-free
+    product form: mu(b) * mu(b_W) == mu(b_{X union W}) * mu(b_{U union W})
+    for every assignment b over X, U and W.
+    """
+    independencies = list(independencies)
+    if any(len(t.x) != 1 for t in independencies):
+        raise ValueError("constraints expect singleton left-hand sets")
+    return is_strongly_consistent(mu, g) and all(
+        check_independence(mu, t) for t in independencies)
+
+
+def closed_cut_triples(g: Gbn, cut) -> list[IndependenceTriple]:
+    """Bounded independence triples of the closed cut-restricted graph."""
+    return enumerate_dsep_triples(close(cut_restrict(to_digraph(g), cut)))
+
+
 def cutsets_by_subsets(g: DiGraph, minimal_only: bool = False) -> list[frozenset[str]]:
     """All cutsets (or all inclusion-minimal cutsets), by size then name:
-    an SCC pass on what each node subset leaves, smallest subsets first."""
+    an acyclicity test of what each node subset leaves, smallest first."""
     result: list[frozenset[str]] = []
     for size in range(len(g.nodes) + 1):
         for combo in itertools.combinations(g.nodes, size):
@@ -181,6 +297,12 @@ def _sum_of_powers(p_int, denom, n, count):
             m = matmul(m, p_int)
             k += 1
     return s
+
+
+def is_solution(system: LinearSystem, x: Sequence[Fraction]) -> bool:
+    """Does ``x`` satisfy every row of ``A x = b``?"""
+    return all(sum(a * xi for a, xi in zip(row, x)) == b
+               for row, b in zip(system.matrix, system.rhs))
 
 
 def total_variation(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:

@@ -15,15 +15,16 @@ from conftest import (rand_joint, random_acyclic_gbn, random_cyclic_gbn,
 from cyclebn.chain import cutset_mc, lim, lim_avg, long_run_frequency, mcs, \
     next_dist, stationary_set
 from cyclebn.constraints import (build_cpt_system, check_consistency,
-                                 check_cpt_i_member, cpt_i_via_cutsets,
-                                 is_strongly_consistent, solve_family)
+                                 cpt_i_via_cutsets, is_strongly_consistent,
+                                 solve_family)
 from cyclebn.families import EMPTY, INFINITE, UNIQUE
-from cyclebn.graph import DiGraph, close, d_separated, enumerate_cutsets
-from cyclebn.inference import (chain_rule_dist, dsep_implies_indep_check,
-                               enumerate_dsep_triples, to_digraph)
+from cyclebn.graph import DiGraph, d_separated, enumerate_cutsets
+from cyclebn.inference import chain_rule_dist, to_digraph
 from cyclebn.linalg import solve_affine
 from cyclebn.model import JointDistribution, dirac
-from cyclebn.oracle import (dsep_by_paths, fraction_rref, iterate_next,
+from cyclebn.oracle import (check_cpt_i_member, close, dsep_by_paths,
+                            dsep_implies_indep_check, enumerate_dsep_triples,
+                            fraction_rref, is_solution, iterate_next,
                             power_iteration, total_variation)
 
 F = Fraction
@@ -128,7 +129,7 @@ def test_criterion_5_acyclic_conservativity():
             g = random_acyclic_gbn(rng, max_vars=6)
             mu = chain_rule_dist(g)
             system = build_cpt_system(g)
-            assert system.is_solution(mu.probs)
+            assert is_solution(system, mu.probs)
             x = solve_affine(system.matrix, system.rhs)
             if x is not None:
                 # consistency constraints already pin a unique distribution

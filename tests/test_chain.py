@@ -87,7 +87,25 @@ def test_cutset_mc_matrix():
         (F(3, 4), F(0), F(1, 4), F(0)),
         (F(0), F(0), F(1), F(0)))
     assert mc.num_states == 4
-    assert mc.state_assignment(2) == {"X": True, "Y": False}
+    assert assignment_from_index(2, mc.cutset) == {"X": True, "Y": False}
+
+
+def test_invalid_network_built_in_code_is_refused():
+    # parse_document refuses such a network; built in code, it reaches
+    # the library entry points, which check it once themselves
+    bad = Cpt("X", ("Y",), (F(3, 2), F(1, 2)))
+    cyclic = make_gbn(["X", "Y"], [("X", "Y"), ("Y", "X")],
+                      [bad, Cpt("Y", ("X",), (F(1, 2), F(1, 2)))])
+    acyclic = make_gbn(["X", "Y"], [("Y", "X")], [bad],
+                       JointDistribution.uniform(("Y",)))
+    calls = [lambda: cutset_mc(cyclic, ("X",)),
+             lambda: extend(cyclic, ("X",), JointDistribution.uniform(("X",))),
+             lambda: extend(acyclic, (), JointDistribution((), (F(1),))),
+             lambda: chain_rule_dist(acyclic)]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"invalid network: \[Violation\("
+                                             r"kind='OutOfRange', node='X'"):
+            call()
 
 
 def test_cutset_mc_rejects_duplicate_names():
@@ -110,8 +128,7 @@ def test_chain_step_and_stationary():
     mc = cutset_mc(two_cycle(*EX52), ("X", "Y"))
     pi = (F(48, 121), F(18, 121), F(40, 121), F(15, 121))
     assert mc.step(pi) == pi
-    assert mc.is_stationary(pi)
-    assert not mc.is_stationary((F(1), F(0), F(0), F(0)))
+    assert mc.step((F(1), F(0), F(0), F(0))) != (F(1), F(0), F(0), F(0))
     assert mc.bsccs == (frozenset({0, 1, 2, 3}),)
     assert mc.periods == (1,)
     assert mc.bscc_lrfs == (pi,)
@@ -483,12 +500,12 @@ def test_chain_analysis_matches_literal_definitions():
         assert list(reach_probs(mc, gamma0)) == \
             _absorption(mc.matrix, comps, gamma0)
         lrf = long_run_frequency(mc, gamma0)
-        assert (lrf == gamma0) == mc.is_stationary(gamma0)
+        assert (lrf == gamma0) == (mc.step(gamma0) == gamma0)
         lam = [F(rng.randint(0, 3)) for _ in comps]
         lam[0] += 1
         mix = tuple(sum(w * v[s] for w, v in zip(lam, mc.bscc_lrfs)) / sum(lam)
                     for s in range(mc.num_states))
-        assert mc.is_stationary(mix) and long_run_frequency(mc, mix) == mix
+        assert mc.step(mix) == mix and long_run_frequency(mc, mix) == mix
         periods |= set(mc.periods)
         multi += len(comps) > 1
         transient += mc.num_states > len(set().union(*comps))

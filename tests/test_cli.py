@@ -1,6 +1,7 @@
 """Command-line interface: document parsing, subcommands, exit codes."""
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -16,7 +17,7 @@ from cyclebn.chain import cutset_mc
 from cyclebn.cli import (DocumentError, _bit_keys, _chain_out, _json_text,
                          _load, _pretty, _vector_out, main, parse_document,
                          serialize_document)
-from cyclebn.model import JointDistribution, format_rational
+from cyclebn.model import Gbn, JointDistribution, format_rational
 
 F = Fraction
 
@@ -174,6 +175,20 @@ def test_semantics_cpti(fig1_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "unique"
     assert doc["distributions"][0]["probs"] == ["1/10", "3/10", "3/10", "3/10"]
+
+
+def test_semantics_cpti_unsupported_exits_3(tmp_path, capsys):
+    # X and Y copy each other: the chain for either cutset has two bottom
+    # components, so the intersection is not computed
+    doc = json.loads(FIG1)
+    doc["cpts"]["X"]["rows"] = doc["cpts"]["Y"]["rows"] = {"0": "0", "1": "1"}
+    p = tmp_path / "copy.gbn"
+    p.write_text(json.dumps(doc))
+    assert main(["--format", "machine", "semantics", str(p),
+                 "--kind", "cpti"]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "unsupported"
+    assert "distributions" not in out
 
 
 def test_chain_command(ex52_path, capsys):
@@ -584,3 +599,45 @@ def test_missing_keys_message_is_capped():
         parse_document(json.dumps(doc))
     [violation] = info.value.violations
     assert violation.message.endswith("'000000001000'] and 4087 more")
+
+
+@pytest.mark.parametrize("command, options", [
+    ("chain", []),
+    ("classify", []),
+    ("semantics", ["--kind", "mc"]),
+    ("semantics", ["--kind", "lim", "--gamma0", "dirac:10"]),
+    ("semantics", ["--kind", "limavg", "--gamma0", "dirac:10"]),
+    ("oracle iterate", ["--steps", "2", "--gamma0", "dirac:10"]),
+], ids=["chain", "classify", "mc", "lim", "limavg", "oracle-iterate"])
+def test_cutset_is_printed_sorted_whatever_its_order(ex52_path, capsys,
+                                                     command, options):
+    outs = []
+    for cut in ("Y,X", "X,Y"):
+        assert main(["--format", "machine", *command.split(), ex52_path,
+                     "--cutset", cut, *options]) == 0
+        outs.append(capsys.readouterr().out)
+    assert json.loads(outs[0])["cutset"] == ["X", "Y"]
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["semantics", "--kind", "mc"],
+    ["semantics", "--kind", "lim"],
+    ["semantics", "--kind", "limavg"],
+    ["chain"],
+    ["classify"],
+], ids=["mc", "lim", "limavg", "chain", "classify"])
+def test_chain_query_scans_the_network_once(ex52_path, capsys, monkeypatch,
+                                            argv):
+    scan = Gbn.__dict__["_violations"].func
+    scanned = []
+
+    def counted(g):
+        scanned.append(g)
+        return scan(g)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(Gbn, "_violations")
+    monkeypatch.setattr(Gbn, "_violations", prop)
+    assert main([argv[0], ex52_path, *argv[1:], "--cutset", "X,Y"]) == 0
+    assert len(scanned) == 1

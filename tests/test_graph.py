@@ -1,4 +1,5 @@
-"""Graph analysis: SCCs, cutsets, closure, cut-restriction, d-separation."""
+"""Graph analysis: SCCs, acyclicity, cutsets, closure, cut-restriction,
+d-separation."""
 
 import itertools
 import random
@@ -7,11 +8,10 @@ import pytest
 
 from conftest import three_cycle_graph
 from cyclebn import graph
-from cyclebn.graph import (DiGraph, close, cut_restrict, d_separated,
-                           enumerate_cutsets, is_acyclic, is_cutset,
-                           scc_decompose, strong_components)
+from cyclebn.graph import (DiGraph, d_separated, enumerate_cutsets,
+                           is_acyclic, is_cutset, strong_components)
 from cyclebn.model import CapacityError
-from cyclebn.oracle import cutsets_by_subsets, dsep_by_paths
+from cyclebn.oracle import close, cut_restrict, cutsets_by_subsets, dsep_by_paths
 
 
 def chain_graph():
@@ -23,25 +23,21 @@ def collider_graph():
 
 
 def test_scc_two_cycle():
-    g = DiGraph(("X", "Y"), frozenset({("X", "Y"), ("Y", "X")}))
-    dec = scc_decompose(g)
-    assert dec.components == (frozenset({"X", "Y"}),)
-    assert dec.bottom == (True,)
+    comps, bottom = strong_components([[1], [0]])
+    assert [sorted(c) for c in comps] == [[0, 1]]
+    assert bottom == [True]
 
 
 def test_scc_condensation_order():
-    g = DiGraph(("A", "B", "C"),
-                frozenset({("A", "B"), ("B", "C"), ("C", "B")}))
-    dec = scc_decompose(g)
-    assert dec.components == (frozenset({"A"}), frozenset({"B", "C"}))
-    assert dec.bottom == (False, True)
-    assert dec.bottom_components == (frozenset({"B", "C"}),)
+    # 0 -> 1 <-> 2
+    comps, bottom = strong_components([[1], [2], [1]])
+    assert [sorted(c) for c in comps] == [[0], [1, 2]]
+    assert bottom == [False, True]
 
 
 def test_scc_multiple_bottoms():
-    g = DiGraph(("A", "B", "C"), frozenset({("A", "B"), ("A", "C")}))
-    dec = scc_decompose(g)
-    assert set(dec.bottom_components) == {frozenset({"B"}), frozenset({"C"})}
+    comps, bottom = strong_components([[1, 2], [], []])
+    assert sorted(c for c, b in zip(comps, bottom) if b) == [[1], [2]]
 
 
 def _mutual_reachability(succ):
@@ -66,6 +62,7 @@ def _mutual_reachability(succ):
 def test_strong_components_match_mutual_reachability():
     rng = random.Random(72)
     shapes = {"loop": 0, "isolated": 0, "sinks": 0}
+    acyclic_graphs = 0
     for _ in range(300):
         n = rng.randint(1, 40)
         p = rng.choice((0.02, 0.05, 0.1, 0.3))
@@ -88,7 +85,15 @@ def test_strong_components_match_mutual_reachability():
         shapes["isolated"] += any(not succ[u] and all(u not in s for s in succ)
                                   for u in range(n))
         shapes["sinks"] += len(want_bottom) > 2
+        # acyclic: every component a single node without a self-loop
+        acyclic = all(len(c) == 1 for c in want) and \
+            not any(u in succ[u] for u in range(n))
+        g = DiGraph(tuple(range(n)),
+                    frozenset((u, v) for u in range(n) for v in succ[u]))
+        assert is_acyclic(g) == acyclic
+        acyclic_graphs += acyclic
     assert min(shapes.values()) > 50, shapes
+    assert acyclic_graphs > 20
 
 
 def test_is_acyclic():

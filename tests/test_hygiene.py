@@ -65,3 +65,26 @@ def test_stdlib_only_imports():
             found += [f"{name}:{node.lineno} {module}" for module in modules
                       if module.partition(".")[0] not in sys.stdlib_module_names]
     assert not found, f"imports outside the standard library: {', '.join(found)}"
+
+
+def _imported_modules(node):
+    """Dotted names an import statement may bind, relative ones without
+    their leading dots."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        base = node.module or ""
+        return [base] + [f"{base}.{alias.name}".lstrip(".") for alias in node.names]
+    return []
+
+
+def test_only_init_and_cli_import_oracle():
+    # The brute-force references stay out of the compiled routes:
+    # ``__init__`` re-exports them and ``cli`` runs ``oracle iterate``.
+    found = [f"{name}:{node.lineno}"
+             for name, tree in _trees()
+             if name not in ("__init__.py", "cli.py")
+             for node in ast.walk(tree)
+             if any("oracle" in module.split(".")
+                    for module in _imported_modules(node))]
+    assert not found, f"oracle imported by: {', '.join(found)}"

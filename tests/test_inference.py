@@ -6,13 +6,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_acyclic_gbn, two_cycle
-from cyclebn.graph import DiGraph, close
-from cyclebn.inference import (CyclicGraphError, IndependenceTriple,
-                               chain_rule_dist, check_independence,
-                               dsep_implies_indep_check,
-                               enumerate_dsep_triples, to_digraph)
+from cyclebn.graph import DiGraph
+from cyclebn.inference import CyclicGraphError, chain_rule_dist, to_digraph
 from cyclebn.model import (CapacityError, Cpt, JointDistribution, dirac,
                            make_gbn)
+from cyclebn.oracle import (IndependenceTriple, check_independence, close,
+                            dsep_implies_indep_check, enumerate_dsep_triples)
 
 F = Fraction
 
@@ -51,7 +50,7 @@ def test_chain_rule_correlated_initial():
                  [Cpt("C", ("A", "B"), (F(0), F(1), F(1), F(0)))], iota)
     mu = chain_rule_dist(g)
     assert mu.restrict(("A", "B")) == iota
-    assert mu.partial_prob({"C": True}) == 0
+    assert mu.restrict(("C",)).probs == (1, 0)
 
 
 def test_check_independence_product():

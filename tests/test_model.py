@@ -167,16 +167,6 @@ def test_restrict_marginalizes():
     assert mu.restrict(()).probs == (Fraction(1),)
 
 
-def test_partial_prob():
-    mu = JointDistribution(("X", "Y"),
-                           (Fraction(1, 10), Fraction(3, 10),
-                            Fraction(3, 10), Fraction(3, 10)))
-    assert mu.partial_prob({"Y": True}) == Fraction(3, 5)
-    assert mu.partial_prob({}) == 1
-    with pytest.raises(ValueError):
-        mu.partial_prob({"Z": True})
-
-
 def test_product_and_rename():
     a = JointDistribution(("X",), (Fraction(1, 4), Fraction(3, 4)))
     b = JointDistribution(("Y",), (Fraction(1, 2), Fraction(1, 2)))

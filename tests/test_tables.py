@@ -13,10 +13,10 @@ import pytest
 from conftest import rand_joint, random_acyclic_gbn, random_cyclic_gbn
 from cyclebn.constraints import (build_cpt_system, build_wcpt_system,
                                  check_consistency)
-from cyclebn.inference import (IndependenceTriple, chain_rule_dist,
-                               check_independence)
+from cyclebn.inference import chain_rule_dist
 from cyclebn.model import (JointDistribution, all_assignments,
                            assignment_from_index, canonical_index, sub_indices)
+from cyclebn.oracle import IndependenceTriple, check_independence
 
 ZERO, ONE = Fraction(0), Fraction(1)
 VARS = "ABCDEF"
@@ -64,8 +64,6 @@ def test_table_operations_match_definitions():
         assert restricted.variables == sub
         assert restricted.probs == tuple(
             mass(mu, c) for c in all_assignments(sub))
-        partial = {v: rng.random() < 0.5 for v in sub}
-        assert mu.partial_prob(partial) == mass(mu, partial)
 
         other = rand_table(rng, "PQR"[:rng.randint(0, 3)])
         prod = mu.product(other)
@@ -86,8 +84,6 @@ def test_table_operations_match_definitions():
             assert renamed.probs[canonical_index(c, new_vars)] == p
     with pytest.raises(ValueError, match=r"unknown variables: \['Z'\]"):
         mu.restrict(("Z",))
-    with pytest.raises(ValueError, match=r"unknown variables: \['Z'\]"):
-        mu.partial_prob({"Z": True})
 
 
 def with_factor(mu, k):
