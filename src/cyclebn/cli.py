@@ -30,6 +30,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import chain as chainmod
@@ -80,6 +81,35 @@ class _Table:
             g = math.gcd(p, den)
             out.append(rational_text(p // g, den // g))
         return out
+
+
+class _Cutsets:
+    """A cutset listing in a result: ``rows`` are name tuples, each name
+    one of ``names``, and only the first row may be empty."""
+
+    __slots__ = ("rows", "names")
+
+    def __init__(self, rows: list[tuple[str, ...]], names: tuple[str, ...]):
+        self.rows, self.names = rows, names
+
+    def json_text(self, pad: str) -> str:
+        """The listing as ``_json_text`` writes a list of lists: each
+        distinct name is encoded once, and the rows are joined whole."""
+        inner = pad + "  "
+        deeper = inner + "  "
+        head, rows = "[" + inner, self.rows
+        if not rows[0]:
+            head, rows = head + "[]", rows[1:]
+            if not rows:
+                return head + pad + "]"
+            head += "," + inner
+        bodies = {v: _encode_str(v)[1:-1] for v in self.names}
+        if any(bodies[v] != v for v in self.names):
+            rows = map(map, repeat(bodies.__getitem__), rows)
+        close = '"' + inner + "]"
+        text = (close + "," + inner + "[" + deeper + '"').join(
+            map(('",' + deeper + '"').join, rows))
+        return "".join((head, "[", deeper, '"', text, close, pad, "]"))
 
 
 def _vector_from_keys(mapping, variables, what: str) -> tuple[Fraction, ...]:
@@ -248,9 +278,10 @@ def _cutset(args, g: Gbn) -> tuple[str, ...]:
 
 def _json_text(value, pad: str = "\n") -> str:
     """``value`` in exactly the layout of ``json.dumps(value, indent=2)``,
-    each ``Fraction`` written as the string "p/q" (or "p" when integral)
-    and each ``_Table`` as the list of those strings.  ``pad`` is the
-    newline and indent of the line ``value`` starts on."""
+    each ``Fraction`` written as the string "p/q" (or "p" when integral),
+    each ``_Table`` as the list of those strings and each ``_Cutsets`` as
+    its list of name lists.  ``pad`` is the newline and indent of the
+    line ``value`` starts on."""
     if type(value) is str:
         return _encode_str(value)
     if type(value) is Fraction:
@@ -268,6 +299,8 @@ def _json_text(value, pad: str = "\n") -> str:
         # rational texts need no escaping
         return ("[" + inner + '"' + ('",' + inner + '"').join(value.texts())
                 + '"' + pad + "]")
+    if type(value) is _Cutsets:
+        return value.json_text(pad)
     if type(value) is dict:
         if not value:
             return "{}"
@@ -297,6 +330,8 @@ def _pretty(value, indent: int, label: str | None = None) -> None:
     pad = "  " * indent
     if type(value) is _Table:
         value = value.texts()
+    elif type(value) is _Cutsets:
+        value = value.rows
     if isinstance(value, dict):
         if label is not None:
             print(f"{pad}{label}:")
@@ -349,7 +384,7 @@ def _cmd_cutsets(args) -> tuple[dict, int]:
     cuts = graphmod.enumerate_cutsets(inference.to_digraph(g),
                                       minimal_only=args.minimal)
     return {"command": "cutsets", "minimal": args.minimal,
-            "cutsets": cuts}, 0
+            "cutsets": _Cutsets(cuts, g.nodes)}, 0
 
 
 def _chain_out(mc: chainmod.CutsetChain) -> dict:

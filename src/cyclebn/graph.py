@@ -6,13 +6,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, compress
+from itertools import chain, compress, repeat
+from operator import add
 from typing import Hashable, Iterable, Sequence
 
 from .model import CapacityError
 
 #: Subset enumeration for cutsets is capped at this many nodes.
 MAX_CUTSET_NODES = 20
+
+#: Binary digits to one byte each, zero for "0": flags for ``compress``.
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True)
@@ -141,56 +145,76 @@ def is_cutset(g: DiGraph, cut: Iterable[str]) -> bool:
     return is_acyclic(sub)
 
 
+def _containing(bits: int, n: int) -> int:
+    """One bit per subset of n nodes: bit C is set iff C includes ``bits``.
+    Built by doubling, one node bit at a time."""
+    table = 1
+    for p in range(n):
+        table = table << (1 << p) if bits >> p & 1 else table | table << (1 << p)
+    return table
+
+
 def enumerate_cutsets(g: DiGraph, minimal_only: bool = False) -> list[tuple[str, ...]]:
     """All cutsets (or all inclusion-minimal cutsets), by size then name,
     each a tuple of its node names in sorted order.
 
-    One table over the 2^n node subsets, bit i standing for the i-th
-    sorted node, records which subsets R induce an acyclic subgraph:
-    R is acyclic iff it has a source (a node with no in-edge from R, a
-    self-loop counting as one) and R less its lowest source is acyclic.
-    C is a cutset iff its complement is acyclic, and a minimal one iff
-    adding back any single node of C closes a cycle.  The table takes
-    2^n bytes and about n * 2^n bit operations to fill, with no SCC pass
-    per subset; ``oracle.cutsets_by_subsets`` is the per-subset reference.
+    One integer holds a bit per node subset C, the i-th sorted node on
+    bit n-1-i, set iff C is a cutset, that is, its complement R is
+    acyclic.  Every nonempty acyclic R has a sink, a node with no
+    out-edge into R, so the cutsets are the closure of the full set
+    under dropping a node v whose successors all lie in the cutset (a
+    self-looped v is never dropped).  Each pass over the nodes does
+    ``table |= (table & mask_v) >> bit_v`` for the mask of the subsets
+    holding v and its successors; after pass j every cutset of n - j or
+    more nodes is present, so at most n + 1 passes fill the table.  C is
+    a minimal cutset iff no C less one node is a cutset.
+
+    With the first name on the highest bit, name order within a size is
+    descending mask order, the order of the table's binary text.  That
+    text is read one high half of C at a time: ``compress`` picks the
+    kept low halves from a table of their name tuples, each is joined to
+    the high half's tuple, and a stable sort by size finishes the
+    listing, with no Python-level loop per subset or per name.
+    ``oracle.cutsets_by_subsets`` is the per-subset reference.
     """
     n = len(g.nodes)
     if n > MAX_CUTSET_NODES:
         raise CapacityError(
             f"cutset enumeration capped at {MAX_CUTSET_NODES} nodes")
-    name = {1 << i: v for i, v in enumerate(g.nodes)}
-    bit = {v: b for b, v in name.items()}
-    pred = dict.fromkeys(name, 0)       # node bit -> bits of its in-neighbours
+    bit = {v: 1 << (n - 1 - i) for i, v in enumerate(g.nodes)}
+    succ = dict.fromkeys(bit.values(), 0)   # node bit -> bits of its successors
     for (u, v) in g.edges:
-        pred[bit[v]] |= bit[u]
-    acyc = bytearray(1 << n)
-    acyc[0] = 1
-    for r in range(1, 1 << n):
-        rest = r
-        while rest:
-            low = rest & -rest
-            if not pred[low] & r:
-                acyc[r] = acyc[r ^ low]
-                break
-            rest ^= low
-    if minimal_only:
-        # Keep R only if no R | b with b outside R is acyclic.  Read as one
-        # integer with a byte per set, the table shifted right by b bytes
-        # holds acyc[R + b] at byte R, which is acyc[R | b] where R lacks b.
-        table = int.from_bytes(acyc, "little")
-        grown = 0
-        for b in name:
-            lacks_b = (b"\1" * b + b"\0" * b) * ((1 << n) // (2 * b))
-            grown |= (table >> 8 * b) & int.from_bytes(lacks_b, "little")
-        acyc = (table & ~grown).to_bytes(1 << n, "little")
-    # combinations over the node bits and over the sorted names run in
-    # step, so each kept subset is read off as its tuple of names
+        succ[bit[u]] |= bit[v]
+    steps = [(_containing(b | s, n), b) for b, s in succ.items() if not s & b]
     full = (1 << n) - 1
-    result: list[tuple[str, ...]] = []
-    for size in range(n + 1):
-        result += compress(combinations(g.nodes, size),
-                           [acyc[full ^ sum(c)] for c in combinations(name, size)])
-    return result
+    table, last = 1 << full, 0
+    while table != last:
+        last = table
+        for mask, b in steps:
+            table |= (table & mask) >> b
+    if minimal_only:
+        # drop C when C less some node b of C is a cutset
+        shrinks = 0
+        for b in succ:
+            shrinks |= (table << b) & _containing(b, n)
+        table &= ~shrinks
+    # the binary text of the table holds the bit of C at place full - C
+    low = n // 2
+    high_names = _name_tuples(g.nodes[:n - low])[::-1]
+    low_names = _name_tuples(g.nodes[n - low:])[::-1]
+    flags = format(table, f"0{full + 1}b").encode().translate(_FLAGS)
+    step = len(low_names)
+    return sorted(chain.from_iterable(
+        map(add, repeat(high), compress(low_names, flags[i:i + step]))
+        for i, high in zip(range(0, full + 1, step), high_names)), key=len)
+
+
+def _name_tuples(names: Sequence[str]) -> list[tuple[str, ...]]:
+    """The names on the set bits of every index, the last name on bit 0."""
+    tuples = [()]
+    for v in reversed(names):
+        tuples += [(v,) + t for t in tuples]
+    return tuples
 
 
 def d_separated(g: DiGraph, xs: Iterable[str], ys: Iterable[str],

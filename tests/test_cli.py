@@ -14,9 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 import cyclebn
 from cyclebn.chain import cutset_mc
-from cyclebn.cli import (DocumentError, _bit_keys, _chain_out, _json_text,
-                         _load, _pretty, _vector_out, main, parse_document,
-                         serialize_document)
+from cyclebn.cli import (DocumentError, _bit_keys, _chain_out, _Cutsets,
+                         _json_text, _load, _pretty, _vector_out, main,
+                         parse_document, serialize_document)
 from cyclebn.model import Gbn, JointDistribution, format_rational
 
 F = Fraction
@@ -403,6 +403,39 @@ def test_chain_matrix_writes_as_its_fractions(ex52_path, fig1_path):
         out = _chain_out(mc)
         assert _json_text(out) == json.dumps(dict(out, matrix=texts), indent=2)
         assert _pretty_text(out) == _pretty_text(dict(out, matrix=texts))
+
+
+@st.composite
+def cutset_listings(draw):
+    """Distinct names and rows of them: an empty first row or none, then
+    nonempty rows, as few as one."""
+    names = draw(st.lists(STRINGS, unique=True, max_size=5))
+    rows = [()] if draw(st.booleans()) or not names else []
+    if names:
+        rows += draw(st.lists(
+            st.lists(st.sampled_from(names), min_size=1, unique=True).map(tuple),
+            min_size=not rows, max_size=5))
+    return tuple(names), rows
+
+
+@settings(deadline=None)
+@given(cutset_listings(), st.booleans())
+def test_cutset_listing_writes_as_its_tuples(listing, minimal):
+    names, rows = listing
+    result = {"command": "cutsets", "minimal": minimal,
+              "cutsets": _Cutsets(rows, names)}
+    plain = dict(result, cutsets=rows)
+    assert _json_text(result) == json.dumps(plain, indent=2)
+    assert _json_text([result]) == json.dumps([plain], indent=2)
+    assert _pretty_text(result) == _pretty_text(plain)
+
+
+def test_cutset_listing_edge_cases():
+    for rows in ([()], [("a",)], [(), ("a\"b",)], [("\x01", "é")]):
+        names = tuple({v for row in rows for v in row})
+        result = {"cutsets": _Cutsets(rows, names)}
+        assert _json_text(result) == json.dumps({"cutsets": rows}, indent=2)
+        assert _pretty_text(result) == _pretty_text({"cutsets": rows})
 
 
 def test_bit_keys_put_the_first_variable_leftmost():

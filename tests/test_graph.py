@@ -142,22 +142,79 @@ def _random_digraph(rng: random.Random, n: int) -> DiGraph:
     return DiGraph(tuple(nodes), frozenset(edges))
 
 
+def _assert_cutsets_match_oracle(g: DiGraph):
+    for minimal in (False, True):
+        expected = [tuple(sorted(c)) for c in cutsets_by_subsets(g, minimal)]
+        assert enumerate_cutsets(g, minimal) == expected, (g, minimal)
+
+
 def test_enumerate_cutsets_matches_subset_oracle():
     rng = random.Random(8)
     sizes = [rng.randint(0, 9) for _ in range(150)] + [10, 11, 12, 12]
     for n in sizes:
         g = _random_digraph(rng, n)
-        for minimal in (False, True):
-            expected = [tuple(sorted(c)) for c in cutsets_by_subsets(g, minimal)]
-            assert enumerate_cutsets(g, minimal) == expected, (g, minimal)
+        _assert_cutsets_match_oracle(g)
         if is_acyclic(g):
             assert enumerate_cutsets(g, True) == [()]
 
 
+def _backward_digraph(rng: random.Random, n: int) -> DiGraph:
+    """Random digraph whose edges mostly run from later names to earlier
+    ones, so that one pass over the nodes in name order leaves cutsets
+    out of the table."""
+    names = [f"V{i}" for i in range(n)]
+    edges = {(u, v) for i, u in enumerate(names) for v in names[:i]
+             if rng.random() < 0.4}
+    edges |= {(u, v) for i, u in enumerate(names) for v in names[i + 1:]
+              if rng.random() < 0.05}
+    return DiGraph(tuple(names), frozenset(edges))
+
+
+def test_enumerate_cutsets_against_name_order():
+    names = [f"V{i}" for i in range(10)]
+    path = set(zip(names[1:], names))           # V9 -> V8 -> ... -> V0
+    _assert_cutsets_match_oracle(DiGraph(tuple(names), frozenset(path)))
+    _assert_cutsets_match_oracle(
+        DiGraph(tuple(names), frozenset(path | {("V0", "V9")})))
+    rng = random.Random(17)
+    for n in (4, 6, 8, 9, 10, 11):
+        _assert_cutsets_match_oracle(_backward_digraph(rng, n))
+
+
+def test_enumerate_cutsets_self_loop_everywhere():
+    names = tuple(f"N{i}" for i in range(7))
+    for extra in (frozenset(), frozenset(zip(names, names[1:]))):
+        g = DiGraph(names, frozenset((v, v) for v in names) | extra)
+        _assert_cutsets_match_oracle(g)
+        assert enumerate_cutsets(g) == [names]
+
+
+def test_enumerate_cutsets_complete_digraph():
+    names = tuple(f"K{i}" for i in range(8))
+    g = DiGraph(names, frozenset(itertools.permutations(names, 2)))
+    _assert_cutsets_match_oracle(g)
+    assert enumerate_cutsets(g, True) == list(itertools.combinations(names, 7))
+
+
+def test_enumerate_cutsets_structure_sized_graph():
+    # a sparse cyclic digraph of the size the benchmark lists: each node
+    # after the first has one or two parents, and a few extra edges
+    rng = random.Random(11)
+    names = [f"V{i:02d}" for i in range(14)]
+    while True:
+        edges = {(u, v) for v in names[1:]
+                 for u in rng.sample(names, rng.randint(1, 2)) if u != v}
+        edges |= {tuple(rng.sample(names, 2)) for _ in range(rng.randint(2, 4))}
+        g = DiGraph(tuple(names), frozenset(edges))
+        if not is_acyclic(g):
+            break
+    _assert_cutsets_match_oracle(g)
+
+
 def test_enumerate_cutsets_capacity_before_table(monkeypatch):
-    def no_table(size):
-        raise AssertionError(f"table of {size} entries allocated")
-    monkeypatch.setattr(graph, "bytearray", no_table, raising=False)
+    def no_table(*args):
+        raise AssertionError("subset table built")
+    monkeypatch.setattr(graph, "_containing", no_table)
     names = [f"V{i:02d}" for i in range(graph.MAX_CUTSET_NODES + 1)]
     g = DiGraph(tuple(names), frozenset(zip(names, names[1:] + names[:1])))
     with pytest.raises(CapacityError):
