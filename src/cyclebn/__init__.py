@@ -7,7 +7,8 @@ and the limit and limit-average semantics, together with the graph
 theory (d-separation, cutsets, SCCs, periods) and linear algebra they
 need.  The brute-force definitions the compiled routes are checked
 against (closure, cut-restriction, independence triples, CPT-I
-membership) are re-exported here from ``oracle``.
+membership) are re-exported here from ``oracle``, which is imported on
+first use of one of them.
 """
 
 from .chain import (CutsetChain, LimStatus, NotACutsetError, cutset_mc,
@@ -29,10 +30,18 @@ from .model import (CapacityError, Cpt, Gbn, InternalError, JointDistribution,
                     all_assignments, assignment_from_index,
                     canonical_index, dirac, format_rational, make_gbn,
                     parse_rational)
-from .oracle import (IndependenceTriple, IterationTrace, check_cpt_i_member,
-                     check_independence, close, closed_cut_triples,
-                     cut_restrict, dsep_by_paths, dsep_implies_indep_check,
-                     enumerate_dsep_triples, iterate_next, power_iteration,
-                     total_variation)
 
 __version__ = "0.1.0"
+
+_ORACLE_NAMES = frozenset((
+    "IndependenceTriple", "IterationTrace", "check_cpt_i_member",
+    "check_independence", "close", "closed_cut_triples", "cut_restrict",
+    "dsep_by_paths", "dsep_implies_indep_check", "enumerate_dsep_triples",
+    "iterate_next", "power_iteration", "total_variation"))
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

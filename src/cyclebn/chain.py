@@ -4,7 +4,6 @@ chain, and the limit / limit-average / stationary semantics."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -13,7 +12,7 @@ from .families import INFINITE, UNIQUE, SemanticsFamily
 from .inference import chain_rule_dist, to_digraph
 from .linalg import null_space_left, solve_affine
 from .model import (CapacityError, Cpt, Gbn, InternalError,
-                    JointDistribution, scaled)
+                    JointDistribution, _Value, scaled)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -398,13 +397,16 @@ def mcs(g: Gbn, cut, gamma0: JointDistribution) -> JointDistribution:
     return _extend(g, chain.cutset, long_run_frequency(chain, gamma0.probs))
 
 
-@dataclass(frozen=True)
-class LimStatus:
+class LimStatus(_Value):
     """Outcome of the limit semantics: a distribution, or the periods of
     the BSCCs that prevent convergence."""
 
-    distribution: JointDistribution | None
-    offending_periods: tuple[int, ...] = ()
+    _fields = ("distribution", "offending_periods")
+
+    def __init__(self, distribution: JointDistribution | None,
+                 offending_periods: tuple[int, ...] = ()) -> None:
+        vars(self).update(distribution=distribution,
+                          offending_periods=offending_periods)
 
     @property
     def defined(self) -> bool:

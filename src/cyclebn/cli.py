@@ -34,7 +34,7 @@ from itertools import repeat
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import chain as chainmod
-from . import constraints, graph as graphmod, inference, oracle
+from . import constraints, graph as graphmod, inference
 from .families import UNIQUE, UNSUPPORTED, SemanticsFamily
 from .model import (MAX_DENSE_VARS, CapacityError, Cpt, Gbn,
                     JointDistribution, Violation, format_rational,
@@ -479,6 +479,7 @@ def _cmd_classify(args) -> tuple[dict, int]:
 
 
 def _cmd_oracle_iterate(args) -> tuple[dict, int]:
+    from . import oracle      # the brute-force references load on first use
     g = _load(args.file)
     cut = _cutset(args, g)
     gamma0 = _parse_gamma0(args.gamma0, cut)

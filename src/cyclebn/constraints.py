@@ -5,7 +5,7 @@ triples it needs, is checked in ``oracle``."""
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .chain import _extend, cutset_mc
 from .families import (EMPTY, INFINITE, UNIQUE, UNSUPPORTED, SemanticsFamily)

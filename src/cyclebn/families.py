@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .model import JointDistribution
+from .model import JointDistribution, _Value
 
 #: Family statuses.
 EMPTY = "empty"
@@ -13,18 +11,21 @@ INFINITE = "infinite"
 UNSUPPORTED = "unsupported"
 
 
-@dataclass(frozen=True)
-class SemanticsFamily:
+class SemanticsFamily(_Value):
     """A set of distributions produced by one of the semantics.
 
-    ``distributions`` holds the single member when unique, or known
-    members/extreme points when infinite.
+    ``kind`` is bn, cpt, wcpt, cpti, mc, lim or limavg, and ``status`` one
+    of the family statuses above.  ``distributions`` holds the single
+    member when unique, or known members/extreme points when infinite.
     """
 
-    kind: str            # bn | cpt | wcpt | cpti | mc | lim | limavg
-    status: str          # empty | unique | infinite | unsupported
-    distributions: tuple[JointDistribution, ...] = ()
-    notes: str = ""
+    _fields = ("kind", "status", "distributions", "notes")
+
+    def __init__(self, kind: str, status: str,
+                 distributions: tuple[JointDistribution, ...] = (),
+                 notes: str = "") -> None:
+        vars(self).update(kind=kind, status=status,
+                          distributions=distributions, notes=notes)
 
     @property
     def unique_distribution(self) -> JointDistribution:

@@ -4,13 +4,12 @@ the simple-path d-separation reference live in ``oracle``."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Hashable, Iterable, Sequence
 from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import add
-from typing import Hashable, Iterable, Sequence
 
-from .model import CapacityError
+from .model import CapacityError, _Value
 
 #: Subset enumeration for cutsets is capped at this many nodes.
 MAX_CUTSET_NODES = 20
@@ -19,22 +18,21 @@ MAX_CUTSET_NODES = 20
 _FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
-@dataclass(frozen=True)
-class DiGraph:
+class DiGraph(_Value):
     """Finite directed graph; self-loops are allowed (cycles of length 1).
     A node name is any hashable value that sorts against the others, such
     as a network variable (str) or a cutset-chain state (int)."""
 
-    nodes: tuple[Hashable, ...]
-    edges: frozenset[tuple[Hashable, Hashable]]
+    _fields = ("nodes", "edges")
 
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(sorted(self.nodes)))
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        node_set = set(self.nodes)
-        for (u, v) in self.edges:
+    def __init__(self, nodes: Iterable[Hashable],
+                 edges: Iterable[tuple[Hashable, Hashable]]) -> None:
+        nodes, edges = tuple(sorted(nodes)), frozenset(edges)
+        node_set = set(nodes)
+        for (u, v) in edges:
             if u not in node_set or v not in node_set:
                 raise ValueError(f"edge ({u}, {v}) references unknown node")
+        vars(self).update(nodes=nodes, edges=edges)
 
     @cached_property
     def _adjacency(self) -> tuple[dict[Hashable, frozenset], dict[Hashable, frozenset]]:

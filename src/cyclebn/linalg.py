@@ -36,9 +36,10 @@ ratio order, so Bland's rule takes the pivots it takes over
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
+
+from .model import _Value
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -51,33 +52,32 @@ def _vec(xs) -> Vector:
     return tuple(x if type(x) is Fraction else Fraction(x) for x in xs)
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(_Value):
     """``A x = b``."""
 
-    matrix: Matrix
-    rhs: Vector
+    _fields = ("matrix", "rhs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", tuple(_vec(r) for r in self.matrix))
-        object.__setattr__(self, "rhs", _vec(self.rhs))
-        if len(self.matrix) != len(self.rhs):
+    def __init__(self, matrix, rhs) -> None:
+        matrix, rhs = tuple(_vec(r) for r in matrix), _vec(rhs)
+        if len(matrix) != len(rhs):
             raise ValueError("matrix and rhs have different row counts")
-        widths = {len(r) for r in self.matrix}
+        widths = {len(r) for r in matrix}
         if len(widths) > 1:
             raise ValueError("ragged matrix")
+        vars(self).update(matrix=matrix, rhs=rhs)
 
     @property
     def num_cols(self) -> int:
         return len(self.matrix[0]) if self.matrix else 0
 
 
-@dataclass(frozen=True)
-class PolytopeClass:
+class PolytopeClass(_Value):
     """Classification of {x : A x = b, x >= 0}: 'empty', 'point', or 'infinite'."""
 
-    kind: str
-    witness: Vector | None = None
+    _fields = ("kind", "witness")
+
+    def __init__(self, kind: str, witness: Vector | None = None) -> None:
+        vars(self).update(kind=kind, witness=witness)
 
 
 def _scaled(rows, width: int) -> tuple[list[list[int]], list[int]]:

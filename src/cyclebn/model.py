@@ -19,10 +19,9 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -37,6 +36,39 @@ class CapacityError(Exception):
 
 class InternalError(Exception):
     """A mathematical invariant of a computation failed: a bug, not bad input."""
+
+
+class _Value:
+    """Immutable value type.  An instance equals, and hashes as, an
+    instance of its own class with the same ``_fields``; its ``repr``
+    spells the fields out in order.  A subclass fills ``__dict__`` once
+    in ``__init__``, and ``cached_property`` may add to it later;
+    attributes cannot be assigned or deleted."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        d = self.__dict__
+        return tuple([d[f] for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        d = self.__dict__
+        return (f"{type(self).__qualname__}("
+                + ", ".join(f"{f}={d[f]!r}" for f in self._fields) + ")")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _check_capacity(variables: Iterable[str]) -> tuple[str, ...]:
@@ -137,8 +169,7 @@ def sub_indices(variables: Sequence[str], names: Sequence[str]) -> list[int]:
     return idx
 
 
-@dataclass(frozen=True, init=False)
-class JointDistribution:
+class JointDistribution(_Value):
     """Dense distribution over all assignments of a variable set.
 
     The assignment with canonical index ``i`` has probability
@@ -149,9 +180,7 @@ class JointDistribution:
     the ``Fraction`` tuple ``probs`` is otherwise built only when read.
     """
 
-    variables: tuple[str, ...]
-    nums: tuple[int, ...]
-    den: int
+    _fields = ("variables", "nums", "den")
 
     def __init__(self, variables: Iterable[str], probs: Iterable) -> None:
         vs = _check_capacity(variables)
@@ -234,27 +263,22 @@ def dirac(assignment: Mapping[str, bool]) -> JointDistribution:
     return JointDistribution._of_table(vs, nums, 1)
 
 
-@dataclass(frozen=True)
-class Cpt:
+class Cpt(_Value):
     """Conditional probability table: Pr(owner=T | parent assignment).
 
     ``rows[i]`` is the entry for the parent assignment with canonical
     index ``i`` over the sorted parent set.
     """
 
-    owner: str
-    parents: tuple[str, ...]
-    rows: tuple[Fraction, ...]
+    _fields = ("owner", "parents", "rows")
 
-    def __post_init__(self):
-        parents = _check_capacity(self.parents)
-        object.__setattr__(self, "parents", parents)
-        rows = tuple(r if type(r) is Fraction else Fraction(r)
-                     for r in self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, owner: str, parents: Iterable[str], rows: Iterable) -> None:
+        parents = _check_capacity(parents)
+        rows = tuple(r if type(r) is Fraction else Fraction(r) for r in rows)
         if len(rows) != 1 << len(parents):
             raise ValueError(
-                f"CPT for {self.owner} needs {1 << len(parents)} rows, got {len(rows)}")
+                f"CPT for {owner} needs {1 << len(parents)} rows, got {len(rows)}")
+        vars(self).update(owner=owner, parents=parents, rows=rows)
 
     def prob_true(self, parent_assignment: Mapping[str, bool]) -> Fraction:
         return self.rows[canonical_index(
@@ -265,15 +289,18 @@ class Cpt:
         return p if value else ONE - p
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str   # MissingCptRow | ParentMismatch | NotNormalized | OutOfRange | IotaDomainMismatch
-    node: str
-    message: str
+class Violation(_Value):
+    """One problem with a network or its document; ``kind`` is
+    MissingCptRow, ParentMismatch, NotNormalized, OutOfRange,
+    IotaDomainMismatch or ParseError."""
+
+    _fields = ("kind", "node", "message")
+
+    def __init__(self, kind: str, node: str, message: str) -> None:
+        vars(self).update(kind=kind, node=node, message=message)
 
 
-@dataclass(frozen=True)
-class Gbn:
+class Gbn(_Value):
     """A Bayesian network whose graph may contain directed cycles.
 
     Non-initial nodes carry CPTs; the (possibly correlated) distribution
@@ -281,15 +308,12 @@ class Gbn:
     nodes, ``iota`` is the unique distribution over the empty variable set.
     """
 
-    nodes: tuple[str, ...]
-    edges: frozenset[tuple[str, str]]
-    cpts: Mapping[str, Cpt]
-    iota: JointDistribution
+    _fields = ("nodes", "edges", "cpts", "iota")
 
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", _check_capacity(self.nodes))
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        object.__setattr__(self, "cpts", dict(self.cpts))
+    def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str]],
+                 cpts: Mapping[str, Cpt], iota: JointDistribution) -> None:
+        vars(self).update(nodes=_check_capacity(nodes), edges=frozenset(edges),
+                          cpts=dict(cpts), iota=iota)
 
     @property
     def initial_nodes(self) -> frozenset[str]:

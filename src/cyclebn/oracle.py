@@ -17,16 +17,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .chain import CutsetChain, next_dist
 from .constraints import is_strongly_consistent
 from .graph import DiGraph, d_separated, is_cutset
 from .inference import chain_rule_dist, to_digraph
 from .linalg import LinearSystem
-from .model import CapacityError, Gbn, JointDistribution, sub_indices
+from .model import (MAX_DENSE_VARS, CapacityError, Gbn, JointDistribution,
+                    _Value, sub_indices)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -41,22 +41,32 @@ MAX_VERTEX_COLUMNS = 8
 MAX_ENUM_VARS = 8
 
 
-@dataclass(frozen=True)
-class IterationTrace:
+class IterationTrace(_Value):
     """Exact trace gamma_0 .. gamma_N of the cutset sequence, with the
     running Cesaro averages alongside."""
 
-    cutset: tuple[str, ...]
-    steps: tuple[tuple[Fraction, ...], ...]
-    cesaro: tuple[tuple[Fraction, ...], ...]
+    _fields = ("cutset", "steps", "cesaro")
+
+    def __init__(self, cutset: tuple[str, ...],
+                 steps: tuple[tuple[Fraction, ...], ...],
+                 cesaro: tuple[tuple[Fraction, ...], ...]) -> None:
+        vars(self).update(cutset=cutset, steps=steps, cesaro=cesaro)
 
 
 def iterate_next(g: Gbn, cut, gamma0: JointDistribution,
                  steps: int) -> IterationTrace:
-    """Apply the one-level unfolding ``steps`` times, exactly."""
+    """Apply the one-level unfolding ``steps`` times, exactly.  Each step
+    builds a table over the nodes and the primed cutset, and the trace
+    keeps every step: refused up front when the steps times that table
+    size exceed the dense cap."""
     if steps < 1:
         raise ValueError("need at least one step")
     cut = tuple(sorted(cut))
+    width = len(g.nodes) + len(cut)
+    if steps << width > 1 << MAX_DENSE_VARS:
+        raise CapacityError(
+            f"{steps} steps over 2**{width} assignments exceed the dense cap "
+            f"of 2**{MAX_DENSE_VARS}")
     trace = [gamma0.probs]
     gamma = gamma0
     for _ in range(steps):
@@ -154,19 +164,16 @@ def cut_restrict(g: DiGraph, cut: Iterable[str]) -> DiGraph:
     return DiGraph(g.nodes, frozenset((u, v) for (u, v) in g.edges if v not in cut))
 
 
-@dataclass(frozen=True)
-class IndependenceTriple:
+class IndependenceTriple(_Value):
     """(X independent of Y given Z) for pairwise disjoint variable sets."""
 
-    x: frozenset[str]
-    y: frozenset[str]
-    z: frozenset[str]
+    _fields = ("x", "y", "z")
 
-    def __post_init__(self):
-        for name in ("x", "y", "z"):
-            object.__setattr__(self, name, frozenset(getattr(self, name)))
-        if self.x & self.y or self.x & self.z or self.y & self.z:
+    def __init__(self, x: Iterable[str], y: Iterable[str], z: Iterable[str]) -> None:
+        x, y, z = frozenset(x), frozenset(y), frozenset(z)
+        if x & y or x & z or y & z:
             raise ValueError("independence triple sets must be pairwise disjoint")
+        vars(self).update(x=x, y=y, z=z)
 
 
 def check_independence(mu: JointDistribution, t: IndependenceTriple) -> bool:

@@ -233,6 +233,17 @@ def test_oracle_iterate_command(ex52_path, capsys):
     assert len(doc["cesaro"]) == 3
 
 
+def test_oracle_iterate_refuses_steps_over_the_dense_cap(ex52_path):
+    # Each step is a table over the nodes and the primed cutset, and the
+    # trace keeps them all: a huge count is refused before the first.
+    code, out, err = _fresh_run(["oracle", "iterate", ex52_path, "--cutset", "X,Y",
+                                 "--steps", "100000000000000000000"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: capacity:") and err.count("\n") == 1
+    assert _fresh_run(["oracle", "iterate", ex52_path, "--cutset", "X,Y",
+                       "--steps", "2"])[0] == 0
+
+
 def test_gamma0_file(tmp_path, ex52_path, capsys):
     table = tmp_path / "gamma.json"
     table.write_text(json.dumps({"00": "1", "01": "0", "10": "0", "11": "0"}))

@@ -93,7 +93,7 @@ CUTSETS = st.sampled_from(["X", "Y", "X,Y", "A", ""]) \
     | st.lists(st.sampled_from(NAMES), max_size=3).map(",".join)
 GAMMA0 = st.sampled_from(["uniform", "dirac:", "dirac:0", "dirac:01",
                           "dirac:11", "dirac:2", "GAMMA", "/nonexistent/g"])
-STEPS = st.sampled_from(["-1", "0", "1", "3", "x"])
+STEPS = st.sampled_from(["-1", "0", "1", "3", "x", "100000000000000000000"])
 KINDS = st.sampled_from(["bn", "cpt", "wcpt", "cpti", "mc", "lim", "limavg",
                          "bogus"])
 

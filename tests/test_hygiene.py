@@ -1,6 +1,8 @@
 """Source checks over the package itself."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -88,3 +90,19 @@ def test_only_init_and_cli_import_oracle():
              if any("oracle" in module.split(".")
                     for module in _imported_modules(node))]
     assert not found, f"oracle imported by: {', '.join(found)}"
+
+
+def test_cli_import_loads_no_introspection_and_no_oracle():
+    # Every command-line call pays for ``import cyclebn.cli``: the value
+    # types need neither ``dataclasses`` (with ``inspect`` and ``ast``)
+    # nor ``typing``, and the oracles load on first use.  ``-S`` keeps
+    # site hooks from preloading any of them.
+    code = ("import sys, cyclebn.cli; "
+            "print(sorted(m for m in ('dataclasses', 'inspect', 'ast', 'typing', "
+            "'cyclebn.oracle') if m in sys.modules)); "
+            "from cyclebn import power_iteration; print(power_iteration.__module__)")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[]\ncyclebn.oracle\n"

@@ -5,10 +5,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from cyclebn.chain import LimStatus
+from cyclebn.families import SemanticsFamily
+from cyclebn.graph import DiGraph
+from cyclebn.linalg import LinearSystem, PolytopeClass
 from cyclebn.model import (CapacityError, Cpt, Gbn, JointDistribution,
-                           all_assignments, assignment_from_index,
-                           canonical_index, dirac, format_rational, make_gbn,
-                           parse_rational, sums_to_one)
+                           Violation, _Value, all_assignments,
+                           assignment_from_index, canonical_index, dirac,
+                           format_rational, make_gbn, parse_rational,
+                           sums_to_one)
+from cyclebn.oracle import IndependenceTriple, IterationTrace
 
 
 def test_parse_rational_forms():
@@ -259,3 +265,81 @@ def test_default_iota_for_closed_network():
     assert g.initial_nodes == frozenset()
     assert g.iota.variables == ()
     assert g.is_valid()
+
+
+F = Fraction
+
+#: Each value type with constructor arguments, in parameter order.
+VALUES = [
+    (JointDistribution, dict(variables=("B", "A"), probs=("1/4", "0", "3/4", 0))),
+    (Cpt, dict(owner="X", parents=["Y"], rows=("1/2", F(1, 3)))),
+    (Violation, dict(kind="OutOfRange", node="X", message="CPT row 0 entry 2")),
+    (Gbn, dict(nodes=["Y", "X"], edges=[("X", "Y")],
+               cpts={"Y": Cpt("Y", ("X",), (F(1, 2), F(1)))},
+               iota=JointDistribution(("X",), (F(1, 3), F(2, 3))))),
+    (DiGraph, dict(nodes=["b", "a"], edges={("a", "b"), ("b", "b")})),
+    (LinearSystem, dict(matrix=[[1, "1/2"], [0, 2]], rhs=(3, "1/3"))),
+    (PolytopeClass, dict(kind="point", witness=(F(1), F(0)))),
+    (LimStatus, dict(distribution=None, offending_periods=(2,))),
+    (SemanticsFamily, dict(kind="mc", status="unique",
+                           distributions=(JointDistribution.uniform(("X",)),),
+                           notes="n")),
+    (IterationTrace, dict(cutset=("X",), steps=((F(1), F(0)),),
+                          cesaro=((F(1), F(0)),))),
+    (IndependenceTriple, dict(x={"a"}, y=["b"], z=())),
+]
+
+
+@pytest.mark.parametrize("cls, kwargs", VALUES, ids=[c.__name__ for c, _ in VALUES])
+def test_value_types_compare_hash_and_freeze_by_their_fields(cls, kwargs):
+    a, b = cls(**kwargs), cls(*kwargs.values())
+    assert a == b and not a != b and a is not b
+    if cls is Gbn:            # its ``cpts`` field is a dict
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    class Twin(_Value):
+        _fields = cls._fields
+
+    twin = Twin.__new__(Twin)
+    vars(twin).update({f: getattr(a, f) for f in cls._fields})
+    assert a != twin and twin != a and not a == twin
+    assert repr(twin).partition("(")[2] == repr(a).partition("(")[2]
+    for name in (cls._fields[0], "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == b
+
+
+def test_value_type_defaults():
+    assert PolytopeClass("empty") == PolytopeClass(kind="empty", witness=None)
+    assert LimStatus(None).offending_periods == ()
+    family = SemanticsFamily("cpt", "empty")
+    assert (family.distributions, family.notes) == ((), "")
+
+
+def test_value_fields_are_converted_once():
+    g = DiGraph(["b", "a"], [("a", "b")])
+    assert g.nodes == ("a", "b") and g.edges == frozenset({("a", "b")})
+    assert IndependenceTriple(["a"], "b", ()).y == frozenset({"b"})
+    assert LinearSystem([[1]], [2]).rhs == (F(2),)
+    assert JointDistribution(("A",), ("1/2", "1/2")).probs == (F(1, 2),) * 2
+
+
+def test_violation_repr_in_the_invalid_network_error():
+    v = Violation("OutOfRange", "X", "CPT row 0 entry 2")
+    assert repr(v) == ("Violation(kind='OutOfRange', node='X', "
+                       "message='CPT row 0 entry 2')")
+    g = make_gbn(["X"], [], [Cpt("X", (), (F(1, 2),))])
+    with pytest.raises(ValueError) as err:
+        g._require_valid()
+    assert str(err.value) == (
+        "invalid network: [Violation(kind='ParentMismatch', node='X', "
+        "message='CPT attached to an initial or unknown node'), "
+        "Violation(kind='IotaDomainMismatch', node='X', "
+        "message=\"iota covers (), initial nodes are ('X',)\")]")

@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 from conftest import two_cycle
+from cyclebn import oracle
 from cyclebn.chain import CutsetChain, cutset_mc, long_run_frequency
 from cyclebn.graph import DiGraph, d_separated
 from cyclebn.linalg import LinearSystem
@@ -43,6 +44,18 @@ def test_iterate_next_needs_steps():
     g = two_cycle(*EX52)
     with pytest.raises(ValueError):
         iterate_next(g, ("X", "Y"), JointDistribution.uniform(("X", "Y")), 0)
+
+
+def test_iterate_next_refuses_steps_over_the_dense_cap(monkeypatch):
+    # two nodes and a two-node cutset: 2**4 assignments per step, so a
+    # cap of 2**6 allows four steps
+    monkeypatch.setattr(oracle, "MAX_DENSE_VARS", 6)
+    g = two_cycle(*EX52)
+    gamma0 = JointDistribution.uniform(("X", "Y"))
+    assert len(iterate_next(g, ("X", "Y"), gamma0, 4).steps) == 5
+    for steps in (5, 10 ** 20):
+        with pytest.raises(CapacityError):
+            iterate_next(g, ("X", "Y"), gamma0, steps)
 
 
 def test_dsep_by_paths_four_cycle():
