@@ -15,7 +15,6 @@ from .model import (CapacityError, Cpt, Gbn, InternalError,
                     JointDistribution, _Value, scaled)
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 #: Cutset chains are capped at 2**16 states.
 MAX_CUTSET_SIZE = 16
@@ -68,7 +67,8 @@ def dissect(g: Gbn, cut, gamma: JointDistribution) -> Gbn:
     cpts = {}
     for x, cpt in g.cpts.items():
         if x in cut_set:
-            cpts[_primed(x)] = Cpt(_primed(x), cpt.parents, cpt.rows)
+            cpts[_primed(x)] = Cpt._of_table(_primed(x), cpt.parents,
+                                             cpt.nums, cpt.den)
         else:
             cpts[x] = cpt
     iota = g.iota.product(gamma)
@@ -103,8 +103,9 @@ def _spread(index: int, bits) -> int:
 def _forward_eliminate(g: Gbn, cut: tuple[str, ...], rows: bool,
                        gammas) -> list[tuple[dict[int, int], int]]:
     """Chain-rule product over the dissected DAG of ``g`` for each sparse
-    cutset distribution ``{index: prob}`` in ``gammas``, without building
-    the dissected network.  ``g`` must be valid and ``cut`` a cutset.
+    cutset distribution ``({index: num}, den)`` in ``gammas``, int
+    numerators over a positive denominator, without building the
+    dissected network.  ``g`` must be valid and ``cut`` a cutset.
 
     Keys are ints: bit n-1-i is the i-th sorted node and bit n+k-1-j the
     primed copy of cut node j, so a key over the original nodes is its
@@ -115,12 +116,11 @@ def _forward_eliminate(g: Gbn, cut: tuple[str, ...], rows: bool,
     nodes otherwise.  Nodes that are not ancestors of a target cannot
     change the result and are never placed.
 
-    Table values are int numerators over one shared denominator ``D``.
-    The start scales iota and gamma each by the lcm of its denominators.
-    A node's CPT rows become ints ``num`` over the lcm ``d`` of their
-    denominators, and placing it splits an entry ``p`` into ``p*num[idx]``
-    and ``p*d - p*num[idx]`` and sets ``D *= d``.  The mass check is
-    ``sum == D``.  Each table is returned with its ``D``, and no gcd is
+    Table values are int numerators over one shared denominator ``D``,
+    which starts as the product of the denominators of iota and gamma.
+    Placing a node with CPT ``nums`` over ``d`` splits an entry ``p``
+    into ``p*nums[idx]`` and ``p*d - p*nums[idx]`` and sets ``D *= d``.
+    The mass check is ``sum == D``.  Each table is returned with its ``D``, and no gcd is
     taken here: callers reduce what they keep.
     """
     n, k = len(g.nodes), len(cut)
@@ -159,7 +159,8 @@ def _forward_eliminate(g: Gbn, cut: tuple[str, ...], rows: bool,
             pending[u] -= 1
             if not pending[u] and u not in targets:
                 drop |= u
-        steps.append((b, parents[b], *scaled(cpt_of[b].rows), ~drop))
+        cpt = cpt_of[b]
+        steps.append((b, parents[b], cpt.nums, cpt.den, ~drop))
         for c in children.get(b, ()):
             unplaced[c] -= 1
             if not unplaced[c]:
@@ -173,11 +174,10 @@ def _forward_eliminate(g: Gbn, cut: tuple[str, ...], rows: bool,
     iota_den = g.iota.den
     iota = [(_spread(a, iota_bits), p) for a, p in enumerate(g.iota.nums) if p]
     out = []
-    for gamma in gammas:
-        gamma_num, den = scaled(gamma.values())
+    for gamma, den in gammas:
         den *= iota_den
         table: dict[int, int] = {}
-        for c, w in zip(gamma, gamma_num):
+        for c, w in gamma.items():
             ckey = _spread(c, cut_bits)
             for ikey, p in iota:
                 key = (ikey | ckey) & start_keep
@@ -220,8 +220,9 @@ def extend(g: Gbn, cut, gamma: JointDistribution) -> JointDistribution:
 def _extend(g: Gbn, cut: tuple[str, ...], gamma) -> JointDistribution:
     """:func:`extend` without its checks: ``g`` must be valid, ``cut`` a
     sorted cutset and ``gamma`` a distribution over it in canonical order."""
+    nums, den = scaled(gamma)
     [(table, den)] = _forward_eliminate(
-        g, cut, False, [{i: p for i, p in enumerate(gamma) if p}])
+        g, cut, False, [({i: p for i, p in enumerate(nums) if p}, den)])
     nums = [0] * (1 << len(g.nodes))
     for key, p in table.items():
         nums[key] = p
@@ -327,7 +328,7 @@ def cutset_mc(g: Gbn, cut) -> CutsetChain:
     n, size = len(g.nodes), 1 << len(cut)
     rows, dens = [], []
     for table, den in _forward_eliminate(g, cut, True,
-                                         ({i: ONE} for i in range(size))):
+                                         (({i: 1}, 1) for i in range(size))):
         common = math.gcd(den, *table.values())
         row = [0] * size
         for key, p in table.items():
@@ -443,8 +444,9 @@ def lim_avg(g: Gbn, cut, gamma0: JointDistribution) -> JointDistribution:
 def is_smooth(g: Gbn) -> bool:
     """All CPT entries and all initial-distribution values strictly in (0, 1)."""
     for cpt in g.cpts.values():
-        if any(not 0 < r < 1 for r in cpt.rows):
+        if min(cpt.nums) <= 0 or max(cpt.nums) >= cpt.den:
             return False
-    if g.iota.variables and any(not 0 < p < 1 for p in g.iota.probs):
+    iota = g.iota
+    if iota.variables and (min(iota.nums) <= 0 or max(iota.nums) >= iota.den):
         return False
     return True

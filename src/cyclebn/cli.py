@@ -112,23 +112,43 @@ class _Cutsets:
         return "".join((head, "[", deeper, '"', text, close, pad, "]"))
 
 
-def _vector_from_keys(mapping, variables, what: str) -> tuple[Fraction, ...]:
-    """Read a bitstring-keyed table into canonical index order."""
-    n = len(variables)
-    vec = [None] * (1 << n)
+def _pair(text) -> tuple[int, int]:
+    """Numerator and positive denominator of a rational text, not
+    necessarily in lowest terms.  Plain ASCII "p" and "p/q" texts are
+    read as integers; every other text goes through
+    :func:`parse_rational`."""
+    if type(text) is str and text.isascii():
+        p, slash, q = text.partition("/")
+        if p.isdigit() and (q.isdigit() or not slash):
+            q = int(q) if slash else 1
+            if q:
+                return int(p), q
+    r = parse_rational(text)
+    return r.numerator, r.denominator
+
+
+def _vector_from_keys(mapping: dict, keys: list[str],
+                      what: str) -> tuple[list[int], int]:
+    """Read a table keyed by the bitstrings ``keys``, given in canonical
+    order, as integer numerators over the lcm of the denominators, and
+    that lcm.  When a key or an entry is wrong, the first fault in the
+    document's order is reported."""
+    if len(mapping) == len(keys):
+        try:
+            pairs = [_pair(text) for text in map(mapping.__getitem__, keys)]
+        except (KeyError, ValueError):
+            pass
+        else:
+            den = math.lcm(*[q for _, q in pairs])
+            return [p * (den // q) for p, q in pairs], den
+    n = len(keys[0])
     for key, text in mapping.items():
-        if not isinstance(key, str) or len(key) != n or set(key) - {"0", "1"}:
+        if len(key) != n or set(key) - {"0", "1"}:
             raise ValueError(f"{what}: bad assignment key {key!r}")
-        idx = int(key, 2) if n else 0
-        if vec[idx] is not None:
-            raise ValueError(f"{what}: duplicate key {key!r}")
-        vec[idx] = parse_rational(text)
-    missing = [i for i, v in enumerate(vec) if v is None]
-    if missing:
-        more = f" and {len(missing) - 8} more" if len(missing) > 8 else ""
-        raise ValueError(f"{what}: missing keys "
-                         f"{[_bits(i, n) for i in missing[:8]]}{more}")
-    return tuple(vec)
+        parse_rational(text)
+    missing = [k for k in keys if k not in mapping]
+    more = f" and {len(missing) - 8} more" if len(missing) > 8 else ""
+    raise ValueError(f"{what}: missing keys {missing[:8]}{more}")
 
 
 def _check_width(names, what: str) -> None:
@@ -139,8 +159,16 @@ def _check_width(names, what: str) -> None:
             f"{len(names)} {what} exceed the dense cap of {MAX_DENSE_VARS}")
 
 
+def _distinct(names: tuple[str, ...]) -> tuple[str, ...]:
+    """``names`` sorted; a name given twice is a ValueError."""
+    names = tuple(sorted(names))
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate variable names: {names}")
+    return names
+
+
 def _strings(value, what: str) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+    if not isinstance(value, list) or not all(map(isinstance, value, repeat(str))):
         raise ValueError(f"{what} must be a list of strings")
     return tuple(value)
 
@@ -160,6 +188,19 @@ def _object(value, what: str) -> dict:
     return value
 
 
+def _edges(value) -> frozenset[tuple[str, str]]:
+    """The ``edges`` section as a set of (from, to) pairs."""
+    if isinstance(value, list) and all(
+            type(e) is list and len(e) == 2
+            and type(e[0]) is str and type(e[1]) is str for e in value):
+        return frozenset(map(tuple, value))
+    if isinstance(value, list):
+        for e in value:          # the first bad edge words the error
+            if len(_strings(e, "each edge")) != 2:
+                break
+    raise ValueError("each edge must be a [from, to] pair")
+
+
 def parse_document(text: str) -> Gbn:
     """Parse a JSON network document; raises DocumentError on problems
     and CapacityError, before any table is read, over the dense cap."""
@@ -168,44 +209,47 @@ def parse_document(text: str) -> Gbn:
         doc = _object(_json(text), "document")
         nodes = _strings(doc.get("variables", []), "variables")
         _check_width(nodes, "variables")
-        edges = doc.get("edges", [])
-        if not isinstance(edges, list) or any(
-                len(_strings(e, "each edge")) != 2 for e in edges):
-            raise ValueError("each edge must be a [from, to] pair")
-        edges = frozenset(map(tuple, edges))
+        nodes = _distinct(nodes)
+        edges = _edges(doc.get("edges", []))
         cpt_entries = _object(doc.get("cpts", {}), "cpts")
         iota_table = _object(doc.get("iota", {"": "1"}), "iota")
     except json.JSONDecodeError as e:
         raise DocumentError([Violation("ParseError", "", f"not valid JSON: {e}")])
     except ValueError as e:
         raise DocumentError([Violation("ParseError", "", str(e))])
+    keys_of: dict[int, list[str]] = {}       # bitstring keys by table width
     cpts = {}
     for name, entry in cpt_entries.items():
         what = f"cpt of {name}"
         try:
             entry = _object(entry, what)
-            parents = tuple(sorted(_strings(entry.get("parents"), f"{what}: parents")))
+            parents = _strings(entry.get("parents"), f"{what}: parents")
             _check_width(parents, f"parents of {name}")
             rows = _object(entry.get("rows"), f"{what}: rows")
-            cpts[name] = Cpt(name, parents, _vector_from_keys(rows, parents, what))
+            keys = keys_of.get(len(parents)) or keys_of.setdefault(
+                len(parents), _bit_keys(parents))
+            nums, den = _vector_from_keys(rows, keys, what)
+            cpts[name] = Cpt._of_table(name, _distinct(parents), nums, den)
         except ValueError as e:
             problems.append(Violation("ParseError", name, str(e)))
     targets = {v for (_, v) in edges}
-    init = tuple(sorted(set(nodes) - targets))
+    init = tuple(v for v in nodes if v not in targets)
     iota = None
     try:
-        vec = _vector_from_keys(iota_table, init, "iota")
-        total = sum(vec)
-        if total != 1:
+        nums, den = _vector_from_keys(
+            iota_table, keys_of.get(len(init)) or _bit_keys(init), "iota")
+        total = sum(nums)
+        if total != den:
+            g = math.gcd(total, den)
             problems.append(Violation(
                 "NotNormalized", ",".join(init),
-                f"iota sums to {format_rational(total)}, not 1"))
-        elif any(p < 0 or p > 1 for p in vec):
+                f"iota sums to {rational_text(total // g, den // g)}, not 1"))
+        elif min(nums) < 0:
             problems.append(Violation("OutOfRange", ",".join(init),
                                       "iota entry outside [0, 1]"))
         else:
-            iota = JointDistribution(init, vec)
-    except (TypeError, ValueError) as e:
+            iota = JointDistribution._of_table(init, nums, den)
+    except ValueError as e:
         problems.append(Violation("ParseError", "iota", str(e)))
     if problems:
         raise DocumentError(problems)
@@ -265,7 +309,8 @@ def _parse_gamma0(source: str, cut: tuple[str, ...]) -> JointDistribution:
         return JointDistribution(cut, tuple(probs))
     with open(source, encoding="utf-8") as fh:
         table = _object(_json(fh.read()), "gamma0")
-    return JointDistribution(cut, _vector_from_keys(table, cut, "gamma0"))
+    nums, den = _vector_from_keys(table, _bit_keys(cut), "gamma0")
+    return JointDistribution(cut, [Fraction(p, den) for p in nums])
 
 
 def _cutset(args, g: Gbn) -> tuple[str, ...]:

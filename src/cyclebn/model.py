@@ -7,8 +7,8 @@ is ascending lexicographic, and the canonical index of an assignment
 treats the first-sorted variable as the most significant bit (F=0, T=1).
 
 Every table is dense and in canonical index order.  A joint distribution
-holds its table as integer numerators over their least common
-denominator, and its ``Fraction`` tuple is built only when read.
+and a CPT each hold their table as integer numerators over their least
+common denominator, and its ``Fraction`` tuple is built only when read.
 :func:`sub_indices` maps each index over a variable set to the index of
 the assignment's restriction to some of those variables, so marginals,
 products and renamings build no dict per assignment.
@@ -266,11 +266,14 @@ def dirac(assignment: Mapping[str, bool]) -> JointDistribution:
 class Cpt(_Value):
     """Conditional probability table: Pr(owner=T | parent assignment).
 
-    ``rows[i]`` is the entry for the parent assignment with canonical
-    index ``i`` over the sorted parent set.
+    The parent assignment with canonical index ``i`` over the sorted
+    parent set has entry ``nums[i] / den``: integers over the least
+    common denominator of the entries, so equality and hashing compare
+    exact values.  ``Cpt(owner, parents, rows)`` takes rationals; the
+    ``Fraction`` tuple ``rows`` is otherwise built only when read.
     """
 
-    _fields = ("owner", "parents", "rows")
+    _fields = ("owner", "parents", "nums", "den")
 
     def __init__(self, owner: str, parents: Iterable[str], rows: Iterable) -> None:
         parents = _check_capacity(parents)
@@ -278,7 +281,27 @@ class Cpt(_Value):
         if len(rows) != 1 << len(parents):
             raise ValueError(
                 f"CPT for {owner} needs {1 << len(parents)} rows, got {len(rows)}")
-        vars(self).update(owner=owner, parents=parents, rows=rows)
+        nums, den = scaled(rows)
+        vars(self).update(owner=owner, parents=parents, nums=tuple(nums),
+                          den=den, rows=rows)
+
+    @classmethod
+    def _of_table(cls, owner: str, parents: tuple[str, ...], nums,
+                  den: int) -> "Cpt":
+        """Trusted constructor: ``parents`` sorted and distinct, ``nums``
+        ints in canonical order, one per parent assignment, and ``den``
+        positive.  Only reduces them by their gcd; checks nothing."""
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums, den = [p // g for p in nums], den // g
+        cpt = cls.__new__(cls)
+        vars(cpt).update(owner=owner, parents=parents, nums=tuple(nums), den=den)
+        return cpt
+
+    @cached_property
+    def rows(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(p, den) for p in self.nums)
 
     def prob_true(self, parent_assignment: Mapping[str, bool]) -> Fraction:
         return self.rows[canonical_index(
@@ -331,8 +354,8 @@ class Gbn(_Value):
                 report.append(Violation("ParentMismatch", u,
                                         f"edge ({u}, {v}) references unknown node"))
             preds.setdefault(v, set()).add(u)
-        init = self.initial_nodes
-        non_initial = set(self.nodes) - init
+        init = frozenset(self.nodes).difference(preds)
+        non_initial = node_set.intersection(preds)
         for x in sorted(non_initial):
             cpt = self.cpts.get(x)
             if cpt is None:
@@ -343,9 +366,11 @@ class Gbn(_Value):
                     "ParentMismatch", x,
                     f"CPT parents {cpt.parents} differ from predecessors "
                     f"{tuple(sorted(preds[x]))}"))
-            for i, r in enumerate(cpt.rows):
-                if not 0 <= r.numerator <= r.denominator:
-                    report.append(Violation("OutOfRange", x, f"CPT row {i} entry {r}"))
+            nums, den = cpt.nums, cpt.den
+            if min(nums) < 0 or max(nums) > den:
+                report.extend(
+                    Violation("OutOfRange", x, f"CPT row {i} entry {Fraction(p, den)}")
+                    for i, p in enumerate(nums) if not 0 <= p <= den)
         for x in sorted(set(self.cpts) - non_initial):
             report.append(Violation("ParentMismatch", x,
                                     "CPT attached to an initial or unknown node"))

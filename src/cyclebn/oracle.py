@@ -40,6 +40,9 @@ MAX_VERTEX_COLUMNS = 8
 #: Exhaustive triple enumeration is capped at this many variables.
 MAX_ENUM_VARS = 8
 
+#: Budget for the estimated bits of an exact ``iterate_next`` trace.
+MAX_TRACE_BITS = 1 << 24
+
 
 class IterationTrace(_Value):
     """Exact trace gamma_0 .. gamma_N of the cutset sequence, with the
@@ -57,8 +60,12 @@ def iterate_next(g: Gbn, cut, gamma0: JointDistribution,
                  steps: int) -> IterationTrace:
     """Apply the one-level unfolding ``steps`` times, exactly.  Each step
     builds a table over the nodes and the primed cutset, and the trace
-    keeps every step: refused up front when the steps times that table
-    size exceed the dense cap."""
+    keeps every step.  Refused up front when the steps times that table
+    size exceed the dense cap, or when the trace would exceed
+    ``MAX_TRACE_BITS``: step k of the trace has 2**|cut| entries whose
+    denominators grow by about the bits of every CPT, iota and gamma0
+    denominator per step, so the trace holds about steps**2 * 2**|cut|
+    times those bits."""
     if steps < 1:
         raise ValueError("need at least one step")
     cut = tuple(sorted(cut))
@@ -67,6 +74,13 @@ def iterate_next(g: Gbn, cut, gamma0: JointDistribution,
         raise CapacityError(
             f"{steps} steps over 2**{width} assignments exceed the dense cap "
             f"of 2**{MAX_DENSE_VARS}")
+    bits = (sum(cpt.den.bit_length() for cpt in g.cpts.values())
+            + g.iota.den.bit_length() + gamma0.den.bit_length())
+    estimate = steps * steps * bits << len(cut)
+    if estimate > MAX_TRACE_BITS:
+        raise CapacityError(
+            f"{steps} steps over {1 << len(cut)} cutset states would trace about "
+            f"{estimate} bits, over the budget of {MAX_TRACE_BITS}")
     trace = [gamma0.probs]
     gamma = gamma0
     for _ in range(steps):

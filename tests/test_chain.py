@@ -389,7 +389,7 @@ def test_invariant_failures_raise_internal_error():
                   Cpt("Y", ("Z",), (F(1, 2), F(1, 2))),
                   Cpt("Z", ("X", "Y"), (F(1, 2),) * 4)])
     with pytest.raises(InternalError):
-        _forward_eliminate(g, ("X",), True, [{0: F(1)}])
+        _forward_eliminate(g, ("X",), True, [({0: 1}, 1)])
     # a substochastic matrix has no stationary vector
     leaky = CutsetChain(("A",), ((F(1, 2), F(0)), (F(0), F(1, 2))))
     with pytest.raises(InternalError):

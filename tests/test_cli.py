@@ -244,6 +244,17 @@ def test_oracle_iterate_refuses_steps_over_the_dense_cap(ex52_path):
                        "--steps", "2"])[0] == 0
 
 
+def test_oracle_iterate_refuses_a_trace_over_the_bit_budget(fig1_path, capsys):
+    # The dense cap allows 2**20 >> 3 = 131,072 steps here, but 1,000
+    # steps would trace about 1,000**2 * 2 cutset states * 9 bits of CPT,
+    # iota and gamma0 denominators: 18 million bits.
+    assert main(["oracle", "iterate", fig1_path, "--cutset", "X",
+                 "--steps", "1000"]) == 2
+    assert capsys.readouterr().err == (
+        "error: capacity: 1000 steps over 2 cutset states would trace about "
+        "18000000 bits, over the budget of 16777216\n")
+
+
 def test_gamma0_file(tmp_path, ex52_path, capsys):
     table = tmp_path / "gamma.json"
     table.write_text(json.dumps({"00": "1", "01": "0", "10": "0", "11": "0"}))

@@ -58,6 +58,18 @@ def test_iterate_next_refuses_steps_over_the_dense_cap(monkeypatch):
             iterate_next(g, ("X", "Y"), gamma0, steps)
 
 
+def test_iterate_next_refuses_a_trace_over_the_bit_budget(monkeypatch):
+    # X <-> Y cut at X from the uniform start: the CPT, iota and gamma0
+    # denominators 4, 4, 1 and 2 have 3 + 3 + 1 + 2 = 9 bits, so n steps
+    # over 2 cutset states are estimated at n**2 * 9 * 2 bits
+    monkeypatch.setattr(oracle, "MAX_TRACE_BITS", 10 * 10 * 9 * 2)
+    g = two_cycle("3/4", "1/2", "3/4", "1/2")
+    gamma0 = JointDistribution.uniform(("X",))
+    assert len(iterate_next(g, ("X",), gamma0, 10).steps) == 11
+    with pytest.raises(CapacityError, match="about 2178 bits"):
+        iterate_next(g, ("X",), gamma0, 11)
+
+
 def test_dsep_by_paths_four_cycle():
     g = DiGraph(("W", "X", "Y", "Z"),
                 frozenset({("W", "X"), ("X", "Y"), ("Y", "Z"), ("Z", "W")}))
