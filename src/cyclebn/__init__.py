@@ -12,9 +12,8 @@ first use of one of them.
 """
 
 from .chain import (CutsetChain, LimStatus, NotACutsetError, cutset_mc,
-                    dissect, extend, is_smooth, lim, lim_avg,
-                    long_run_frequency, mcs, next_dist, reach_probs,
-                    stationary_set)
+                    dissect, extend, is_smooth, lim, long_run_frequency,
+                    mcs, next_dist, reach_probs, stationary_set)
 from .constraints import (build_cpt_system, build_wcpt_system,
                           check_consistency, cpt_i_via_cutsets,
                           is_strongly_consistent, solve_family)

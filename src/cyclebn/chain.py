@@ -1,5 +1,6 @@
 """Cutset machinery: dissection, one-step unfolding, the cutset Markov
-chain, and the limit / limit-average / stationary semantics."""
+chain, and the Markov-chain (also limit-average), limit and stationary
+semantics."""
 
 from __future__ import annotations
 
@@ -26,10 +27,6 @@ class NotACutsetError(Exception):
     pass
 
 
-def _primed(name: str) -> str:
-    return name + PRIME
-
-
 def _check_cutset(g: Gbn, cut) -> tuple[str, ...]:
     cut = tuple(sorted(cut))
     if len(set(cut)) != len(cut):
@@ -47,28 +44,32 @@ def _check_cutset(g: Gbn, cut) -> tuple[str, ...]:
     return cut
 
 
+def _check_start(g: Gbn, cut, gamma: JointDistribution) -> tuple[str, ...]:
+    cut = _check_cutset(g, cut)
+    if tuple(gamma.variables) != cut:
+        raise ValueError(f"gamma covers {gamma.variables}, cutset is {cut}")
+    return cut
+
+
 def dissect(g: Gbn, cut, gamma: JointDistribution) -> Gbn:
     """Acyclic copy of ``g`` where each cut node gets a primed duplicate
     receiving its incoming edges, and the cut nodes become initial with
     distribution ``gamma``."""
-    cut = _check_cutset(g, cut)
-    if tuple(gamma.variables) != cut:
-        raise ValueError(
-            f"gamma covers {gamma.variables}, cutset is {cut}")
+    cut = _check_start(g, cut, gamma)
     if not cut:
         return g
-    clashes = set(_primed(c) for c in cut) & set(g.nodes)
+    clashes = set(c + PRIME for c in cut) & set(g.nodes)
     if clashes:
         raise ValueError(f"primed names already taken: {sorted(clashes)}")
     cut_set = set(cut)
-    nodes = g.nodes + tuple(_primed(c) for c in cut)
+    nodes = g.nodes + tuple(c + PRIME for c in cut)
     edges = frozenset(
-        (u, _primed(v)) if v in cut_set else (u, v) for (u, v) in g.edges)
+        (u, v + PRIME) if v in cut_set else (u, v) for (u, v) in g.edges)
     cpts = {}
     for x, cpt in g.cpts.items():
         if x in cut_set:
-            cpts[_primed(x)] = Cpt._of_table(_primed(x), cpt.parents,
-                                             cpt.nums, cpt.den)
+            cpts[x + PRIME] = Cpt._of_table(x + PRIME, cpt.parents,
+                                            cpt.nums, cpt.den)
         else:
             cpts[x] = cpt
     iota = g.iota.product(gamma)
@@ -82,11 +83,9 @@ def next_dist(g: Gbn, cut, gamma: JointDistribution) -> JointDistribution:
     """One level of the unfolding: the distribution over the next copy of
     all variables induced by the cutset distribution ``gamma``."""
     cut = tuple(sorted(cut))
-    if not cut:
-        return chain_rule_dist(dissect(g, cut, gamma))
     full = chain_rule_dist(dissect(g, cut, gamma))
-    kept = [v for v in g.nodes if v not in set(cut)] + [_primed(c) for c in cut]
-    return full.restrict(kept).rename({_primed(c): c for c in cut})
+    kept = [v for v in g.nodes if v not in set(cut)] + [c + PRIME for c in cut]
+    return full.restrict(kept).rename({c + PRIME: c for c in cut})
 
 
 def _check_cutset_size(cut) -> None:
@@ -209,24 +208,10 @@ def _forward_eliminate(g: Gbn, cut: tuple[str, ...], rows: bool,
 def extend(g: Gbn, cut, gamma: JointDistribution) -> JointDistribution:
     """Full joint distribution over the original variables recovered from
     a cutset distribution."""
-    cut = _check_cutset(g, cut)
-    if tuple(gamma.variables) != cut:
-        raise ValueError(
-            f"gamma covers {gamma.variables}, cutset is {cut}")
+    cut = _check_start(g, cut, gamma)
     g._require_valid()
-    return _extend(g, cut, gamma.probs)
-
-
-def _extend(g: Gbn, cut: tuple[str, ...], gamma) -> JointDistribution:
-    """:func:`extend` without its checks: ``g`` must be valid, ``cut`` a
-    sorted cutset and ``gamma`` a distribution over it in canonical order."""
-    nums, den = scaled(gamma)
-    [(table, den)] = _forward_eliminate(
-        g, cut, False, [({i: p for i, p in enumerate(nums) if p}, den)])
-    nums = [0] * (1 << len(g.nodes))
-    for key, p in table.items():
-        nums[key] = p
-    return JointDistribution._of_table(g.nodes, nums, den)
+    # extension reads only the network and the cutset of a chain
+    return CutsetChain._of_rows(g, cut, (), ()).extend([gamma.probs])[0]
 
 
 class CutsetChain:
@@ -237,19 +222,37 @@ class CutsetChain:
     ``dens[u]``, so ``P[u][v] = rows[u][v] / dens[u]`` and the gcd of a
     row and its denominator is 1.  The support, the BSCCs (listed by
     smallest state), their periods and both solves read these integers;
-    the ``Fraction`` ``matrix`` is built only when it is read.
-    ``CutsetChain(cutset, matrix)`` builds a chain from ``Fraction`` rows.
+    the ``Fraction`` ``matrix`` is built only when it is read.  A chain
+    from :func:`cutset_mc` keeps the ``network`` it extends into, and
+    ``CutsetChain(cutset, matrix)`` one from ``Fraction`` rows has none.
     """
 
     def __init__(self, cutset, matrix):
-        self.cutset = tuple(cutset)
+        self.network, self.cutset = None, tuple(cutset)
         self.rows, self.dens = zip(*map(scaled, matrix)) if matrix else ((), ())
 
     @classmethod
-    def _of_rows(cls, cutset, rows, dens) -> CutsetChain:
+    def _of_rows(cls, g, cutset, rows, dens) -> CutsetChain:
         chain = cls.__new__(cls)
-        chain.cutset, chain.rows, chain.dens = cutset, rows, dens
+        chain.network, chain.cutset, chain.rows, chain.dens = g, cutset, rows, dens
         return chain
+
+    def extend(self, gammas) -> tuple[JointDistribution, ...]:
+        """Full joints over the network's variables recovered from the
+        cutset distributions ``gammas``, each in canonical order, all in
+        one elimination and in the order given."""
+        g = self.network
+        if g is None:
+            raise ValueError("a chain built from a matrix has no network to extend into")
+        starts = [({i: p for i, p in enumerate(nums) if p}, den)
+                  for nums, den in map(scaled, gammas)]
+        out = []
+        for table, den in _forward_eliminate(g, self.cutset, False, starts):
+            nums = [0] * (1 << len(g.nodes))
+            for key, p in table.items():
+                nums[key] = p
+            out.append(JointDistribution._of_table(g.nodes, nums, den))
+        return tuple(out)
 
     @cached_property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -335,7 +338,7 @@ def cutset_mc(g: Gbn, cut) -> CutsetChain:
             row[key >> n] = p // common
         rows.append(row)
         dens.append(den // common)
-    return CutsetChain._of_rows(cut, tuple(rows), tuple(dens))
+    return CutsetChain._of_rows(g, cut, tuple(rows), tuple(dens))
 
 
 def reach_probs(chain: CutsetChain,
@@ -389,13 +392,20 @@ def stationary_set(chain: CutsetChain) -> SemanticsFamily:
     return SemanticsFamily("mc", status, extremes)
 
 
-def mcs(g: Gbn, cut, gamma0: JointDistribution) -> JointDistribution:
-    """Markov chain semantics: extend the long-run frequency of the
-    cutset chain started from ``gamma0``."""
+def _started_chain(g: Gbn, cut, gamma0: JointDistribution) -> CutsetChain:
+    """:func:`cutset_mc`, once ``gamma0`` is checked to cover the cutset."""
     chain = cutset_mc(g, cut)
     if tuple(gamma0.variables) != chain.cutset:
         raise ValueError("gamma0 must cover exactly the cutset")
-    return _extend(g, chain.cutset, long_run_frequency(chain, gamma0.probs))
+    return chain
+
+
+def mcs(g: Gbn, cut, gamma0: JointDistribution) -> JointDistribution:
+    """Markov chain semantics: extend the long-run frequency of the
+    cutset chain started from ``gamma0``.  It is also the limit-average
+    semantics, the extension of the Cesaro limit of the cutset sequence."""
+    chain = _started_chain(g, cut, gamma0)
+    return chain.extend([long_run_frequency(chain, gamma0.probs)])[0]
 
 
 class LimStatus(_Value):
@@ -424,29 +434,19 @@ def lim(g: Gbn, cut, gamma0: JointDistribution) -> LimStatus:
     transient mass that gives each cyclic class of a periodic BSCC the
     same mass also converges, yet is reported undefined with that period.
     """
-    chain = cutset_mc(g, cut)
-    if tuple(gamma0.variables) != chain.cutset:
-        raise ValueError("gamma0 must cover exactly the cutset")
+    chain = _started_chain(g, cut, gamma0)
     lam = reach_probs(chain, gamma0.probs)
     freq = _mix(chain, lam)
     offending = tuple(p for p, weight in zip(chain.periods, lam)
                       if weight > 0 and p > 1)
     if offending and freq != gamma0.probs:
         return LimStatus(None, offending)
-    return LimStatus(_extend(g, chain.cutset, freq))
-
-
-def lim_avg(g: Gbn, cut, gamma0: JointDistribution) -> JointDistribution:
-    """Limit-average semantics; coincides with :func:`mcs`."""
-    return mcs(g, cut, gamma0)
+    return LimStatus(chain.extend([freq])[0])
 
 
 def is_smooth(g: Gbn) -> bool:
     """All CPT entries and all initial-distribution values strictly in (0, 1)."""
-    for cpt in g.cpts.values():
-        if min(cpt.nums) <= 0 or max(cpt.nums) >= cpt.den:
-            return False
-    iota = g.iota
-    if iota.variables and (min(iota.nums) <= 0 or max(iota.nums) >= iota.den):
-        return False
-    return True
+    tables = [(cpt.nums, cpt.den) for cpt in g.cpts.values()]
+    if g.iota.variables:
+        tables.append((g.iota.nums, g.iota.den))
+    return all(0 < min(nums) and max(nums) < den for nums, den in tables)

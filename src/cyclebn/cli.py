@@ -483,9 +483,7 @@ def _cmd_semantics(args) -> tuple[dict, int]:
     if kind == "mc":
         mc = chainmod.cutset_mc(g, cut)
         fam = chainmod.stationary_set(mc)
-        # cutset_mc has checked the network and the cutset
-        extended = tuple(chainmod._extend(g, mc.cutset, d.probs)
-                         for d in fam.distributions)
+        extended = mc.extend(mc.bscc_lrfs)
         out.update(_family_out(SemanticsFamily(fam.kind, fam.status, extended)))
         out["cutset"] = list(cut)
         return out, 0
@@ -503,7 +501,8 @@ def _cmd_semantics(args) -> tuple[dict, int]:
         out.update(status=UNIQUE, distributions=[_vector_out(d)])
         return out, 0
     if kind == "limavg":
-        d = chainmod.lim_avg(g, cut, gamma0)
+        # the limit average is the extended long-run frequency
+        d = chainmod.mcs(g, cut, gamma0)
         out.update(status=UNIQUE, cutset=list(cut),
                    distributions=[_vector_out(d)])
         return out, 0

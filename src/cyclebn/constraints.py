@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .chain import _extend, cutset_mc
+from .chain import cutset_mc
 from .families import (EMPTY, INFINITE, UNIQUE, UNSUPPORTED, SemanticsFamily)
 from .linalg import LinearSystem, classify_polytope
 from .model import ONE, ZERO, Gbn, JointDistribution, sub_indices
@@ -125,7 +125,7 @@ def cpt_i_via_cutsets(g: Gbn, cutsets: Sequence[Iterable[str]]) -> SemanticsFami
                       f"{len(chain.bsccs)} bottom components")
         # With one bottom component the chain semantics is the same for
         # every start: the extension of its stationary vector.
-        singletons.append(_extend(g, chain.cutset, chain.bscc_lrfs[0]))
+        singletons += chain.extend(chain.bscc_lrfs)
     first = singletons[0]
     if any(d != first for d in singletons[1:]):
         return SemanticsFamily("cpti", EMPTY,

@@ -349,7 +349,7 @@ class Gbn(_Value):
         report: list[Violation] = []
         node_set = set(self.nodes)
         preds: dict[str, set[str]] = {}
-        for (u, v) in self.edges:
+        for (u, v) in sorted(self.edges):
             if u not in node_set or v not in node_set:
                 report.append(Violation("ParentMismatch", u,
                                         f"edge ({u}, {v}) references unknown node"))

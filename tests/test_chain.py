@@ -10,8 +10,8 @@ from conftest import (dense_cyclic_gbn, rand_entry, rand_joint,
                       random_cyclic_gbn, random_cutset, two_cycle)
 from cyclebn.chain import (CutsetChain, NotACutsetError, _forward_eliminate,
                            cutset_mc, dissect, extend, is_smooth, lim,
-                           lim_avg, long_run_frequency, mcs, next_dist,
-                           reach_probs, stationary_set)
+                           long_run_frequency, mcs, next_dist, reach_probs,
+                           stationary_set)
 from cyclebn.families import INFINITE, UNIQUE
 from cyclebn.graph import DiGraph, is_acyclic
 from cyclebn.inference import chain_rule_dist
@@ -194,6 +194,29 @@ def test_mcs_matches_stationary_extension():
     assert out.restrict(("X", "Y")) == out
 
 
+def test_chain_extends_every_start_in_one_call_in_order():
+    """Extending a list of starts through the chain gives what the public
+    extend gives one start at a time, in the order given."""
+    rng = random.Random(23)
+    multi = 0
+    for _ in range(120):
+        # 0/1 tables make chains with several bottom components common
+        g = random_cyclic_gbn(rng, max_vars=4, denom=1)
+        cut = random_cutset(rng, g, max_size=3)
+        mc = cutset_mc(g, cut)
+        starts = [*mc.bscc_lrfs, rand_joint(rng, cut).probs]
+        assert list(mc.extend(starts)) == \
+            [extend(g, cut, JointDistribution(cut, s)) for s in starts]
+        multi += len(mc.bsccs) > 1
+    assert multi >= 10
+
+
+def test_chain_from_a_matrix_has_no_network_to_extend():
+    mc = CutsetChain(("X",), ((F(1, 2), F(1, 2)), (F(1), F(0))))
+    with pytest.raises(ValueError, match="no network"):
+        mc.extend(mc.bscc_lrfs)
+
+
 def test_mcs_gamma0_domain_check():
     g = two_cycle(*EX52)
     with pytest.raises(ValueError):
@@ -251,15 +274,6 @@ def test_lim_defined_whenever_unfolding_converges():
     status = lim(g, cut, gamma0)
     assert status.defined
     assert status.distribution == mcs(g, cut, gamma0)
-
-
-def test_lim_avg_equals_mcs():
-    rng = random.Random(3)
-    for _ in range(10):
-        g = random_cyclic_gbn(rng, max_vars=3)
-        cut = random_cutset(rng, g)
-        gamma0 = JointDistribution.uniform(cut)
-        assert lim_avg(g, cut, gamma0) == mcs(g, cut, gamma0)
 
 
 def test_is_smooth():

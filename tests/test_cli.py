@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cyclebn
+from cyclebn import chain as chainmod
 from cyclebn.chain import cutset_mc
 from cyclebn.cli import (DocumentError, _bit_keys, _chain_out, _Cutsets,
                          _json_text, _load, _pretty, _vector_out, main,
@@ -556,6 +557,28 @@ def test_cutsets_output_does_not_depend_on_hash_seed(tmp_path):
         ["A"], ["B"], ["C"], ["A", "B"], ["A", "C"], ["B", "C"], ["A", "B", "C"]]
 
 
+UNKNOWN_EDGES = json.dumps({
+    "variables": ["X", "Y"],
+    "edges": [["X", "Y"], ["Y", "X"], ["X", "Q1"], ["X", "Q2"], ["Q3", "Y"],
+              ["Q4", "X"]],
+    "cpts": {"X": {"parents": ["Y"], "rows": {"0": "1/2", "1": "1/3"}},
+             "Y": {"parents": ["X"], "rows": {"0": "1/2", "1": "1/3"}}},
+    "iota": {"": "1"}})
+
+
+def test_validate_output_does_not_depend_on_hash_seed(tmp_path):
+    p = tmp_path / "unknown.gbn"
+    p.write_text(UNKNOWN_EDGES)
+    for fmt in ("pretty", "machine"):
+        argv = ["--format", fmt, "validate", str(p)]
+        runs = [_fresh_run(argv, PYTHONHASHSEED=seed) for seed in ("1", "2", "3")]
+        assert runs[0][0] == 1
+        assert runs[0] == runs[1] == runs[2]
+    messages = [v["message"] for v in json.loads(runs[0][1])["violations"]]
+    assert messages[:4] == [f"edge ({u}, {v}) references unknown node" for u, v in
+                            (("Q3", "Y"), ("Q4", "X"), ("X", "Q1"), ("X", "Q2"))]
+
+
 def test_reused_parser_answers_as_a_fresh_process(tmp_path, monkeypatch, capsys):
     # usage lines wrap at the terminal width: fix it for both sides
     monkeypatch.setenv("COLUMNS", "80")
@@ -696,3 +719,34 @@ def test_chain_query_scans_the_network_once(ex52_path, capsys, monkeypatch,
     monkeypatch.setattr(Gbn, "_violations", prop)
     assert main([argv[0], ex52_path, *argv[1:], "--cutset", "X,Y"]) == 0
     assert len(scanned) == 1
+
+
+# X and Y copy each other, so the chain at {X, Y} has three bottom
+# components: {00}, {11} and {01, 10}.
+SWAP = json.dumps({
+    "variables": ["X", "Y"],
+    "edges": [["X", "Y"], ["Y", "X"]],
+    "cpts": {x: {"parents": [p], "rows": {"0": "0", "1": "1"}}
+             for x, p in (("X", "Y"), ("Y", "X"))},
+    "iota": {"": "1"}})
+
+
+@pytest.mark.parametrize("kind", ["mc", "lim", "limavg"])
+def test_chain_semantics_extends_in_one_elimination(tmp_path, capsys, monkeypatch,
+                                                    kind):
+    p = tmp_path / "swap.gbn"
+    p.write_text(SWAP)
+    assert len(cutset_mc(_load(str(p)), ("X", "Y")).bsccs) == 3
+    eliminate = chainmod._forward_eliminate
+    calls = []
+
+    def counted(g, cut, rows, gammas):
+        calls.append(rows)
+        return eliminate(g, cut, rows, gammas)
+
+    monkeypatch.setattr(chainmod, "_forward_eliminate", counted)
+    assert main(["--format", "machine", "semantics", str(p), "--kind", kind,
+                 "--cutset", "X,Y"]) == 0
+    assert calls == [True, False]       # the rows, then one extension
+    out = json.loads(capsys.readouterr().out)
+    assert len(out["distributions"]) == (3 if kind == "mc" else 1)
