@@ -17,8 +17,7 @@ from .chain import (CutsetChain, LimStatus, NotACutsetError, cutset_mc,
 from .constraints import (build_cpt_system, build_wcpt_system,
                           check_consistency, cpt_i_via_cutsets,
                           is_strongly_consistent, solve_family)
-from .families import (EMPTY, INFINITE, UNIQUE, UNSUPPORTED,
-                       SemanticsFamily)
+from .families import EMPTY, INFINITE, UNIQUE, SemanticsFamily
 from .graph import (DiGraph, d_separated, enumerate_cutsets, is_acyclic,
                     is_cutset)
 from .inference import CyclicGraphError, chain_rule_dist, to_digraph

@@ -366,21 +366,17 @@ def reach_probs(chain: CutsetChain,
     return out
 
 
-def _mix(chain: CutsetChain, lam) -> tuple[Fraction, ...]:
-    """The BSCC frequency vectors mixed by the weights ``lam``; each
-    vector is zero off its own component."""
+def long_run_frequency(chain: CutsetChain,
+                       gamma0: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    """Reach-probability-weighted combination of the BSCC frequencies;
+    each frequency vector is zero off its own component."""
     out = [ZERO] * chain.num_states
-    for weight, comp, lrf in zip(lam, chain.bsccs, chain.bscc_lrfs):
+    for weight, comp, lrf in zip(reach_probs(chain, gamma0), chain.bsccs,
+                                 chain.bscc_lrfs):
         if weight:
             for s in comp:
                 out[s] = weight * lrf[s]
     return tuple(out)
-
-
-def long_run_frequency(chain: CutsetChain,
-                       gamma0: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    """Reach-probability-weighted combination of the BSCC frequencies."""
-    return _mix(chain, reach_probs(chain, gamma0))
 
 
 def stationary_set(chain: CutsetChain) -> SemanticsFamily:
@@ -435,10 +431,10 @@ def lim(g: Gbn, cut, gamma0: JointDistribution) -> LimStatus:
     same mass also converges, yet is reported undefined with that period.
     """
     chain = _started_chain(g, cut, gamma0)
-    lam = reach_probs(chain, gamma0.probs)
-    freq = _mix(chain, lam)
-    offending = tuple(p for p, weight in zip(chain.periods, lam)
-                      if weight > 0 and p > 1)
+    freq = long_run_frequency(chain, gamma0.probs)
+    # f is positive on every state of a component that gamma0 reaches
+    offending = tuple(p for p, comp in zip(chain.periods, chain.bsccs)
+                      if freq[min(comp)] > 0 and p > 1)
     if offending and freq != gamma0.probs:
         return LimStatus(None, offending)
     return LimStatus(chain.extend([freq])[0])

@@ -18,7 +18,7 @@ variable is the leftmost bit, F=0, T=1) and hold Pr(node=T | row).
 without initial nodes uses the single key "".  Rationals are "p/q"
 strings or decimal literals.
 
-Exit codes: 1 invalid input, 2 capacity exceeded, 3 result unsupported.
+Exit codes: 1 invalid input, 2 capacity exceeded.
 """
 
 from __future__ import annotations
@@ -35,14 +35,13 @@ from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import chain as chainmod
 from . import constraints, graph as graphmod, inference
-from .families import UNIQUE, UNSUPPORTED, SemanticsFamily
+from .families import INFINITE, UNIQUE, SemanticsFamily
 from .model import (MAX_DENSE_VARS, CapacityError, Cpt, Gbn,
                     JointDistribution, Violation, format_rational,
                     parse_rational, rational_text)
 
 EXIT_INVALID = 1
 EXIT_CAPACITY = 2
-EXIT_UNSUPPORTED = 3
 
 
 class DocumentError(Exception):
@@ -464,8 +463,7 @@ def _cmd_semantics(args) -> tuple[dict, int]:
                    distributions=[_vector_out(mu)])
         return out, 0
     if kind in ("cpt", "wcpt"):
-        fam = constraints.solve_family(g, kind)
-        out.update(_family_out(fam))
+        out.update(_family_out(constraints.solve_family(g, kind)))
         return out, 0
     if kind == "cpti":
         if args.cutset:
@@ -476,15 +474,14 @@ def _cmd_semantics(args) -> tuple[dict, int]:
             cutsets = graphmod.enumerate_cutsets(inference.to_digraph(g),
                                                  minimal_only=True)
             cutsets = [c for c in cutsets if not set(c) & g.initial_nodes]
-        fam = constraints.cpt_i_via_cutsets(g, cutsets)
-        out.update(_family_out(fam))
-        return out, EXIT_UNSUPPORTED if fam.status == UNSUPPORTED else 0
+        out.update(_family_out(constraints.cpt_i_via_cutsets(g, cutsets)))
+        return out, 0
     cut = _cutset(args, g)
     if kind == "mc":
         mc = chainmod.cutset_mc(g, cut)
-        fam = chainmod.stationary_set(mc)
+        status = UNIQUE if len(mc.bsccs) == 1 else INFINITE
         extended = mc.extend(mc.bscc_lrfs)
-        out.update(_family_out(SemanticsFamily(fam.kind, fam.status, extended)))
+        out.update(_family_out(SemanticsFamily("mc", status, extended)))
         out["cutset"] = list(cut)
         return out, 0
     # the start has 2**|cut| entries: refuse an oversized cutset first

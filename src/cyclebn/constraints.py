@@ -1,14 +1,14 @@
-"""Linear constraint systems for CPT consistency, and the
-independence-extended semantics computed through cutset intersections.
-Membership in that family by its definition, with the independence
-triples it needs, is checked in ``oracle``."""
+"""Linear constraint systems for CPT consistency and for the
+independence-extended semantics, an LP over mixtures of the cutset chain
+semantics, all three classified by ``linalg.classify_polytope``.
+Membership in that family by its definition is checked in ``oracle``."""
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
 from .chain import cutset_mc
-from .families import (EMPTY, INFINITE, UNIQUE, UNSUPPORTED, SemanticsFamily)
+from .families import EMPTY, INFINITE, UNIQUE, SemanticsFamily
 from .linalg import LinearSystem, classify_polytope
 from .model import ONE, ZERO, Gbn, JointDistribution, sub_indices
 
@@ -106,29 +106,37 @@ def cpt_i_via_cutsets(g: Gbn, cutsets: Sequence[Iterable[str]]) -> SemanticsFami
     """Intersection of the chain semantics over a family of cutsets.
 
     The cutsets must leave every node uncovered by at least one of them;
-    the intersection then equals the independence-extended consistency
-    family.  Only the all-singleton case is computed; when some chain
-    admits infinitely many stationary distributions the result is a
-    semialgebraic set with no algorithm here, reported as unsupported.
+    that the intersection then is the independence-extended family is
+    the paper's claim.  The tests check witnesses, vertices and their
+    midpoints against that family's definition: evidence, not a proof.
+
+    A cutset's semantics is the convex hull of its chain's extended
+    bottom-component vectors, so the intersection is a polytope in
+    mixture weights, one per vector of each cutset.  The first cutset's
+    weights sum to 1, and each other cutset's mixture equals the first
+    one's at every assignment, which makes its weights sum to 1 too.
+    The vectors of one cutset have disjoint supports, so a point in the
+    weights is a point in mu: the witness's first weights mixed over the
+    first cutset's vectors.
     """
     cutsets = [tuple(sorted(c)) for c in cutsets]
-    uncovered_ok = all(any(x not in set(c) for c in cutsets) for x in g.nodes)
-    if not uncovered_ok:
+    if not all(any(x not in set(c) for c in cutsets) for x in g.nodes):
         raise ValueError("some node belongs to every cutset in the family")
-    singletons = []
+    vecs = []
     for cut in cutsets:
         chain = cutset_mc(g, cut)
-        if len(chain.bsccs) != 1:
-            return SemanticsFamily(
-                "cpti", UNSUPPORTED,
-                notes=f"chain for cutset {list(cut)} has "
-                      f"{len(chain.bsccs)} bottom components")
-        # With one bottom component the chain semantics is the same for
-        # every start: the extension of its stationary vector.
-        singletons += chain.extend(chain.bscc_lrfs)
-    first = singletons[0]
-    if any(d != first for d in singletons[1:]):
-        return SemanticsFamily("cpti", EMPTY,
-                               notes="cutset semantics disagree")
-    return SemanticsFamily("cpti", UNIQUE, (first,),
+        vecs.append([d.probs for d in chain.extend(chain.bscc_lrfs)])
+    cols = [(k, v) for k, vs in enumerate(vecs) for v in vs]
+    rows = [[ONE if k == 0 else ZERO for k, _ in cols]]
+    for j in range(1, len(vecs)):
+        for a in range(1 << len(g.nodes)):
+            row = [v[a] if k == j else -v[a] if k == 0 else ZERO for k, v in cols]
+            if any(row):        # both mixtures vanish here: 0 = 0
+                rows.append(row)
+    poly = classify_polytope(LinearSystem(rows, [ONE] + [ZERO] * (len(rows) - 1)))
+    if poly.kind == "empty":
+        return SemanticsFamily("cpti", EMPTY, notes="cutset semantics disagree")
+    mu = [sum(w * x for w, x in zip(poly.witness, col)) for col in zip(*vecs[0])]
+    status = UNIQUE if poly.kind == "point" else INFINITE
+    return SemanticsFamily("cpti", status, (JointDistribution(g.nodes, mu),),
                            notes=f"intersection of {len(cutsets)} cutset chains")

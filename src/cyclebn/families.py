@@ -1,4 +1,5 @@
-"""Result families shared by the constraint and cutset-chain semantics."""
+"""Result families shared by the constraint and cutset-chain semantics:
+each is empty, a single distribution, or infinitely many."""
 
 from __future__ import annotations
 
@@ -8,7 +9,6 @@ from .model import JointDistribution, _Value
 EMPTY = "empty"
 UNIQUE = "unique"
 INFINITE = "infinite"
-UNSUPPORTED = "unsupported"
 
 
 class SemanticsFamily(_Value):

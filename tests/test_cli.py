@@ -13,12 +13,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cyclebn
+from conftest import two_cycle
 from cyclebn import chain as chainmod
 from cyclebn.chain import cutset_mc
 from cyclebn.cli import (DocumentError, _bit_keys, _chain_out, _Cutsets,
                          _json_text, _load, _pretty, _vector_out, main,
                          parse_document, serialize_document)
 from cyclebn.model import Gbn, JointDistribution, format_rational
+from cyclebn.oracle import check_cpt_i_member, closed_cut_triples
 
 F = Fraction
 
@@ -178,18 +180,20 @@ def test_semantics_cpti(fig1_path, capsys):
     assert doc["distributions"][0]["probs"] == ["1/10", "3/10", "3/10", "3/10"]
 
 
-def test_semantics_cpti_unsupported_exits_3(tmp_path, capsys):
+def test_semantics_cpti_infinite_on_multi_bscc(tmp_path, capsys):
     # X and Y copy each other: the chain for either cutset has two bottom
-    # components, so the intersection is not computed
-    doc = json.loads(FIG1)
-    doc["cpts"]["X"]["rows"] = doc["cpts"]["Y"]["rows"] = {"0": "0", "1": "1"}
+    # components, and the intersection is every mixture of 00 and 11
+    g = two_cycle(0, 1, 0, 1)
     p = tmp_path / "copy.gbn"
-    p.write_text(json.dumps(doc))
+    p.write_text(serialize_document(g))
     assert main(["--format", "machine", "semantics", str(p),
-                 "--kind", "cpti"]) == 3
+                 "--kind", "cpti"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["status"] == "unsupported"
-    assert "distributions" not in out
+    assert out["status"] == "infinite"
+    [dist] = out["distributions"]
+    mu = JointDistribution(("X", "Y"), [F(x) for x in dist["probs"]])
+    triples = closed_cut_triples(g, ("X",)) + closed_cut_triples(g, ("Y",))
+    assert check_cpt_i_member(mu, g, triples)
 
 
 def test_chain_command(ex52_path, capsys):

@@ -143,7 +143,7 @@ def test_cli_answers_every_input_without_a_traceback(workdir, data):
             code = main(argv)
         except SystemExit as e:          # argparse rejects the arguments
             code = e.code
-    assert code in (0, 1, 2, 3)
+    assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     if argv[:2] == ["--format", "machine"] and out.getvalue():
         # machine output is exactly the ``json.dumps(indent=2)`` layout

@@ -1,21 +1,24 @@
 """Consistency constraint systems and their solution families."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_acyclic_gbn, two_cycle
-from cyclebn.chain import cutset_mc
+from conftest import random_acyclic_gbn, random_cyclic_gbn, two_cycle
+from cyclebn.chain import cutset_mc, extend, stationary_set
 from cyclebn.constraints import (build_cpt_system, build_wcpt_system,
                                  check_consistency, cpt_i_via_cutsets,
                                  is_strongly_consistent, solve_family)
-from cyclebn.families import EMPTY, INFINITE, UNIQUE, UNSUPPORTED
+from cyclebn.families import EMPTY, INFINITE, UNIQUE, SemanticsFamily
+from cyclebn.graph import enumerate_cutsets
 from cyclebn.inference import chain_rule_dist, to_digraph
-from cyclebn.model import Cpt, JointDistribution, make_gbn
-from cyclebn.oracle import (IndependenceTriple, check_cpt_i_member, close,
-                            closed_cut_triples, enumerate_dsep_triples,
-                            is_solution)
+from cyclebn.linalg import LinearSystem
+from cyclebn.model import ONE, ZERO, Cpt, JointDistribution, make_gbn
+from cyclebn.oracle import (IndependenceTriple, check_cpt_i_member,
+                            classify_by_vertices, close, closed_cut_triples,
+                            enumerate_dsep_triples, is_solution)
 
 F = Fraction
 
@@ -152,14 +155,86 @@ def test_cpt_i_via_cutsets_coverage_precondition():
         cpt_i_via_cutsets(g, [("X",), ("X", "Y")])
 
 
-def test_cpt_i_via_cutsets_unsupported_on_multi_bscc():
+def test_cpt_i_via_cutsets_infinite_on_multi_bscc():
     # X and Y copy each other: the chain for {X} keeps each state, so it
-    # has two bottom components and infinitely many stationary vectors
+    # has two bottom components, and so does the chain for {Y}; both
+    # semantics are the mixtures of the all-false and all-true points
     g = two_cycle(0, 1, 0, 1)
     assert len(cutset_mc(g, ("X",)).bsccs) == 2
     fam = cpt_i_via_cutsets(g, [("X",), ("Y",)])
-    assert fam.status == UNSUPPORTED
-    assert not fam.distributions
+    assert fam.status == INFINITE
+    [mu] = fam.distributions
+    assert mu.probs[1] == mu.probs[2] == 0
+    triples = closed_cut_triples(g, ("X",)) + closed_cut_triples(g, ("Y",))
+    assert check_cpt_i_member(mu, g, triples)
+
+
+def _cpti_corpus(seed: int, count: int):
+    """Random cyclic networks with their minimal cutsets that hold no
+    initial node, where those leave every node uncovered by one."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        g = random_cyclic_gbn(rng, max_vars=5, denom=2)
+        cuts = [c for c in enumerate_cutsets(to_digraph(g), minimal_only=True)
+                if not set(c) & g.initial_nodes]
+        if all(any(x not in c for c in cuts) for x in g.nodes):
+            yield g, cuts
+
+
+def _weight_system(g, vecs) -> LinearSystem:
+    """The cpti polytope in mixture weights, one column per extended
+    vector of each cutset: every cutset's weights sum to 1, and each
+    cutset's mixture equals the previous one's at every assignment."""
+    cols = [k for k, vs in enumerate(vecs) for _ in vs]
+    flat = [v.probs for vs in vecs for v in vs]
+    rows = [[ONE if i == k else ZERO for i in cols] for k in range(len(vecs))]
+    rows += [[p[a] if i == k else -p[a] if i == k - 1 else ZERO
+              for i, p in zip(cols, flat)]
+             for k in range(1, len(vecs)) for a in range(1 << len(g.nodes))]
+    return LinearSystem(rows, [ONE] * len(vecs) + [ZERO] * (len(rows) - len(vecs)))
+
+
+def test_cpt_i_lp_matches_old_rule_membership_and_vertices():
+    seen = Counter()
+    for g, cuts in _cpti_corpus(5, 300):
+        fam = cpt_i_via_cutsets(g, cuts)
+        seen[fam.status] += 1
+        vecs = []
+        for cut in cuts:
+            chain = cutset_mc(g, cut)
+            vecs.append([extend(g, cut, d)
+                         for d in stationary_set(chain).distributions])
+        triples = [t for cut in cuts for t in closed_cut_triples(g, cut)]
+
+        def member(weights):
+            mu = [sum(w * v.probs[a] for w, v in zip(weights, vecs[0]))
+                  for a in range(1 << len(g.nodes))]
+            return check_cpt_i_member(JointDistribution(g.nodes, mu), g, triples)
+
+        if fam.status != EMPTY:
+            assert check_cpt_i_member(fam.distributions[0], g, triples)
+        width = sum(map(len, vecs))
+        if width == len(vecs):
+            # the rule before the LP: one point if all chains agree
+            first = vecs[0][0]
+            if all(vs[0] == first for vs in vecs):
+                want = SemanticsFamily("cpti", UNIQUE, (first,),
+                                       f"intersection of {len(cuts)} cutset chains")
+            else:
+                want = SemanticsFamily("cpti", EMPTY, notes="cutset semantics disagree")
+            assert fam == want
+        elif width <= 8:
+            # some chain has several bottom components: the vertex oracle
+            kind, vertices = classify_by_vertices(_weight_system(g, vecs))
+            assert {"empty": EMPTY, "point": UNIQUE}.get(kind, INFINITE) == fam.status
+            seen["vertex-checked"] += 1
+            if kind == "infinite":
+                for v in vertices:
+                    assert member(v)
+                v1, v2 = sorted(vertices)[:2]
+                assert member([(x + y) / 2 for x, y in zip(v1, v2)])
+    # the draw holds every status and reaches the vertex oracle
+    assert min(seen[s] for s in (EMPTY, UNIQUE, INFINITE, "vertex-checked")) > 0, seen
 
 
 def test_closed_cut_triples_bounded():
