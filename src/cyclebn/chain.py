@@ -1,6 +1,8 @@
 """Cutset machinery: dissection, one-step unfolding, the cutset Markov
 chain, and the Markov-chain (also limit-average), limit and stationary
-semantics."""
+semantics.  Starts, bottom-component and long-run frequencies are each
+a :class:`JointDistribution` over the cutset: one over other variables
+is a ``ValueError``."""
 
 from __future__ import annotations
 
@@ -14,8 +16,6 @@ from .inference import chain_rule_dist, to_digraph
 from .linalg import null_space_left, solve_affine
 from .model import (CapacityError, Cpt, Gbn, InternalError,
                     JointDistribution, _Value, scaled)
-
-ZERO = Fraction(0)
 
 #: Cutset chains are capped at 2**16 states.
 MAX_CUTSET_SIZE = 16
@@ -44,18 +44,19 @@ def _check_cutset(g: Gbn, cut) -> tuple[str, ...]:
     return cut
 
 
-def _check_start(g: Gbn, cut, gamma: JointDistribution) -> tuple[str, ...]:
-    cut = _check_cutset(g, cut)
-    if tuple(gamma.variables) != cut:
-        raise ValueError(f"gamma covers {gamma.variables}, cutset is {cut}")
-    return cut
+def _check_cover(cut: tuple[str, ...], gamma: JointDistribution) -> JointDistribution:
+    """``gamma``, once it is checked to be over exactly the cutset ``cut``."""
+    if gamma.variables != cut:
+        raise ValueError(f"start covers {list(gamma.variables)}, cutset is {list(cut)}")
+    return gamma
 
 
 def dissect(g: Gbn, cut, gamma: JointDistribution) -> Gbn:
     """Acyclic copy of ``g`` where each cut node gets a primed duplicate
     receiving its incoming edges, and the cut nodes become initial with
     distribution ``gamma``."""
-    cut = _check_start(g, cut, gamma)
+    cut = _check_cutset(g, cut)
+    _check_cover(cut, gamma)
     if not cut:
         return g
     clashes = set(c + PRIME for c in cut) & set(g.nodes)
@@ -207,11 +208,11 @@ def _forward_eliminate(g: Gbn, cut: tuple[str, ...], rows: bool,
 
 def extend(g: Gbn, cut, gamma: JointDistribution) -> JointDistribution:
     """Full joint distribution over the original variables recovered from
-    a cutset distribution."""
-    cut = _check_start(g, cut, gamma)
+    a distribution over the cutset."""
+    cut = _check_cutset(g, cut)
     g._require_valid()
     # extension reads only the network and the cutset of a chain
-    return CutsetChain._of_rows(g, cut, (), ()).extend([gamma.probs])[0]
+    return CutsetChain._of_rows(g, cut, (), ()).extend([gamma])[0]
 
 
 class CutsetChain:
@@ -224,12 +225,16 @@ class CutsetChain:
     smallest state), their periods and both solves read these integers;
     the ``Fraction`` ``matrix`` is built only when it is read.  A chain
     from :func:`cutset_mc` keeps the ``network`` it extends into, and
-    ``CutsetChain(cutset, matrix)`` one from ``Fraction`` rows has none.
+    ``CutsetChain(cutset, matrix)`` one from ``Fraction`` rows, one per
+    assignment of the cutset, has none.
     """
 
     def __init__(self, cutset, matrix):
-        self.network, self.cutset = None, tuple(cutset)
-        self.rows, self.dens = zip(*map(scaled, matrix)) if matrix else ((), ())
+        self.network, self.cutset = None, tuple(sorted(cutset))
+        if len(matrix) != 1 << len(self.cutset):
+            raise ValueError(f"a chain over {len(self.cutset)} cut nodes "
+                             f"needs {1 << len(self.cutset)} rows")
+        self.rows, self.dens = zip(*map(scaled, matrix))
 
     @classmethod
     def _of_rows(cls, g, cutset, rows, dens) -> CutsetChain:
@@ -239,15 +244,15 @@ class CutsetChain:
 
     def extend(self, gammas) -> tuple[JointDistribution, ...]:
         """Full joints over the network's variables recovered from the
-        cutset distributions ``gammas``, each in canonical order, all in
-        one elimination and in the order given."""
-        g = self.network
+        distributions ``gammas`` over the cutset, all in one elimination
+        and in the order given."""
+        g, cut = self.network, self.cutset
         if g is None:
             raise ValueError("a chain built from a matrix has no network to extend into")
-        starts = [({i: p for i, p in enumerate(nums) if p}, den)
-                  for nums, den in map(scaled, gammas)]
+        starts = [({i: p for i, p in enumerate(_check_cover(cut, d).nums) if p}, d.den)
+                  for d in gammas]
         out = []
-        for table, den in _forward_eliminate(g, self.cutset, False, starts):
+        for table, den in _forward_eliminate(g, cut, False, starts):
             nums = [0] * (1 << len(g.nodes))
             for key, p in table.items():
                 nums[key] = p
@@ -303,8 +308,9 @@ class CutsetChain:
         return tuple(out)
 
     @cached_property
-    def bscc_lrfs(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Long-run frequency vector of each BSCC, padded with zeros."""
+    def bscc_lrfs(self) -> tuple[JointDistribution, ...]:
+        """Long-run frequency of each BSCC, a distribution over the
+        cutset that is zero off the component."""
         out = []
         for comp in self.bsccs:
             nodes = sorted(comp)
@@ -313,10 +319,11 @@ class CutsetChain:
             if pi is None:
                 raise InternalError(
                     "irreducible chain must have a unique stationary vector")
-            vec = [ZERO] * self.num_states
-            for u, x in zip(nodes, pi):
-                vec[u] = x
-            out.append(tuple(vec))
+            nums, den = scaled(pi)
+            vec = [0] * self.num_states
+            for u, p in zip(nodes, nums):
+                vec[u] = p
+            out.append(JointDistribution._of_table(self.cutset, vec, den))
         return tuple(out)
 
 
@@ -342,66 +349,62 @@ def cutset_mc(g: Gbn, cut) -> CutsetChain:
 
 
 def reach_probs(chain: CutsetChain,
-                gamma0: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    """Exact probability of getting absorbed in each BSCC from ``gamma0``:
-    its starting mass plus the flow y P into it, where one left solve
-    y (I - P_TT) = gamma0_T gives the expected visits y to transient
-    states.  It is solved in z_s = y_s / dens[s], whose coefficients
-    ``dens[s]*[s == t] - rows[s][t]`` are integers."""
+                gamma0: JointDistribution) -> tuple[Fraction, ...]:
+    """Exact probability of getting absorbed in each BSCC from the start
+    ``gamma0`` over the cutset: its starting mass plus the flow y P into
+    it, where one left solve y (I - P_TT) = gamma0_T gives the expected
+    visits y to transient states.  It is solved in z_s = y_s / dens[s],
+    whose coefficients ``dens[s]*[s == t] - rows[s][t]`` are integers,
+    for the start's numerators, so each mass is over its denominator."""
+    start = _check_cover(chain.cutset, gamma0).nums
     recurrent = set().union(*chain.bsccs)
     transient = [s for s in range(chain.num_states) if s not in recurrent]
     rows, dens = chain.rows, chain.dens
     system = [[dens[s] - rows[s][t] if s == t else -rows[s][t]
                for s in transient] for t in transient]
-    visits = solve_affine(system, [gamma0[t] for t in transient])
+    visits = solve_affine(system, [start[t] for t in transient])
     if visits is None:
         raise InternalError("absorption system must have a unique solution")
-    mass = list(gamma0)
+    mass = list(start)
     for s, z in zip(transient, visits):
         for c in chain._successors[s]:
             mass[c] += z * rows[s][c]
-    out = tuple(sum(mass[c] for c in comp) for comp in chain.bsccs)
+    out = tuple(Fraction(sum(mass[c] for c in comp), gamma0.den)
+                for comp in chain.bsccs)
     if sum(out) != 1:
         raise InternalError(f"absorption probabilities sum to {sum(out)}, not 1")
     return out
 
 
 def long_run_frequency(chain: CutsetChain,
-                       gamma0: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    """Reach-probability-weighted combination of the BSCC frequencies;
-    each frequency vector is zero off its own component."""
-    out = [ZERO] * chain.num_states
-    for weight, comp, lrf in zip(reach_probs(chain, gamma0), chain.bsccs,
-                                 chain.bscc_lrfs):
-        if weight:
-            for s in comp:
-                out[s] = weight * lrf[s]
-    return tuple(out)
+                       gamma0: JointDistribution) -> JointDistribution:
+    """Long-run frequency over the cutset from the start ``gamma0``: the
+    reach-probability-weighted combination of the BSCC frequencies, each
+    zero off its own component, summed over one common denominator."""
+    terms = [(w, comp, lrf) for w, comp, lrf in
+             zip(reach_probs(chain, gamma0), chain.bsccs, chain.bscc_lrfs) if w]
+    den = math.lcm(*(w.denominator * lrf.den for w, _, lrf in terms))
+    nums = [0] * chain.num_states
+    for w, comp, lrf in terms:
+        f = w.numerator * (den // (w.denominator * lrf.den))
+        for s in comp:
+            nums[s] = f * lrf.nums[s]
+    return JointDistribution._of_table(chain.cutset, nums, den)
 
 
 def stationary_set(chain: CutsetChain) -> SemanticsFamily:
     """Stationary distributions of the chain: the convex hull of the
-    per-BSCC frequency vectors; a singleton iff there is one BSCC."""
-    extremes = tuple(JointDistribution(chain.cutset, lrf)
-                     for lrf in chain.bscc_lrfs)
-    status = UNIQUE if len(extremes) == 1 else INFINITE
-    return SemanticsFamily("mc", status, extremes)
-
-
-def _started_chain(g: Gbn, cut, gamma0: JointDistribution) -> CutsetChain:
-    """:func:`cutset_mc`, once ``gamma0`` is checked to cover the cutset."""
-    chain = cutset_mc(g, cut)
-    if tuple(gamma0.variables) != chain.cutset:
-        raise ValueError("gamma0 must cover exactly the cutset")
-    return chain
+    per-BSCC frequencies; a singleton iff there is one BSCC."""
+    status = UNIQUE if len(chain.bsccs) == 1 else INFINITE
+    return SemanticsFamily("mc", status, chain.bscc_lrfs)
 
 
 def mcs(g: Gbn, cut, gamma0: JointDistribution) -> JointDistribution:
     """Markov chain semantics: extend the long-run frequency of the
     cutset chain started from ``gamma0``.  It is also the limit-average
     semantics, the extension of the Cesaro limit of the cutset sequence."""
-    chain = _started_chain(g, cut, gamma0)
-    return chain.extend([long_run_frequency(chain, gamma0.probs)])[0]
+    chain = cutset_mc(g, cut)
+    return chain.extend([long_run_frequency(chain, gamma0)])[0]
 
 
 class LimStatus(_Value):
@@ -430,12 +433,12 @@ def lim(g: Gbn, cut, gamma0: JointDistribution) -> LimStatus:
     transient mass that gives each cyclic class of a periodic BSCC the
     same mass also converges, yet is reported undefined with that period.
     """
-    chain = _started_chain(g, cut, gamma0)
-    freq = long_run_frequency(chain, gamma0.probs)
+    chain = cutset_mc(g, cut)
+    freq = long_run_frequency(chain, gamma0)
     # f is positive on every state of a component that gamma0 reaches
     offending = tuple(p for p, comp in zip(chain.periods, chain.bsccs)
-                      if freq[min(comp)] > 0 and p > 1)
-    if offending and freq != gamma0.probs:
+                      if freq.nums[min(comp)] and p > 1)
+    if offending and freq != gamma0:
         return LimStatus(None, offending)
     return LimStatus(chain.extend([freq])[0])
 

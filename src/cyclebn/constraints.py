@@ -117,7 +117,9 @@ def cpt_i_via_cutsets(g: Gbn, cutsets: Sequence[Iterable[str]]) -> SemanticsFami
     one's at every assignment, which makes its weights sum to 1 too.
     The vectors of one cutset have disjoint supports, so a point in the
     weights is a point in mu: the witness's first weights mixed over the
-    first cutset's vectors.
+    first cutset's vectors.  A vector's column holds its integer
+    numerators, and its entry in the sum row its denominator, so the LP
+    variable of a vector is its weight over that denominator.
     """
     cutsets = [tuple(sorted(c)) for c in cutsets]
     if not all(any(x not in set(c) for c in cutsets) for x in g.nodes):
@@ -125,18 +127,19 @@ def cpt_i_via_cutsets(g: Gbn, cutsets: Sequence[Iterable[str]]) -> SemanticsFami
     vecs = []
     for cut in cutsets:
         chain = cutset_mc(g, cut)
-        vecs.append([d.probs for d in chain.extend(chain.bscc_lrfs)])
-    cols = [(k, v) for k, vs in enumerate(vecs) for v in vs]
-    rows = [[ONE if k == 0 else ZERO for k, _ in cols]]
+        vecs.append(chain.extend(chain.bscc_lrfs))
+    cols = [(k, d.nums, d.den) for k, ds in enumerate(vecs) for d in ds]
+    rows = [[den if k == 0 else 0 for k, _, den in cols]]
     for j in range(1, len(vecs)):
         for a in range(1 << len(g.nodes)):
-            row = [v[a] if k == j else -v[a] if k == 0 else ZERO for k, v in cols]
+            row = [v[a] if k == j else -v[a] if k == 0 else 0 for k, v, _ in cols]
             if any(row):        # both mixtures vanish here: 0 = 0
                 rows.append(row)
-    poly = classify_polytope(LinearSystem(rows, [ONE] + [ZERO] * (len(rows) - 1)))
+    poly = classify_polytope(LinearSystem(rows, [1] + [0] * (len(rows) - 1)))
     if poly.kind == "empty":
         return SemanticsFamily("cpti", EMPTY, notes="cutset semantics disagree")
-    mu = [sum(w * x for w, x in zip(poly.witness, col)) for col in zip(*vecs[0])]
+    mu = [sum(w * x for w, x in zip(poly.witness, col))
+          for col in zip(*(d.nums for d in vecs[0]))]
     status = UNIQUE if poly.kind == "point" else INFINITE
     return SemanticsFamily("cpti", status, (JointDistribution(g.nodes, mu),),
                            notes=f"intersection of {len(cutsets)} cutset chains")

@@ -120,27 +120,26 @@ def strong_components(succ: Sequence[Sequence[int]]
 
 
 def is_acyclic(g: DiGraph) -> bool:
-    """Kahn's test: every node is removed by repeatedly removing nodes
-    with no in-edge left, a self-loop counting as one."""
-    indegree = {v: len(g.predecessors(v)) for v in g.nodes}
-    ready = [v for v, k in indegree.items() if not k]
-    for v in ready:                     # grows as nodes are removed
-        for w in g.successors(v):
-            indegree[w] -= 1
-            if not indegree[w]:
-                ready.append(w)
-    return len(ready) == len(g.nodes)
+    """Kahn's test, as :func:`is_cutset` with an empty cut."""
+    return is_cutset(g, ())
 
 
-def is_cutset(g: DiGraph, cut: Iterable[str]) -> bool:
-    """True iff removing the cut nodes leaves an acyclic graph."""
+def is_cutset(g: DiGraph, cut: Iterable[Hashable]) -> bool:
+    """True iff removing the cut nodes leaves an acyclic graph.  Kahn's
+    test on the rest, read off ``g``: every node outside the cut is
+    removed by repeatedly removing nodes with no in-edge left from
+    outside it, a self-loop counting as one."""
     cut = set(cut)
     if not cut <= set(g.nodes):
         raise ValueError("cutset contains unknown nodes")
-    rest = tuple(v for v in g.nodes if v not in cut)
-    sub = DiGraph(rest, frozenset((u, v) for (u, v) in g.edges
-                                  if u not in cut and v not in cut))
-    return is_acyclic(sub)
+    indegree = {v: len(g.predecessors(v) - cut) for v in g.nodes if v not in cut}
+    ready = [v for v, k in indegree.items() if not k]
+    for v in ready:                     # grows as nodes are removed
+        for w in g.successors(v) - cut:
+            indegree[w] -= 1
+            if not indegree[w]:
+                ready.append(w)
+    return len(ready) == len(indegree)
 
 
 def _containing(bits: int, n: int) -> int:

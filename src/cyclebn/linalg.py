@@ -48,17 +48,13 @@ Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 
 
-def _vec(xs) -> Vector:
-    return tuple(x if type(x) is Fraction else Fraction(x) for x in xs)
-
-
 class LinearSystem(_Value):
-    """``A x = b``."""
+    """``A x = b``, its entries ints or ``Fraction``s, stored as given."""
 
     _fields = ("matrix", "rhs")
 
     def __init__(self, matrix, rhs) -> None:
-        matrix, rhs = tuple(_vec(r) for r in matrix), _vec(rhs)
+        matrix, rhs = tuple(map(tuple, matrix)), tuple(rhs)
         if len(matrix) != len(rhs):
             raise ValueError("matrix and rhs have different row counts")
         widths = {len(r) for r in matrix}
@@ -159,10 +155,9 @@ def simplex_maximize(a_eq: Sequence[Sequence[Fraction]],
     basis = list(basis)
     # Phase 2: minimize -objective, in the scaled variables and times the
     # lcm of the denominators, over the shared denominator d.
-    c = _vec(objective)
-    lcm = math.lcm(*(x.denominator for x in c))
+    lcm = math.lcm(*(x.denominator for x in objective))
     zrow = [-d * s * x.numerator * (lcm // x.denominator)
-            for x, s in zip(c, scale)] + [0]
+            for x, s in zip(objective, scale)] + [0]
     for row, bi in zip(rows, basis):
         f = zrow[bi] // d
         if f:
@@ -172,7 +167,7 @@ def simplex_maximize(a_eq: Sequence[Sequence[Fraction]],
     if d is None:
         return "unbounded", None, None
     x = _vertex(tab, basis, d, scale, n)
-    return "optimal", sum(ci * xi for ci, xi in zip(c, x)), x
+    return "optimal", sum(ci * xi for ci, xi in zip(objective, x)), x
 
 
 def _pivot_to_optimum(tab, basis, n_cols, d):

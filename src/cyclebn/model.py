@@ -81,10 +81,6 @@ def _check_capacity(variables: Iterable[str]) -> tuple[str, ...]:
     return vs
 
 
-#: Plain "p" or "p/q" in ASCII digits, read without ``Fraction``'s parser.
-_PLAIN_RATIONAL = re.compile(r"([0-9]+)(?:/([0-9]+))?")
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or a decimal literal into an exact fraction."""
     if not isinstance(text, str):
@@ -94,10 +90,7 @@ def parse_rational(text: str) -> Fraction:
     limit = exponent and getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and abs(int(exponent[1])) > limit:
         raise ValueError(f"decimal exponent in {text!r} exceeds {limit} digits")
-    plain = _PLAIN_RATIONAL.fullmatch(text)
     try:
-        if plain:
-            return Fraction(int(plain[1]), int(plain[2] or 1))
         return Fraction(text.strip())
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None

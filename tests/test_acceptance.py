@@ -82,7 +82,7 @@ def test_criterion_3_stationary_distribution():
         g = two_cycle("1/4", "1", "1/2", "0")
         mc = cutset_mc(g, ("X", "Y"))
         assert len(mc.bsccs) == 1
-        pi = mc.bscc_lrfs[0]
+        pi = mc.bscc_lrfs[0].probs
         assert mc.step(pi) == pi
         expected = {"00": F(48, 121), "01": F(18, 121),
                     "10": F(40, 121), "11": F(15, 121)}
@@ -175,8 +175,9 @@ def test_criterion_7_stationarity_and_power_iteration():
             for extreme in stationary_set(mc).distributions:
                 stepped = next_dist(g, cut, extreme).restrict(cut)
                 assert stepped.probs == extreme.probs
-            gamma0 = tuple(rand_joint(rng, cut).probs)
-            target = long_run_frequency(mc, gamma0)
+            start = rand_joint(rng, cut)
+            gamma0 = start.probs
+            target = long_run_frequency(mc, start).probs
             approx = power_iteration(mc, gamma0, 10000)
             assert total_variation(approx, target) <= F(1, 100)
 

@@ -131,14 +131,14 @@ def test_chain_step_and_stationary():
     assert mc.step((F(1), F(0), F(0), F(0))) != (F(1), F(0), F(0), F(0))
     assert mc.bsccs == (frozenset({0, 1, 2, 3}),)
     assert mc.periods == (1,)
-    assert mc.bscc_lrfs == (pi,)
+    assert mc.bscc_lrfs == (JointDistribution(("X", "Y"), pi),)
 
 
 def test_periodic_chain():
     mc = cutset_mc(two_cycle(*PERIODIC), ("X", "Y"))
     assert mc.bsccs == (frozenset({0, 1, 2, 3}),)
     assert mc.periods == (4,)
-    assert mc.bscc_lrfs == ((F(1, 4),) * 4,)
+    assert mc.bscc_lrfs == (JointDistribution(("X", "Y"), (F(1, 4),) * 4),)
 
 
 def test_multi_bscc_reach_probs():
@@ -148,7 +148,7 @@ def test_multi_bscc_reach_probs():
               (F(1, 3), F(2, 3), F(0), F(0)),
               (F(0), F(0), F(0), F(1)))
     mc = CutsetChain(("A", "B"), matrix)
-    lam = reach_probs(mc, (F(0), F(0), F(1), F(0)))
+    lam = reach_probs(mc, JointDistribution(("A", "B"), (F(0), F(0), F(1), F(0))))
     assert len(mc.bsccs) == 3
     assert sorted(lam) == [F(0), F(1, 3), F(2, 3)]
     by_comp = dict(zip(mc.bsccs, lam))
@@ -163,8 +163,8 @@ def test_long_run_frequency_weighted():
               (F(1, 3), F(2, 3), F(0), F(0)),
               (F(0), F(0), F(0), F(1)))
     mc = CutsetChain(("A", "B"), matrix)
-    lrf = long_run_frequency(mc, (F(0), F(0), F(1), F(0)))
-    assert lrf == (F(1, 3), F(2, 3), F(0), F(0))
+    lrf = long_run_frequency(mc, JointDistribution(("A", "B"), (F(0), F(0), F(1), F(0))))
+    assert lrf.probs == (F(1, 3), F(2, 3), F(0), F(0))
 
 
 def test_stationary_set_unique_vs_infinite():
@@ -204,9 +204,8 @@ def test_chain_extends_every_start_in_one_call_in_order():
         g = random_cyclic_gbn(rng, max_vars=4, denom=1)
         cut = random_cutset(rng, g, max_size=3)
         mc = cutset_mc(g, cut)
-        starts = [*mc.bscc_lrfs, rand_joint(rng, cut).probs]
-        assert list(mc.extend(starts)) == \
-            [extend(g, cut, JointDistribution(cut, s)) for s in starts]
+        starts = [*mc.bscc_lrfs, rand_joint(rng, cut)]
+        assert list(mc.extend(starts)) == [extend(g, cut, s) for s in starts]
         multi += len(mc.bsccs) > 1
     assert multi >= 10
 
@@ -217,12 +216,26 @@ def test_chain_from_a_matrix_has_no_network_to_extend():
         mc.extend(mc.bscc_lrfs)
 
 
+def test_chain_from_a_matrix_has_one_row_per_cutset_assignment():
+    rows = ((F(1), F(0)), (F(0), F(1)))
+    assert CutsetChain(("B", "A"), rows * 2).cutset == ("A", "B")
+    with pytest.raises(ValueError, match="needs 4 rows"):
+        CutsetChain(("A", "B"), rows)
+
+
 def test_mcs_gamma0_domain_check():
-    g = two_cycle(*EX52)
-    with pytest.raises(ValueError):
-        mcs(g, ("X", "Y"), JointDistribution.uniform(("X",)))
-    with pytest.raises(ValueError):
-        lim(g, ("X", "Y"), JointDistribution.uniform(("X",)))
+    """A start over a subset or a superset of the cutset is not read as
+    a table over the cutset by any route that takes one."""
+    g, cut = two_cycle(*EX52), ("X", "Y")
+    mc = cutset_mc(g, cut)
+    for wrong in (JointDistribution.uniform(("X",)),
+                  JointDistribution.uniform(("X", "Y", "Z"))):
+        for call in (lambda: mc.extend([mc.bscc_lrfs[0], wrong]),
+                     lambda: reach_probs(mc, wrong),
+                     lambda: long_run_frequency(mc, wrong),
+                     lambda: mcs(g, cut, wrong), lambda: lim(g, cut, wrong)):
+            with pytest.raises(ValueError, match=r"cutset is \['X', 'Y'\]"):
+                call()
 
 
 def test_lim_aperiodic_defined():
@@ -336,7 +349,8 @@ def test_bscc_lrfs_of_a_smooth_64_state_chain_match_state_reduction():
     g = dense_cyclic_gbn(random.Random(64), 6)
     mc = cutset_mc(g, g.nodes)
     assert mc.num_states == 64 and len(mc.bsccs) == 1
-    assert mc.bscc_lrfs == (stationary_by_state_reduction(mc.matrix),)
+    assert mc.bscc_lrfs == (
+        JointDistribution(mc.cutset, stationary_by_state_reduction(mc.matrix)),)
 
 
 COPRIME = (2, 3, 5, 7, 8, 10**6 + 3)
@@ -471,7 +485,9 @@ def _random_chain(rng):
     """Random sparse chain on 1-12 states: closed classes whose cyclic
     classes (1-4 of them) are visited in turn around one spanning cycle,
     transient states each with an edge to a lower state, and the states
-    relabelled at random."""
+    relabelled at random.  Returned with that number of states, n, and
+    padded to a chain over a cutset by states n, n+1, ... that step to
+    state 0 and that no state steps to."""
     succ = []
     while not succ or (len(succ) <= 4 and rng.random() < 0.6):
         d = rng.randint(1, 4)
@@ -493,7 +509,10 @@ def _random_chain(rng):
         weights = {t: rng.randint(1, 4) for t in nxt}
         for t, w in weights.items():
             matrix[perm[s]][perm[t]] = F(w, sum(weights.values()))
-    return CutsetChain((), tuple(map(tuple, matrix)))
+    k = (n - 1).bit_length()
+    matrix = [row + [F(0)] * ((1 << k) - n) for row in matrix]
+    matrix += [[F(int(t == 0)) for t in range(1 << k)] for _ in range((1 << k) - n)]
+    return CutsetChain(tuple("ABCD"[:k]), tuple(map(tuple, matrix))), n
 
 
 def _random_start(rng, n):
@@ -506,21 +525,23 @@ def test_chain_analysis_matches_literal_definitions():
     rng = random.Random(2024)
     periods, multi, transient = set(), 0, 0
     for i in range(150):
-        mc = _random_chain(rng) if i else CutsetChain((), ((F(1),),))
+        mc, n = _random_chain(rng) if i else (CutsetChain((), ((F(1),),)), 1)
         comps = _closed_sccs(mc.matrix)
         assert list(mc.bsccs) == comps
         assert list(mc.periods) == [_period(mc.matrix, c) for c in comps]
-        gamma0 = _random_start(rng, mc.num_states)
-        assert list(reach_probs(mc, gamma0)) == \
+        gamma0 = _random_start(rng, n) + (F(0),) * (mc.num_states - n)
+        start = JointDistribution(mc.cutset, gamma0)
+        assert list(reach_probs(mc, start)) == \
             _absorption(mc.matrix, comps, gamma0)
-        lrf = long_run_frequency(mc, gamma0)
-        assert (lrf == gamma0) == (mc.step(gamma0) == gamma0)
+        lrf = long_run_frequency(mc, start)
+        assert (lrf == start) == (mc.step(gamma0) == gamma0)
         lam = [F(rng.randint(0, 3)) for _ in comps]
         lam[0] += 1
-        mix = tuple(sum(w * v[s] for w, v in zip(lam, mc.bscc_lrfs)) / sum(lam)
+        mix = tuple(sum(w * v.probs[s] for w, v in zip(lam, mc.bscc_lrfs)) / sum(lam)
                     for s in range(mc.num_states))
-        assert mc.step(mix) == mix and long_run_frequency(mc, mix) == mix
+        stationary = JointDistribution(mc.cutset, mix)
+        assert mc.step(mix) == mix and long_run_frequency(mc, stationary) == stationary
         periods |= set(mc.periods)
         multi += len(comps) > 1
-        transient += mc.num_states > len(set().union(*comps))
+        transient += n > len(set().union(*comps))
     assert {1, 2, 3, 4} <= periods and multi > 20 and transient > 20

@@ -300,7 +300,7 @@ def test_bscc_lrfs_match_state_reduction():
             pi = stationary_by_state_reduction(
                 [[chain.matrix[u][v] for v in nodes] for u in nodes])
             expect = dict(zip(nodes, pi))
-            assert lrf == tuple(expect.get(s, F(0)) for s in range(n))
+            assert lrf.probs == tuple(expect.get(s, F(0)) for s in range(n))
 
 
 # --- Bland's pivot sequence, pinned ----------------------------------------

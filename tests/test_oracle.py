@@ -132,8 +132,9 @@ def test_power_iteration_matches_direct_sum():
 
 def test_power_iteration_converges_to_lrf():
     mc = cutset_mc(two_cycle(*EX52), ("X", "Y"))
-    gamma0 = tuple(JointDistribution.uniform(("X", "Y")).probs)
-    target = long_run_frequency(mc, gamma0)
+    start = JointDistribution.uniform(("X", "Y"))
+    gamma0 = start.probs
+    target = long_run_frequency(mc, start).probs
     dists = [total_variation(power_iteration(mc, gamma0, n), target)
              for n in (100, 1000, 10000)]
     assert dists[0] > dists[1] > dists[2]
