@@ -13,7 +13,7 @@ first use of one of them.
 
 from .chain import (CutsetChain, LimStatus, NotACutsetError, cutset_mc,
                     dissect, extend, is_smooth, lim, long_run_frequency,
-                    mcs, next_dist, reach_probs, stationary_set)
+                    mcs, next_dist, reach_probs)
 from .constraints import (build_cpt_system, build_wcpt_system,
                           check_consistency, cpt_i_via_cutsets,
                           is_strongly_consistent, solve_family)

@@ -1,8 +1,9 @@
 """Cutset machinery: dissection, one-step unfolding, the cutset Markov
-chain, and the Markov-chain (also limit-average), limit and stationary
-semantics.  Starts, bottom-component and long-run frequencies are each
-a :class:`JointDistribution` over the cutset: one over other variables
-is a ``ValueError``."""
+chain, and the Markov-chain (also limit-average) and limit semantics.
+Starts, bottom-component and long-run frequencies are each a
+:class:`JointDistribution` over the cutset, the last two built from the
+integers of the chain's solves; one over other variables is a
+``ValueError``."""
 
 from __future__ import annotations
 
@@ -11,7 +12,6 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import graph as graphmod
-from .families import INFINITE, UNIQUE, SemanticsFamily
 from .inference import chain_rule_dist, to_digraph
 from .linalg import null_space_left, solve_affine
 from .model import (CapacityError, Cpt, Gbn, InternalError,
@@ -319,11 +319,10 @@ class CutsetChain:
             if pi is None:
                 raise InternalError(
                     "irreducible chain must have a unique stationary vector")
-            nums, den = scaled(pi)
             vec = [0] * self.num_states
-            for u, p in zip(nodes, nums):
+            for u, p in zip(nodes, pi[0]):
                 vec[u] = p
-            out.append(JointDistribution._of_table(self.cutset, vec, den))
+            out.append(JointDistribution._of_table(self.cutset, vec, pi[1]))
         return tuple(out)
 
 
@@ -349,31 +348,33 @@ def cutset_mc(g: Gbn, cut) -> CutsetChain:
 
 
 def reach_probs(chain: CutsetChain,
-                gamma0: JointDistribution) -> tuple[Fraction, ...]:
+                gamma0: JointDistribution) -> tuple[tuple[int, ...], int]:
     """Exact probability of getting absorbed in each BSCC from the start
-    ``gamma0`` over the cutset: its starting mass plus the flow y P into
-    it, where one left solve y (I - P_TT) = gamma0_T gives the expected
-    visits y to transient states.  It is solved in z_s = y_s / dens[s],
-    whose coefficients ``dens[s]*[s == t] - rows[s][t]`` are integers,
-    for the start's numerators, so each mass is over its denominator."""
+    ``gamma0`` over the cutset, ``(masses, den)``: its starting mass plus
+    the flow y P into it, where one left solve y (I - P_TT) = gamma0_T
+    gives the expected visits y to transient states.  It is solved in
+    z_s = y_s / dens[s], whose coefficients ``dens[s]*[s == t] -
+    rows[s][t]`` are integers, for the start's numerators: z = visits / d,
+    so each mass is an integer over ``den = gamma0.den * d``."""
     start = _check_cover(chain.cutset, gamma0).nums
     recurrent = set().union(*chain.bsccs)
     transient = [s for s in range(chain.num_states) if s not in recurrent]
     rows, dens = chain.rows, chain.dens
     system = [[dens[s] - rows[s][t] if s == t else -rows[s][t]
-               for s in transient] for t in transient]
-    visits = solve_affine(system, [start[t] for t in transient])
-    if visits is None:
+               for s in transient] + [start[t]] for t in transient]
+    solved = solve_affine(system, len(transient))
+    if solved is None:
         raise InternalError("absorption system must have a unique solution")
-    mass = list(start)
+    visits, d = solved
+    mass = [d * p for p in start]
     for s, z in zip(transient, visits):
         for c in chain._successors[s]:
             mass[c] += z * rows[s][c]
-    out = tuple(Fraction(sum(mass[c] for c in comp), gamma0.den)
-                for comp in chain.bsccs)
-    if sum(out) != 1:
-        raise InternalError(f"absorption probabilities sum to {sum(out)}, not 1")
-    return out
+    out = tuple(sum(mass[c] for c in comp) for comp in chain.bsccs)
+    den = gamma0.den * d
+    if sum(out) != den:
+        raise InternalError(f"absorption probabilities sum to {sum(out)}/{den}, not 1")
+    return out, den
 
 
 def long_run_frequency(chain: CutsetChain,
@@ -381,22 +382,16 @@ def long_run_frequency(chain: CutsetChain,
     """Long-run frequency over the cutset from the start ``gamma0``: the
     reach-probability-weighted combination of the BSCC frequencies, each
     zero off its own component, summed over one common denominator."""
+    masses, rden = reach_probs(chain, gamma0)
     terms = [(w, comp, lrf) for w, comp, lrf in
-             zip(reach_probs(chain, gamma0), chain.bsccs, chain.bscc_lrfs) if w]
-    den = math.lcm(*(w.denominator * lrf.den for w, _, lrf in terms))
+             zip(masses, chain.bsccs, chain.bscc_lrfs) if w]
+    den = rden * math.lcm(*(lrf.den for _, _, lrf in terms))
     nums = [0] * chain.num_states
     for w, comp, lrf in terms:
-        f = w.numerator * (den // (w.denominator * lrf.den))
+        f = w * (den // (rden * lrf.den))
         for s in comp:
             nums[s] = f * lrf.nums[s]
     return JointDistribution._of_table(chain.cutset, nums, den)
-
-
-def stationary_set(chain: CutsetChain) -> SemanticsFamily:
-    """Stationary distributions of the chain: the convex hull of the
-    per-BSCC frequencies; a singleton iff there is one BSCC."""
-    status = UNIQUE if len(chain.bsccs) == 1 else INFINITE
-    return SemanticsFamily("mc", status, chain.bscc_lrfs)
 
 
 def mcs(g: Gbn, cut, gamma0: JointDistribution) -> JointDistribution:

@@ -10,7 +10,7 @@ from collections.abc import Iterable, Sequence
 from .chain import cutset_mc
 from .families import EMPTY, INFINITE, UNIQUE, SemanticsFamily
 from .linalg import LinearSystem, classify_polytope
-from .model import ONE, ZERO, Gbn, JointDistribution, sub_indices
+from .model import ONE, ZERO, Gbn, InternalError, JointDistribution, sub_indices
 
 
 def _weak_rows(g: Gbn):
@@ -55,6 +55,14 @@ def build_wcpt_system(g: Gbn) -> LinearSystem:
     return _pinned(g, [row for _, _, row in _weak_rows(g)])
 
 
+def _witness(g: Gbn, nums, den: int) -> JointDistribution:
+    """The distribution ``nums / den`` over the nodes of ``g`` of an LP
+    witness, once its numerators are checked to be nonnegative and sum to den."""
+    if min(nums) < 0 or sum(nums) != den:
+        raise InternalError(f"LP witness {list(nums)} / {den} is not a distribution")
+    return JointDistribution._of_table(g.nodes, nums, den)
+
+
 def solve_family(g: Gbn, kind: str) -> SemanticsFamily:
     """Classify the strong ("cpt") or weak ("wcpt") consistency family."""
     if kind == "cpt":
@@ -66,9 +74,8 @@ def solve_family(g: Gbn, kind: str) -> SemanticsFamily:
     poly = classify_polytope(system)
     if poly.kind == "empty":
         return SemanticsFamily(kind, EMPTY)
-    dist = JointDistribution(g.nodes, poly.witness)
     status = UNIQUE if poly.kind == "point" else INFINITE
-    return SemanticsFamily(kind, status, (dist,))
+    return SemanticsFamily(kind, status, (_witness(g, *poly.witness),))
 
 
 def check_consistency(mu: JointDistribution, g: Gbn, x: str,
@@ -119,7 +126,8 @@ def cpt_i_via_cutsets(g: Gbn, cutsets: Sequence[Iterable[str]]) -> SemanticsFami
     weights is a point in mu: the witness's first weights mixed over the
     first cutset's vectors.  A vector's column holds its integer
     numerators, and its entry in the sum row its denominator, so the LP
-    variable of a vector is its weight over that denominator.
+    variable of a vector is its weight over that denominator, and mu
+    mixes the witness's first numerators into those integer columns.
     """
     cutsets = [tuple(sorted(c)) for c in cutsets]
     if not all(any(x not in set(c) for c in cutsets) for x in g.nodes):
@@ -138,8 +146,9 @@ def cpt_i_via_cutsets(g: Gbn, cutsets: Sequence[Iterable[str]]) -> SemanticsFami
     poly = classify_polytope(LinearSystem(rows, [1] + [0] * (len(rows) - 1)))
     if poly.kind == "empty":
         return SemanticsFamily("cpti", EMPTY, notes="cutset semantics disagree")
-    mu = [sum(w * x for w, x in zip(poly.witness, col))
+    weights, den = poly.witness
+    mu = [sum(w * x for w, x in zip(weights, col))
           for col in zip(*(d.nums for d in vecs[0]))]
     status = UNIQUE if poly.kind == "point" else INFINITE
-    return SemanticsFamily("cpti", status, (JointDistribution(g.nodes, mu),),
+    return SemanticsFamily("cpti", status, (_witness(g, mu, den),),
                            notes=f"intersection of {len(cutsets)} cutset chains")

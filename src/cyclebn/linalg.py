@@ -1,36 +1,35 @@
 """Exact rational linear algebra on fraction-free integer elimination.
 
-Every solve scales its rows to integers once, column by column: each
-column, the right-hand side included, is multiplied by the lcm of its
-own denominators (one global lcm would multiply the denominators of all
-rows together).  Elimination then runs on integers in the manner of
-Bareiss and Edmonds: the rows being updated share one denominator d,
-the previous pivot, and every update ``(p*x - f*y) // d`` divides
-exactly.  Results are turned back into ``Fraction`` values only at the
-end.
+Every result leaves this module as integer numerators over one positive
+denominator; only the optimum of ``simplex_maximize`` is a ``Fraction``.
+Elimination runs on integers in the manner of Bareiss and Edmonds: the
+rows being updated share one denominator d, the previous pivot, and
+every update ``(p*x - f*y) // d`` divides exactly.
 
-``solve_affine`` returns the unique solution of a system, or None when
-it has none or more than one; the stationary vectors and absorption
-probabilities of a cutset chain are such solutions.  It runs Bareiss's
-forward elimination, which updates only the rows below each pivot, and
-then an integer back substitution: with d the last pivot, y = d x is
-integral by Cramer's rule.  ``null_space_left`` feeds it a chain's
-integer rows directly.
+``solve_affine`` takes integer rows ``[A | b]`` and returns the unique
+solution of ``A x = b``, or None when it has none or more than one; the
+stationary vectors and absorption probabilities of a cutset chain are
+such solutions, and the chain hands over its integer rows as they are.
+It runs Bareiss's forward elimination, which updates only the rows
+below each pivot, and then an integer back substitution: with d the
+last pivot, y = d x is integral by Cramer's rule.
 
 An exact two-phase simplex (Bland's rule, so termination needs no
 perturbation), run on ``A x = b, x >= 0`` as given, classifies the set
 of nonnegative solutions as empty, a single point, or an infinite
 polytope: one phase 1 finds a vertex, and phase 2, started from that
-vertex's basis, tests whether anything lies off its support.  The
-simplex keeps Gauss-Jordan pivots, which update every row, the z-row
-included, so that the whole tableau stays on one denominator.  Phase 1
-carries no artificial columns.  Bland's rule tries the original columns
-first, so it pivots as it would with them until the artificial sum is
-minimal, and any later pivot would be degenerate and leave the vertex
-as it is.  On the integer tableau d stays positive, ratios are compared
-by cross-multiplying, and positive column scales keep every sign and
-ratio order, so Bland's rule takes the pivots it takes over
-``Fraction``.
+vertex's basis, tests whether anything lies off its support.  Its rows
+may hold ``Fraction``s, so each column, the right-hand side included,
+is first multiplied by the lcm of its own denominators (one global lcm
+would multiply the denominators of all rows together).  The simplex
+keeps Gauss-Jordan pivots, which update every row, the z-row included,
+so that the whole tableau stays on one denominator.  Phase 1 carries no
+artificial columns.  Bland's rule tries the original columns first, so
+it pivots as it would with them until the artificial sum is minimal,
+and any later pivot would be degenerate and leave the vertex as it is.
+On the integer tableau d stays positive, ratios are compared by
+cross-multiplying, and positive column scales keep every sign and ratio
+order, so Bland's rule takes the pivots it takes over ``Fraction``.
 """
 
 from __future__ import annotations
@@ -41,11 +40,8 @@ from fractions import Fraction
 
 from .model import _Value
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-Vector = tuple[Fraction, ...]
-Matrix = tuple[Vector, ...]
+#: A point as integer numerators over one positive denominator.
+Point = tuple[tuple[int, ...], int]
 
 
 class LinearSystem(_Value):
@@ -68,11 +64,12 @@ class LinearSystem(_Value):
 
 
 class PolytopeClass(_Value):
-    """Classification of {x : A x = b, x >= 0}: 'empty', 'point', or 'infinite'."""
+    """Classification of {x : A x = b, x >= 0}: 'empty', 'point', or
+    'infinite', with a vertex ``(nums, den)`` as witness when not empty."""
 
     _fields = ("kind", "witness")
 
-    def __init__(self, kind: str, witness: Vector | None = None) -> None:
+    def __init__(self, kind: str, witness: Point | None = None) -> None:
         vars(self).update(kind=kind, witness=witness)
 
 
@@ -127,12 +124,12 @@ def _phase_one(a_eq: Sequence[Sequence[Fraction]], b_eq: Sequence[Fraction],
     return [tab[i] for i in keep], [basis[i] for i in keep], d, scale
 
 
-def _vertex(rows, basis, d, scale, n) -> Vector:
-    """The basic solution of a tableau, unscaled."""
-    x = [ZERO] * n
+def _vertex(rows, basis, d, scale, n) -> Point:
+    """The basic solution of a tableau, unscaled, over ``d * scale[-1]``."""
+    x = [0] * n
     for row, bi in zip(rows, basis):
-        x[bi] = Fraction(row[-1] * scale[bi], d * scale[-1])
-    return tuple(x)
+        x[bi] = row[-1] * scale[bi]
+    return tuple(x), d * scale[-1]
 
 
 def simplex_maximize(a_eq: Sequence[Sequence[Fraction]],
@@ -141,10 +138,11 @@ def simplex_maximize(a_eq: Sequence[Sequence[Fraction]],
     """Maximize c.x subject to A x = b, x >= 0, exactly.
 
     Returns ("infeasible", None, None), ("unbounded", None, None), or
-    ("optimal", value, x).  Phase 2 starts from ``start``, the tableau
-    ``_phase_one`` returned for the same system, or from a phase 1 run
-    here when it is None.  Bland's rule on both phases guarantees
-    termination.
+    ("optimal", value, (nums, den)): the optimum, a ``Fraction``, and a
+    vertex x = nums / den reaching it.  Phase 2 starts from ``start``,
+    the tableau ``_phase_one`` returned for the same system, or from a
+    phase 1 run here when it is None.  Bland's rule on both phases
+    guarantees termination.
     """
     n = len(objective)
     if start is None:
@@ -166,8 +164,8 @@ def simplex_maximize(a_eq: Sequence[Sequence[Fraction]],
     d = _pivot_to_optimum(tab, basis, n, d)
     if d is None:
         return "unbounded", None, None
-    x = _vertex(tab, basis, d, scale, n)
-    return "optimal", sum(ci * xi for ci, xi in zip(objective, x)), x
+    nums, den = x = _vertex(tab, basis, d, scale, n)
+    return "optimal", Fraction(sum(c * p for c, p in zip(objective, nums)), den), x
 
 
 def _pivot_to_optimum(tab, basis, n_cols, d):
@@ -206,23 +204,25 @@ def classify_polytope(system: LinearSystem) -> PolytopeClass:
     if start is None:
         return PolytopeClass("empty")
     v = _vertex(*start, n)
-    off = tuple(ZERO if x else ONE for x in v)
+    off = tuple(0 if x else 1 for x in v[0])
     status, value, _ = simplex_maximize(system.matrix, system.rhs, off, start)
     if status == "unbounded" or value:
         return PolytopeClass("infinite", v)
     return PolytopeClass("point", v)
 
 
-def _solve(rows: list[list[int]], n: int) -> tuple[list[int], int] | None:
-    """Integer rows ``[A | b]`` over n columns: ``(y, d)`` with
-    ``x = y / d`` the unique solution of ``A x = b``, or None.
+def solve_affine(rows: list[list[int]], n: int) -> tuple[list[int], int] | None:
+    """Integer rows ``[A | b]`` over n columns: ``(y, d)`` with ``d > 0``
+    and ``x = y / d`` the unique solution of ``A x = b``, or None when
+    the system has no solution or more than one.  ``rows`` is consumed.
 
     Forward elimination pivots column c in row c and updates only the
     rows below, each cut down to its columns past c; a row with f = 0
     is still rescaled by p / d onto the new denominator.  A row past the
     n-th is then its bare rhs and must be 0.  Back substitution on the
     pivot rows U gives ``y[c] = (d*b[c] - sum U[c][j]*y[j]) // U[c][c]``
-    over j > c, which divides exactly because y is integral."""
+    over j > c, which divides exactly because y is integral.  The last
+    pivot d may be negative, and then y and d change sign."""
     d = 1
     for c in range(n):
         k = next((i for i in range(c, len(rows)) if rows[i][0]), None)
@@ -245,27 +245,16 @@ def _solve(rows: list[list[int]], n: int) -> tuple[list[int], int] | None:
     for c in range(n - 1, -1, -1):
         u = rows[c]
         y[c] = (d * u[-1] - sum(map(int.__mul__, u[1:-1], y[c + 1:]))) // u[0]
+    if d < 0:
+        return [-yc for yc in y], -d
     return y, d
 
 
-def solve_affine(matrix: Sequence[Sequence[Fraction]],
-                 rhs: Sequence[Fraction]) -> Vector | None:
-    """The unique solution of ``A x = b``, or None when the system has no
-    solution or more than one.  Entries may be ints or ``Fraction``s."""
-    n = len(matrix[0]) if matrix else 0
-    rows, scale = _scaled([[*row, x] for row, x in zip(matrix, rhs)], n + 1)
-    solved = _solve(rows, n)
-    if solved is None:
-        return None
-    y, d = solved
-    d *= scale[-1]
-    return tuple(Fraction(yc * s, d) for yc, s in zip(y, scale))
-
-
 def null_space_left(rows: Sequence[Sequence[int]],
-                    dens: Sequence[int]) -> Vector | None:
-    """The row vector g with g.P = g and sum(g) = 1, or None when there
-    is none or more than one, where ``P[u][v] = rows[u][v] / dens[u]``.
+                    dens: Sequence[int]) -> tuple[list[int], int] | None:
+    """The row vector g with g.P = g and sum(g) = 1 as ``(nums, den)``,
+    ``g = nums / den``, or None when there is none or more than one,
+    where ``P[u][v] = rows[u][v] / dens[u]``.
 
     In z_u = g_u / dens[u] the n balance rows and the sum row are
     integer: ``sum_u z_u rows[u][v] - z_v dens[v] = 0`` and
@@ -275,8 +264,8 @@ def null_space_left(rows: Sequence[Sequence[int]],
     system = [[rows[u][v] - dens[u] if u == v else rows[u][v]
                for u in range(n)] + [0] for v in range(n)]
     system.append([*dens, 1])
-    solved = _solve(system, n)
+    solved = solve_affine(system, n)
     if solved is None:
         return None
     z, d = solved
-    return tuple(Fraction(zu * du, d) for zu, du in zip(z, dens))
+    return [zu * du for zu, du in zip(z, dens)], d

@@ -376,9 +376,6 @@ class Gbn(_Value):
     def validate(self) -> list[Violation]:
         return list(self._violations)
 
-    def is_valid(self) -> bool:
-        return not self._violations
-
     def _require_valid(self) -> None:
         """Raise ValueError when the network has violations."""
         if self._violations:

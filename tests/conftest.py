@@ -6,9 +6,28 @@ import random
 from fractions import Fraction
 
 from cyclebn.graph import DiGraph, enumerate_cutsets, is_acyclic
+from cyclebn.linalg import _scaled, solve_affine
 from cyclebn.model import Cpt, Gbn, JointDistribution, make_gbn
 
 NAMES = ("A", "B", "C", "D", "E", "F", "G", "H")
+
+
+def fractions(point):
+    """The ``Fraction``s of a point ``(nums, den)``, or None."""
+    return None if point is None else tuple(Fraction(p, point[1]) for p in point[0])
+
+
+def solve_rational(matrix, rhs):
+    """The unique solution of rational ``A x = b`` as ``Fraction``s, or
+    None: ``solve_affine`` on ``[A | b]`` with each column scaled to
+    integers by the lcm of its denominators, as the simplex scales it."""
+    n = len(matrix[0]) if matrix else 0
+    rows, scale = _scaled([[*row, x] for row, x in zip(matrix, rhs)], n + 1)
+    solved = solve_affine(rows, n)
+    if solved is None:
+        return None
+    y, d = solved
+    return tuple(Fraction(yc * s, d * scale[-1]) for yc, s in zip(y, scale))
 
 
 def two_cycle(s1, s2, t1, t2) -> Gbn:

@@ -11,16 +11,14 @@ from fractions import Fraction
 from itertools import combinations
 
 from conftest import (rand_joint, random_acyclic_gbn, random_cyclic_gbn,
-                      random_cutset, space_from_rref, two_cycle)
-from cyclebn.chain import cutset_mc, lim, long_run_frequency, mcs, \
-    next_dist, stationary_set
+                      random_cutset, solve_rational, space_from_rref, two_cycle)
+from cyclebn.chain import cutset_mc, lim, long_run_frequency, mcs, next_dist
 from cyclebn.constraints import (build_cpt_system, check_consistency,
                                  cpt_i_via_cutsets, is_strongly_consistent,
                                  solve_family)
 from cyclebn.families import EMPTY, INFINITE, UNIQUE
 from cyclebn.graph import DiGraph, d_separated, enumerate_cutsets
 from cyclebn.inference import chain_rule_dist, to_digraph
-from cyclebn.linalg import solve_affine
 from cyclebn.model import JointDistribution, dirac
 from cyclebn.oracle import (check_cpt_i_member, close, dsep_by_paths,
                             dsep_implies_indep_check, enumerate_dsep_triples,
@@ -130,7 +128,7 @@ def test_criterion_5_acyclic_conservativity():
             mu = chain_rule_dist(g)
             system = build_cpt_system(g)
             assert is_solution(system, mu.probs)
-            x = solve_affine(system.matrix, system.rhs)
+            x = solve_rational(system.matrix, system.rhs)
             if x is not None:
                 # consistency constraints already pin a unique distribution
                 affine_unique += 1
@@ -172,7 +170,7 @@ def test_criterion_7_stationarity_and_power_iteration():
                 except IndexError:   # no small cutset avoids the initial nodes
                     g = random_cyclic_gbn(rng, max_vars=4, denom=4)
             mc = cutset_mc(g, cut)
-            for extreme in stationary_set(mc).distributions:
+            for extreme in mc.bscc_lrfs:
                 stepped = next_dist(g, cut, extreme).restrict(cut)
                 assert stepped.probs == extreme.probs
             start = rand_joint(rng, cut)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_acyclic_gbn, random_cyclic_gbn, two_cycle
-from cyclebn.chain import cutset_mc, extend, stationary_set
+from cyclebn.chain import cutset_mc, extend
 from cyclebn.constraints import (build_cpt_system, build_wcpt_system,
                                  check_consistency, cpt_i_via_cutsets,
                                  is_strongly_consistent, solve_family)
@@ -203,7 +203,7 @@ def test_cpt_i_lp_matches_old_rule_membership_and_vertices():
         for cut in cuts:
             chain = cutset_mc(g, cut)
             vecs.append([extend(g, cut, d)
-                         for d in stationary_set(chain).distributions])
+                         for d in chain.bscc_lrfs])
         triples = [t for cut in cuts for t in closed_cut_triples(g, cut)]
 
         def member(weights):

@@ -39,12 +39,13 @@ def test_no_floats_in_package():
 
 
 @pytest.mark.parametrize("module", ["linalg.py", "chain.py", "graph.py",
-                                    "model.py", "cli.py"])
+                                    "model.py", "cli.py", "constraints.py"])
 def test_no_true_division(module):
     # ``int / int`` is a float: the integer kernel of linalg.py, the
-    # integer chain rows of chain.py, the index arithmetic of graph.py
-    # and the integer tables of model.py and cli.py divide with ``//``
-    # and build rationals with ``Fraction(num, den)``.
+    # integer chain rows of chain.py, the index arithmetic of graph.py,
+    # the integer tables of model.py and cli.py and the answers that
+    # constraints.py builds from LP integers divide with ``//`` and
+    # build rationals with ``Fraction(num, den)``.
     [tree] = [tree for name, tree in _trees() if name == module]
     found = [str(node.lineno) for node in ast.walk(tree)
              if isinstance(node, (ast.BinOp, ast.AugAssign))

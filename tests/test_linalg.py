@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from conftest import random_cyclic_gbn, two_cycle
+from conftest import fractions, random_cyclic_gbn, solve_rational, two_cycle
 from cyclebn import linalg
 from cyclebn.chain import CutsetChain
 from cyclebn.constraints import build_cpt_system, build_wcpt_system
@@ -20,36 +20,43 @@ F = Fraction
 
 
 def test_solve_affine_unique():
-    sys = LinearSystem(((F(1), F(1)), (F(1), F(-1))), (F(1), F(0)))
-    x = solve_affine(sys.matrix, sys.rhs)
-    assert x == (F(1, 2), F(1, 2))
-    assert is_solution(sys, x)
+    sys = LinearSystem(((1, 1), (1, -1)), (1, 0))
+    x = solve_affine([[1, 1, 1], [1, -1, 0]], 2)
+    assert x == ([1, 1], 2)
+    assert is_solution(sys, fractions(x))
 
 
 def test_solve_affine_underdetermined():
     # x0 + x1 = 1 has a line of solutions
-    assert solve_affine(((F(1), F(1)),), (F(1),)) is None
+    assert solve_affine([[1, 1, 1]], 2) is None
 
 
 def test_solve_affine_inconsistent():
-    assert solve_affine(((F(1), F(1)), (F(1), F(1))), (F(1), F(2))) is None
+    assert solve_affine([[1, 1, 1], [1, 1, 2]], 2) is None
 
 
 def test_solve_affine_no_rows():
-    assert solve_affine((), ()) == ()
+    assert solve_affine([], 0) == ([], 1)
+
+
+def test_solve_affine_normalizes_a_negative_last_pivot():
+    # the last Bareiss pivot is -1 here, and -2 on the two-cycle's system
+    assert solve_affine([[-1, 1]], 1) == ([-1], 1)
+    nums, den = null_space_left([[0, 1], [1, 0]], [1, 1])
+    assert den > 0 and min(nums) >= 0
 
 
 @given(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
        st.lists(st.integers(-3, 3), min_size=2, max_size=2))
 def test_solve_affine_points_solve(entries, rhs):
-    sys = LinearSystem((tuple(map(F, entries[:2])), tuple(map(F, entries[2:]))),
-                       tuple(map(F, rhs)))
-    x = solve_affine(sys.matrix, sys.rhs)
+    sys = LinearSystem((entries[:2], entries[2:]), rhs)
+    x = solve_affine([[*row, r] for row, r in zip(sys.matrix, rhs)], 2)
     # a square system has exactly one solution iff its determinant is not 0
     a, b, c, d = entries
     assert (x is None) == (a * d == b * c)
     if x is not None:
-        assert is_solution(sys, x)
+        assert x[1] > 0
+        assert is_solution(sys, fractions(x))
 
 
 def test_simplex_optimal():
@@ -58,7 +65,7 @@ def test_simplex_optimal():
                                         (F(1), F(0)))
     assert status == "optimal"
     assert value == 1
-    assert x == (1, 0)
+    assert fractions(x) == (1, 0)
 
 
 def test_simplex_infeasible():
@@ -86,14 +93,14 @@ def test_classify_point():
     cls = classify_polytope(LinearSystem(((F(1), F(1)), (F(1), F(-1))),
                                          (F(1), F(0))))
     assert cls.kind == "point"
-    assert cls.witness == (F(1, 2), F(1, 2))
+    assert fractions(cls.witness) == (F(1, 2), F(1, 2))
 
 
 def test_classify_infinite_segment():
     cls = classify_polytope(LinearSystem(((F(1), F(1)),), (F(1),)))
     assert cls.kind == "infinite"
-    assert all(x >= 0 for x in cls.witness)
-    assert sum(cls.witness) == 1
+    assert all(x >= 0 for x in fractions(cls.witness))
+    assert sum(fractions(cls.witness)) == 1
 
 
 def test_classify_empty_by_sign():
@@ -108,7 +115,7 @@ def test_classify_point_despite_free_directions():
     assert cls.kind == "infinite"   # the ray x0 = x1 >= 0
     cls2 = classify_polytope(LinearSystem(((F(1), F(1)),), (F(0),)))
     assert cls2.kind == "point"
-    assert cls2.witness == (0, 0)
+    assert fractions(cls2.witness) == (0, 0)
 
 
 def _random_system(rng: random.Random) -> LinearSystem:
@@ -139,10 +146,10 @@ def test_classify_matches_vertex_enumeration():
         assert cls.kind == kind
         kinds.add(kind)
         if kind != "empty":
-            assert cls.witness in vertices
-            assert is_solution(system, cls.witness)
+            assert fractions(cls.witness) in vertices
+            assert is_solution(system, fractions(cls.witness))
         if kind == "point":
-            assert vertices == {cls.witness}
+            assert vertices == {fractions(cls.witness)}
     assert kinds == {"empty", "point", "infinite"}
 
 
@@ -159,12 +166,12 @@ def test_null_space_left_identity():
 
 
 def test_null_space_left_two_cycle():
-    assert null_space_left([[0, 1], [1, 0]], [1, 1]) == (F(1, 2), F(1, 2))
+    assert null_space_left([[0, 1], [1, 0]], [1, 1]) == ([1, 1], 2)
 
 
 def test_null_space_left_absorbing():
     # rows (1, 0) and (1/2, 1/2)
-    assert null_space_left([[1, 0], [1, 1]], [1, 2]) == (F(1), F(0))
+    assert fractions(null_space_left([[1, 0], [1, 1]], [1, 2])) == (F(1), F(0))
 
 
 # --- the integer kernel against the Fraction reference --------------------
@@ -223,7 +230,7 @@ def test_solve_affine_matches_fraction_rref():
         rank = len(pivots0)
         inconsistent += any(b0[rank:])
         deficient += rank < min(len(matrix), n)
-        x = solve_affine(matrix, rhs)
+        x = solve_rational(matrix, rhs)
         if rank < n or any(b0[rank:]):
             assert x is None
         else:
@@ -255,7 +262,8 @@ def test_null_space_left_matches_state_reduction():
     rng = random.Random(12)
     for n in list(range(1, 21)) * 2:
         p = _stochastic(_irreducible_weights(rng, n, rng.random() < 0.5))
-        assert null_space_left(*_int_rows(p)) == stationary_by_state_reduction(p)
+        assert fractions(null_space_left(*_int_rows(p))) == \
+            stationary_by_state_reduction(p)
 
 
 def test_null_space_left_with_row_denominators_matches_state_reduction():
@@ -267,10 +275,11 @@ def test_null_space_left_with_row_denominators_matches_state_reduction():
         want = stationary_by_state_reduction(p)
         rows, dens = _int_rows(p)
         wide += max(dens) > 1
-        assert null_space_left(rows, dens) == want
+        assert fractions(null_space_left(rows, dens)) == want
         k = [rng.randint(2, 9) for _ in range(n)]
-        assert null_space_left([[x * m for x in row] for row, m in zip(rows, k)],
-                               [d * m for d, m in zip(dens, k)]) == want
+        assert fractions(null_space_left(
+            [[x * m for x in row] for row, m in zip(rows, k)],
+            [d * m for d, m in zip(dens, k)])) == want
     assert wide > 20
 
 
@@ -326,8 +335,8 @@ def test_simplex_witnesses_are_pinned():
             cls = classify_polytope(system)
             objective = tuple(F((5 * j) % 7 - 3) for j in range(system.num_cols))
             status, value, x = simplex_maximize(system.matrix, system.rhs, objective)
-            digest.update(f"{cls.kind} {_text(cls.witness)} | "
-                          f"{status} {value} {_text(x)}\n".encode())
+            digest.update(f"{cls.kind} {_text(fractions(cls.witness))} | "
+                          f"{status} {value} {_text(fractions(x))}\n".encode())
     assert digest.hexdigest() == WITNESS_DIGEST
 
 
@@ -350,7 +359,7 @@ def test_classify_witnesses_on_larger_systems_are_pinned():
         networks += 1
         for system in (build_cpt_system(g), build_wcpt_system(g)):
             cls = classify_polytope(system)
-            digest.update(f"{cls.kind} {_text(cls.witness)}\n".encode())
+            digest.update(f"{cls.kind} {_text(fractions(cls.witness))}\n".encode())
     assert digest.hexdigest() == LARGE_WITNESS_DIGEST
 
 
@@ -433,4 +442,4 @@ def test_drive_out_and_row_drop_keep_a_basis_of_original_columns():
         cls = classify_polytope(system)
         assert cls.kind == kind
         if kind != "empty":
-            assert cls.witness in vertices
+            assert fractions(cls.witness) in vertices

@@ -255,7 +255,7 @@ def test_validate_cpt_on_initial_node():
                  [Cpt("Y", ("X",), (Fraction(1, 2), Fraction(1, 2))),
                   Cpt("X", (), (Fraction(1, 2),))],
                  JointDistribution(("X",), (Fraction(1), Fraction(0))))
-    assert not g.is_valid()
+    assert g.validate()
 
 
 def test_default_iota_for_closed_network():
@@ -264,7 +264,7 @@ def test_default_iota_for_closed_network():
                   Cpt("Y", ("X",), (Fraction(1, 2), Fraction(1, 2)))])
     assert g.initial_nodes == frozenset()
     assert g.iota.variables == ()
-    assert g.is_valid()
+    assert not g.validate()
 
 
 F = Fraction
