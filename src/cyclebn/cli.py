@@ -303,9 +303,9 @@ def _parse_gamma0(source: str, cut: tuple[str, ...]) -> JointDistribution:
         if len(bits) != len(cut) or set(bits) - {"0", "1"}:
             raise ValueError(
                 f"dirac assignment needs {len(cut)} bits over {list(cut)}")
-        probs = [Fraction(0)] * (1 << len(cut))
-        probs[int(bits, 2) if cut else 0] = Fraction(1)
-        return JointDistribution(cut, tuple(probs))
+        nums = [0] * (1 << len(cut))
+        nums[int(bits, 2) if cut else 0] = 1
+        return JointDistribution._of_table(_distinct(cut), nums, 1)
     with open(source, encoding="utf-8") as fh:
         table = _object(_json(fh.read()), "gamma0")
     nums, den = _vector_from_keys(table, _bit_keys(cut), "gamma0")
@@ -455,7 +455,7 @@ def _cmd_semantics(args) -> tuple[dict, int]:
     if kind == "bn":
         try:
             # the empty set is a cutset exactly when the graph is acyclic
-            mu = chainmod.extend(g, (), JointDistribution((), (Fraction(1),)))
+            mu = chainmod.extend(g, (), JointDistribution.uniform(()))
         except chainmod.NotACutsetError:
             out.update(status="empty", notes="cyclic graph")
             return out, 0

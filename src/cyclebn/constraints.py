@@ -1,7 +1,8 @@
-"""Linear constraint systems for CPT consistency and for the
-independence-extended semantics, an LP over mixtures of the cutset chain
-semantics, all three classified by ``linalg.classify_polytope``.
-Membership in that family by its definition is checked in ``oracle``."""
+"""Integer linear systems, each row read off a CPT or iota times its
+denominator, for CPT consistency, and for the independence-extended
+semantics an LP over mixtures of the cutset chain semantics; all three
+are classified by ``linalg.classify_polytope``.  Membership in that
+family by its definition is checked in ``oracle``."""
 
 from __future__ import annotations
 
@@ -10,33 +11,33 @@ from collections.abc import Iterable, Sequence
 from .chain import cutset_mc
 from .families import EMPTY, INFINITE, UNIQUE, SemanticsFamily
 from .linalg import LinearSystem, classify_polytope
-from .model import ONE, ZERO, Gbn, InternalError, JointDistribution, sub_indices
+from .model import Gbn, InternalError, JointDistribution, sub_indices
 
 
 def _weak_rows(g: Gbn):
     """Per non-initial node x: its CPT, the parent row of every column,
     and the weak-consistency row Pr(x=T | parents) - [x=T] over the
-    columns.  The strong rows of x are that row cut by parent row."""
+    columns, times the CPT's den; the strong rows cut it by parent row."""
     for x in sorted(set(g.nodes) - g.initial_nodes):
         cpt = g.cpts[x]
         parent_of = sub_indices(g.nodes, cpt.parents)
-        rows = cpt.rows
-        yield cpt, parent_of, [rows[k] - 1 if t else rows[k] for k, t in
+        nums, den = cpt.nums, cpt.den
+        yield cpt, parent_of, [nums[k] - den if t else nums[k] for k, t in
                                zip(parent_of, sub_indices(g.nodes, (x,)))]
 
 
 def _pinned(g: Gbn, rows: list) -> LinearSystem:
     """``rows`` equal to 0, then the normalization row, then one row per
     initial assignment (zero-mass ones included) pinning the restriction
-    to the initial nodes to iota; without initial nodes that row would
-    repeat normalization."""
-    rhs = [ZERO] * len(rows) + [ONE]
-    rows = rows + [[ONE] * (1 << len(g.nodes))]
+    to the initial nodes to iota, times iota's denominator; without
+    initial nodes that row would repeat normalization."""
+    rhs = [0] * len(rows) + [1]
+    rows = rows + [[1] * (1 << len(g.nodes))]
     init = tuple(sorted(g.initial_nodes))
     if init:
-        init_of = sub_indices(g.nodes, init)
-        rows += [[ONE if k == i else ZERO for k in init_of] for i in range(1 << len(init))]
-        rhs += g.iota.probs
+        init_of, den = sub_indices(g.nodes, init), g.iota.den
+        rows += [[den if k == i else 0 for k in init_of] for i in range(1 << len(init))]
+        rhs += g.iota.nums
     return LinearSystem(tuple(rows), tuple(rhs))
 
 
@@ -44,9 +45,9 @@ def build_cpt_system(g: Gbn) -> LinearSystem:
     """Strong-consistency system: for each non-initial node X and parent
     assignment c, the row Pr(X=T|c) * mu(c) - mu(X=T, c) = 0, followed by
     the normalization row and the initial-distribution pinning rows."""
-    return _pinned(g, [[w if k == c else ZERO for k, w in zip(parent_of, row)]
+    return _pinned(g, [[w if k == c else 0 for k, w in zip(parent_of, row)]
                        for cpt, parent_of, row in _weak_rows(g)
-                       for c in range(len(cpt.rows))])
+                       for c in range(len(cpt.nums))])
 
 
 def build_wcpt_system(g: Gbn) -> LinearSystem:
@@ -87,23 +88,24 @@ def check_consistency(mu: JointDistribution, g: Gbn, x: str,
     if mode not in ("strong", "weak"):
         raise ValueError(f"unknown mode: {mode}")
     cpt = g.cpts[x]
-    # mass[c] = mu(c) and mass_true[c] = mu(X=T, c) per parent row c
-    mass, mass_true = [ZERO] * len(cpt.rows), [ZERO] * len(cpt.rows)
-    for p, k, t in zip(mu.probs, sub_indices(mu.variables, cpt.parents),
+    nums, den = cpt.nums, cpt.den
+    # mass[c] = mu(c) and mass_true[c] = mu(X=T, c) per parent row c, times mu.den
+    mass, mass_true = [0] * len(nums), [0] * len(nums)
+    for p, k, t in zip(mu.nums, sub_indices(mu.variables, cpt.parents),
                        sub_indices(mu.variables, (x,))):
         if p:
             mass[k] += p
             if t:
                 mass_true[k] += p
     if mode == "strong":
-        return all(mt == m * r for mt, m, r in zip(mass_true, mass, cpt.rows))
-    return sum(mass_true) == sum(m * r for m, r in zip(mass, cpt.rows))
+        return all(mt * den == m * r for mt, m, r in zip(mass_true, mass, nums))
+    return sum(mass_true) * den == sum(map(int.__mul__, mass, nums))
 
 
 def is_strongly_consistent(mu: JointDistribution, g: Gbn) -> bool:
     """Strong consistency at every non-initial node plus iota pinning."""
     init = g.initial_nodes
-    if mu.restrict(init).probs != g.iota.probs:
+    if mu.restrict(init) != g.iota:
         return False
     return all(check_consistency(mu, g, x, "strong")
                for x in set(g.nodes) - init)

@@ -1,10 +1,10 @@
 """Exact rational linear algebra on fraction-free integer elimination.
 
-Every result leaves this module as integer numerators over one positive
-denominator; only the optimum of ``simplex_maximize`` is a ``Fraction``.
-Elimination runs on integers in the manner of Bareiss and Edmonds: the
-rows being updated share one denominator d, the previous pivot, and
-every update ``(p*x - f*y) // d`` divides exactly.
+Every input is integer and every result leaves this module as integer
+numerators over one positive denominator.  Elimination runs on integers
+in the manner of Bareiss and Edmonds: the rows being updated share one
+denominator d, the previous pivot, and every update
+``(p*x - f*y) // d`` divides exactly.
 
 ``solve_affine`` takes integer rows ``[A | b]`` and returns the unique
 solution of ``A x = b``, or None when it has none or more than one; the
@@ -15,28 +15,23 @@ below each pivot, and then an integer back substitution: with d the
 last pivot, y = d x is integral by Cramer's rule.
 
 An exact two-phase simplex (Bland's rule, so termination needs no
-perturbation), run on ``A x = b, x >= 0`` as given, classifies the set
-of nonnegative solutions as empty, a single point, or an infinite
-polytope: one phase 1 finds a vertex, and phase 2, started from that
-vertex's basis, tests whether anything lies off its support.  Its rows
-may hold ``Fraction``s, so each column, the right-hand side included,
-is first multiplied by the lcm of its own denominators (one global lcm
-would multiply the denominators of all rows together).  The simplex
-keeps Gauss-Jordan pivots, which update every row, the z-row included,
-so that the whole tableau stays on one denominator.  Phase 1 carries no
-artificial columns.  Bland's rule tries the original columns first, so
-it pivots as it would with them until the artificial sum is minimal,
-and any later pivot would be degenerate and leave the vertex as it is.
-On the integer tableau d stays positive, ratios are compared by
-cross-multiplying, and positive column scales keep every sign and ratio
-order, so Bland's rule takes the pivots it takes over ``Fraction``.
+perturbation), run on the integers of ``A x = b, x >= 0`` exactly as
+given, classifies the set of nonnegative solutions as empty, a single
+point, or an infinite polytope: one phase 1 finds a vertex, and phase 2,
+started from that vertex's basis, tests whether anything lies off its
+support.  The simplex keeps Gauss-Jordan pivots, which update every row,
+the z-row included, so that the whole tableau stays on one denominator
+d and a basic variable is its row's ``row[-1]`` over d.  Phase 1
+carries no artificial columns.  Bland's rule tries the original columns
+first, so it pivots as it would with them until the artificial sum is
+minimal, and any later pivot would be degenerate and leave the vertex as
+it is.  On the integer tableau d stays positive and ratios are compared
+by cross-multiplying.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
-from fractions import Fraction
 
 from .model import _Value
 
@@ -45,7 +40,10 @@ Point = tuple[tuple[int, ...], int]
 
 
 class LinearSystem(_Value):
-    """``A x = b``, its entries ints or ``Fraction``s, stored as given."""
+    """``A x = b`` with ``int`` entries, stored as given: the simplex runs
+    on exactly these integers.  Any other entry, a ``Fraction`` or a
+    ``bool`` included, is a ``TypeError``, since ``//`` would floor a
+    ``Fraction`` without a word."""
 
     _fields = ("matrix", "rhs")
 
@@ -56,6 +54,8 @@ class LinearSystem(_Value):
         widths = {len(r) for r in matrix}
         if len(widths) > 1:
             raise ValueError("ragged matrix")
+        if set(map(type, rhs)).union(*[map(type, r) for r in matrix]) - {int}:
+            raise TypeError("linear system entries must be ints")
         vars(self).update(matrix=matrix, rhs=rhs)
 
     @property
@@ -73,15 +73,6 @@ class PolytopeClass(_Value):
         vars(self).update(kind=kind, witness=witness)
 
 
-def _scaled(rows, width: int) -> tuple[list[list[int]], list[int]]:
-    """Integer rows and the column scales: column j times the lcm of its
-    denominators."""
-    cols = zip(*rows) if rows else [()] * width
-    scales = [math.lcm(*(x.denominator for x in col)) for col in cols]
-    return [[x.numerator * (s // x.denominator) for x, s in zip(row, scales)]
-            for row in rows], scales
-
-
 def _pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
     """Fraction-free Gauss-Jordan pivot on (r, c) over the shared
     denominator ``d``; returns the new one, the pivot."""
@@ -97,16 +88,15 @@ def _pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
 
 # --- exact simplex ---------------------------------------------------------
 
-def _phase_one(a_eq: Sequence[Sequence[Fraction]], b_eq: Sequence[Fraction],
-               n: int):
+def _phase_one(a_eq: Sequence[Sequence[int]], b_eq: Sequence[int], n: int):
     """Phase 1 on ``A x = b, x >= 0``: the feasible tableau
-    ``(rows, basis, d, scale)`` over the original columns and the rhs, or
+    ``(rows, basis, d)`` over the original columns and the rhs, or
     None when the system is infeasible.  A row whose artificial is basic
     has ``basis[i] >= n``; at the optimum these artificials (at zero) are
     driven out, and rows where none can be are redundant and dropped."""
     m = len(a_eq)
-    rows, scale = _scaled([[*row, x] for row, x in zip(a_eq, b_eq)], n + 1)
-    tab = [[-x for x in row] if row[-1] < 0 else row for row in rows]
+    tab = [[*row, x] if x >= 0 else [-y for y in (*row, x)]
+           for row, x in zip(a_eq, b_eq)]
     basis = list(range(n, n + m))
     tab.append([-sum(col) for col in zip(*tab)] or [0] * (n + 1))
     d = _pivot_to_optimum(tab, basis, n, 1)
@@ -121,25 +111,24 @@ def _phase_one(a_eq: Sequence[Sequence[Fraction]], b_eq: Sequence[Fraction],
                 d = _pivot(tab, i, col, d)
                 basis[i] = col
     keep = [i for i in range(m) if basis[i] < n]
-    return [tab[i] for i in keep], [basis[i] for i in keep], d, scale
+    return [tab[i] for i in keep], [basis[i] for i in keep], d
 
 
-def _vertex(rows, basis, d, scale, n) -> Point:
-    """The basic solution of a tableau, unscaled, over ``d * scale[-1]``."""
+def _vertex(rows, basis, d, n) -> Point:
+    """The basic solution of a tableau: each ``row[-1]`` over ``d``."""
     x = [0] * n
     for row, bi in zip(rows, basis):
-        x[bi] = row[-1] * scale[bi]
-    return tuple(x), d * scale[-1]
+        x[bi] = row[-1]
+    return tuple(x), d
 
 
-def simplex_maximize(a_eq: Sequence[Sequence[Fraction]],
-                     b_eq: Sequence[Fraction],
-                     objective: Sequence[Fraction], start=None):
-    """Maximize c.x subject to A x = b, x >= 0, exactly.
+def simplex_maximize(a_eq: Sequence[Sequence[int]], b_eq: Sequence[int],
+                     objective: Sequence[int], start=None):
+    """Maximize c.x subject to A x = b, x >= 0, exactly, all integers.
 
     Returns ("infeasible", None, None), ("unbounded", None, None), or
-    ("optimal", value, (nums, den)): the optimum, a ``Fraction``, and a
-    vertex x = nums / den reaching it.  Phase 2 starts from ``start``,
+    ("optimal", (value, den), (nums, den)): the optimum value / den and
+    a vertex x = nums / den reaching it.  Phase 2 starts from ``start``,
     the tableau ``_phase_one`` returned for the same system, or from a
     phase 1 run here when it is None.  Bland's rule on both phases
     guarantees termination.
@@ -149,13 +138,10 @@ def simplex_maximize(a_eq: Sequence[Sequence[Fraction]],
         start = _phase_one(a_eq, b_eq, n)
         if start is None:
             return "infeasible", None, None
-    rows, basis, d, scale = start
+    rows, basis, d = start
     basis = list(basis)
-    # Phase 2: minimize -objective, in the scaled variables and times the
-    # lcm of the denominators, over the shared denominator d.
-    lcm = math.lcm(*(x.denominator for x in objective))
-    zrow = [-d * s * x.numerator * (lcm // x.denominator)
-            for x, s in zip(objective, scale)] + [0]
+    # Phase 2: minimize -objective over the shared denominator d.
+    zrow = [-d * c for c in objective] + [0]
     for row, bi in zip(rows, basis):
         f = zrow[bi] // d
         if f:
@@ -164,8 +150,8 @@ def simplex_maximize(a_eq: Sequence[Sequence[Fraction]],
     d = _pivot_to_optimum(tab, basis, n, d)
     if d is None:
         return "unbounded", None, None
-    nums, den = x = _vertex(tab, basis, d, scale, n)
-    return "optimal", Fraction(sum(c * p for c, p in zip(objective, nums)), den), x
+    nums, den = x = _vertex(tab, basis, d, n)
+    return "optimal", (sum(map(int.__mul__, objective, nums)), den), x
 
 
 def _pivot_to_optimum(tab, basis, n_cols, d):
@@ -206,7 +192,7 @@ def classify_polytope(system: LinearSystem) -> PolytopeClass:
     v = _vertex(*start, n)
     off = tuple(0 if x else 1 for x in v[0])
     status, value, _ = simplex_maximize(system.matrix, system.rhs, off, start)
-    if status == "unbounded" or value:
+    if status == "unbounded" or value[0]:
         return PolytopeClass("infinite", v)
     return PolytopeClass("point", v)
 

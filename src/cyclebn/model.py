@@ -23,9 +23,6 @@ from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 #: Dense tables are capped at 2**20 states.
 MAX_DENSE_VARS = 20
 
@@ -302,7 +299,7 @@ class Cpt(_Value):
 
     def prob(self, value: bool, parent_assignment: Mapping[str, bool]) -> Fraction:
         p = self.prob_true(parent_assignment)
-        return p if value else ONE - p
+        return p if value else 1 - p
 
 
 class Violation(_Value):
@@ -388,5 +385,5 @@ def make_gbn(nodes: Iterable[str],
              iota: JointDistribution | None = None) -> Gbn:
     """Convenience constructor; defaults ``iota`` to the empty-set distribution."""
     if iota is None:
-        iota = JointDistribution((), (ONE,))
+        iota = JointDistribution((), (1,))
     return Gbn(tuple(nodes), frozenset(edges), {c.owner: c for c in cpts}, iota)

@@ -6,8 +6,8 @@ import random
 from fractions import Fraction
 
 from cyclebn.graph import DiGraph, enumerate_cutsets, is_acyclic
-from cyclebn.linalg import _scaled, solve_affine
-from cyclebn.model import Cpt, Gbn, JointDistribution, make_gbn
+from cyclebn.linalg import solve_affine
+from cyclebn.model import Cpt, Gbn, JointDistribution, make_gbn, scaled
 
 NAMES = ("A", "B", "C", "D", "E", "F", "G", "H")
 
@@ -19,15 +19,11 @@ def fractions(point):
 
 def solve_rational(matrix, rhs):
     """The unique solution of rational ``A x = b`` as ``Fraction``s, or
-    None: ``solve_affine`` on ``[A | b]`` with each column scaled to
-    integers by the lcm of its denominators, as the simplex scales it."""
+    None: ``solve_affine`` on ``[A | b]`` with each row scaled to
+    integers by the lcm of its denominators, which keeps the solutions."""
     n = len(matrix[0]) if matrix else 0
-    rows, scale = _scaled([[*row, x] for row, x in zip(matrix, rhs)], n + 1)
-    solved = solve_affine(rows, n)
-    if solved is None:
-        return None
-    y, d = solved
-    return tuple(Fraction(yc * s, d * scale[-1]) for yc, s in zip(y, scale))
+    return fractions(solve_affine([scaled([*row, x])[0]
+                                   for row, x in zip(matrix, rhs)], n))
 
 
 def two_cycle(s1, s2, t1, t2) -> Gbn:

@@ -15,7 +15,7 @@ from cyclebn.families import EMPTY, INFINITE, UNIQUE, SemanticsFamily
 from cyclebn.graph import enumerate_cutsets
 from cyclebn.inference import chain_rule_dist, to_digraph
 from cyclebn.linalg import LinearSystem
-from cyclebn.model import ONE, ZERO, Cpt, JointDistribution, make_gbn
+from cyclebn.model import Cpt, JointDistribution, make_gbn, scaled
 from cyclebn.oracle import (IndependenceTriple, check_cpt_i_member,
                             classify_by_vertices, close, closed_cut_triples,
                             enumerate_dsep_triples, is_solution)
@@ -28,8 +28,9 @@ def test_cpt_system_shape_and_first_row():
     sys = build_cpt_system(g)
     # four conditional rows plus normalization; no initial nodes to pin
     assert len(sys.matrix) == 5
-    assert sys.matrix[0] == (F(3, 4), F(0), F(-1, 4), F(0))
-    assert sys.matrix[-1] == (F(1), F(1), F(1), F(1))
+    # Pr(X=T | Y=F) mu(FF) - mu(TF) = 0, times the denominator 4
+    assert sys.matrix[0] == (3, 0, -1, 0)
+    assert sys.matrix[-1] == (1, 1, 1, 1)
     assert sys.rhs == (0, 0, 0, 0, 1)
 
 
@@ -184,14 +185,15 @@ def _cpti_corpus(seed: int, count: int):
 def _weight_system(g, vecs) -> LinearSystem:
     """The cpti polytope in mixture weights, one column per extended
     vector of each cutset: every cutset's weights sum to 1, and each
-    cutset's mixture equals the previous one's at every assignment."""
+    cutset's mixture equals the previous one's at every assignment, each
+    row times the lcm of its denominators."""
     cols = [k for k, vs in enumerate(vecs) for _ in vs]
     flat = [v.probs for vs in vecs for v in vs]
-    rows = [[ONE if i == k else ZERO for i in cols] for k in range(len(vecs))]
-    rows += [[p[a] if i == k else -p[a] if i == k - 1 else ZERO
-              for i, p in zip(cols, flat)]
+    rows = [[1 if i == k else 0 for i in cols] for k in range(len(vecs))]
+    rows += [scaled(p[a] if i == k else -p[a] if i == k - 1 else 0
+                    for i, p in zip(cols, flat))[0]
              for k in range(1, len(vecs)) for a in range(1 << len(g.nodes))]
-    return LinearSystem(rows, [ONE] * len(vecs) + [ZERO] * (len(rows) - len(vecs)))
+    return LinearSystem(rows, [1] * len(vecs) + [0] * (len(rows) - len(vecs)))
 
 
 def test_cpt_i_lp_matches_old_rule_membership_and_vertices():

@@ -81,6 +81,28 @@ def _imported_modules(node):
     return []
 
 
+def test_no_unused_imports():
+    # Every name an import binds in a module is read there; ``__init__``
+    # re-exports what it imports, and ``__future__`` binds nothing.
+    found = []
+    for name, tree in _trees():
+        if name == "__init__.py":
+            continue
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = node.lineno
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        found += [f"{name}:{line} {alias}" for alias, line in bound.items()
+                  if alias not in read]
+    assert not found, f"unused imports: {', '.join(found)}"
+
+
 def test_only_init_and_cli_import_oracle():
     # The brute-force references stay out of the compiled routes:
     # ``__init__`` re-exports them and ``cli`` runs ``oracle iterate``.

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from conftest import fractions, random_cyclic_gbn, solve_rational, two_cycle
@@ -13,6 +14,7 @@ from cyclebn.chain import CutsetChain
 from cyclebn.constraints import build_cpt_system, build_wcpt_system
 from cyclebn.linalg import (LinearSystem, _phase_one, classify_polytope,
                             null_space_left, simplex_maximize, solve_affine)
+from cyclebn.model import scaled
 from cyclebn.oracle import (classify_by_vertices, fraction_rref, is_solution,
                             stationary_by_state_reduction)
 
@@ -59,45 +61,49 @@ def test_solve_affine_points_solve(entries, rhs):
         assert is_solution(sys, fractions(x))
 
 
+@pytest.mark.parametrize("matrix, rhs", [
+    (((F(1, 2), 1),), (1,)), (((1, 1),), (F(1),)), (((True, 1),), (1,)),
+    (((1, 1),), (False,)), (((1.0, 1),), (1,))])
+def test_linear_system_takes_ints_only(matrix, rhs):
+    # a Fraction would be floored by the integer kernel's ``//``
+    with pytest.raises(TypeError):
+        LinearSystem(matrix, rhs)
+
+
 def test_simplex_optimal():
     # max x0 subject to x0 + x1 = 1, x >= 0
-    status, value, x = simplex_maximize(((F(1), F(1)),), (F(1),),
-                                        (F(1), F(0)))
+    status, value, x = simplex_maximize(((1, 1),), (1,), (1, 0))
     assert status == "optimal"
-    assert value == 1
+    assert value == (1, 1)
     assert fractions(x) == (1, 0)
 
 
 def test_simplex_infeasible():
-    status, _, _ = simplex_maximize(((F(1), F(1)), (F(1), F(1))),
-                                    (F(1), F(2)), (F(0), F(0)))
+    status, _, _ = simplex_maximize(((1, 1), (1, 1)), (1, 2), (0, 0))
     assert status == "infeasible"
 
 
 def test_simplex_unbounded():
     # max x0 - x1 subject to x0 - x1 = 0: both can grow without bound? No;
     # use a genuinely unbounded objective along the feasible ray.
-    status, _, _ = simplex_maximize(((F(1), F(-1)),), (F(0),),
-                                    (F(1), F(0)))
+    status, _, _ = simplex_maximize(((1, -1),), (0,), (1, 0))
     assert status == "unbounded"
 
 
 def test_simplex_negative_rhs_normalized():
-    status, value, x = simplex_maximize(((F(-1), F(-1)),), (F(-1),),
-                                        (F(0), F(1)))
+    status, value, x = simplex_maximize(((-1, -1),), (-1,), (0, 1))
     assert status == "optimal"
-    assert value == 1
+    assert value == (1, 1)
 
 
 def test_classify_point():
-    cls = classify_polytope(LinearSystem(((F(1), F(1)), (F(1), F(-1))),
-                                         (F(1), F(0))))
+    cls = classify_polytope(LinearSystem(((1, 1), (1, -1)), (1, 0)))
     assert cls.kind == "point"
     assert fractions(cls.witness) == (F(1, 2), F(1, 2))
 
 
 def test_classify_infinite_segment():
-    cls = classify_polytope(LinearSystem(((F(1), F(1)),), (F(1),)))
+    cls = classify_polytope(LinearSystem(((1, 1),), (1,)))
     assert cls.kind == "infinite"
     assert all(x >= 0 for x in fractions(cls.witness))
     assert sum(fractions(cls.witness)) == 1
@@ -105,15 +111,15 @@ def test_classify_infinite_segment():
 
 def test_classify_empty_by_sign():
     # x0 + x1 = -1 has no nonnegative solutions.
-    cls = classify_polytope(LinearSystem(((F(1), F(1)),), (F(-1),)))
+    cls = classify_polytope(LinearSystem(((1, 1),), (-1,)))
     assert cls.kind == "empty"
 
 
 def test_classify_point_despite_free_directions():
     # x0 - x1 = 0 and x0 + x1 = 0 leave only the origin in the cone.
-    cls = classify_polytope(LinearSystem(((F(1), F(-1)),), (F(0),)))
+    cls = classify_polytope(LinearSystem(((1, -1),), (0,)))
     assert cls.kind == "infinite"   # the ray x0 = x1 >= 0
-    cls2 = classify_polytope(LinearSystem(((F(1), F(1)),), (F(0),)))
+    cls2 = classify_polytope(LinearSystem(((1, 1),), (0,)))
     assert cls2.kind == "point"
     assert fractions(cls2.witness) == (0, 0)
 
@@ -218,6 +224,13 @@ def _rational_system(rng: random.Random):
     return tuple(tuple(row[:-1]) for row in rows), tuple(row[-1] for row in rows)
 
 
+def _row_scaled(matrix, rhs):
+    """A rational system with each row, its rhs included, times the lcm of
+    its denominators: integers, and the same feasible set."""
+    rows = [scaled([*row, x])[0] for row, x in zip(matrix, rhs)]
+    return tuple(tuple(r[:-1]) for r in rows), tuple(r[-1] for r in rows)
+
+
 def test_solve_affine_matches_fraction_rref():
     """None exactly when the reference shows rank < n or an inconsistent
     row; otherwise the reference's solution."""
@@ -315,8 +328,9 @@ def test_bscc_lrfs_match_state_reduction():
 # --- Bland's pivot sequence, pinned ----------------------------------------
 
 #: sha256 of the classifications and LP optima below, recorded with the
-#: ``Fraction`` tableau this kernel replaced.
-WITNESS_DIGEST = "bace9087239812f49522214d9aabe9b4fb89d95f8e983ba6c114701d3a462ca9"
+#: simplex on the integer rows of the systems as built, each CPT row times
+#: its CPT's denominator.
+WITNESS_DIGEST = "4806e25afe5afe7b08d3566695e06be1e26d46be4ceae465fa5ab622e70c8856"
 
 
 def _text(xs):
@@ -333,16 +347,17 @@ def test_simplex_witnesses_are_pinned():
         g = random_cyclic_gbn(rng, max_vars=4)
         for system in (build_cpt_system(g), build_wcpt_system(g)):
             cls = classify_polytope(system)
-            objective = tuple(F((5 * j) % 7 - 3) for j in range(system.num_cols))
+            objective = tuple((5 * j) % 7 - 3 for j in range(system.num_cols))
             status, value, x = simplex_maximize(system.matrix, system.rhs, objective)
+            value = None if value is None else F(*value)
             digest.update(f"{cls.kind} {_text(fractions(cls.witness))} | "
                           f"{status} {value} {_text(fractions(x))}\n".encode())
     assert digest.hexdigest() == WITNESS_DIGEST
 
 
-#: sha256 of the classifications below, recorded with a phase 1 that
-#: carried one artificial column per row and was run again by a second LP.
-LARGE_WITNESS_DIGEST = "b0f7034fab23f9d188e3988c5d5c3130c7436f140d839524c3735e641d799882"
+#: sha256 of the classifications below, recorded, as ``WITNESS_DIGEST``,
+#: with the simplex on the integer rows of the systems as built.
+LARGE_WITNESS_DIGEST = "a8fce1f0df711f459a5b97e237b100f1d467f1b97a6d5690db11bb6054354f05"
 
 
 def test_classify_witnesses_on_larger_systems_are_pinned():
@@ -373,9 +388,10 @@ def test_warm_started_simplex_matches_cold():
             system = _random_system(rng)
             a, b = system.matrix, system.rhs
         else:
-            a, b = _rational_system(rng)
+            a, b = _row_scaled(*_rational_system(rng))
         n = len(a[0]) if a else rng.randint(0, 3)
-        c = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
+        # the objective times its lcm: the same pivots, a multiple of the optimum
+        c = scaled(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))[0]
         cold = simplex_maximize(a, b, c)
         statuses.add(cold[0])
         start = _phase_one(a, b, n)
@@ -436,7 +452,7 @@ def test_drive_out_and_row_drop_keep_a_basis_of_original_columns():
         start = _phase_one(system.matrix, system.rhs, n)
         assert (start is None) == (kind == "empty")
         if start is not None:
-            rows, basis, _, _ = start
+            rows, basis, _ = start
             assert all(b < n for b in basis)
             assert len(rows) == len(fraction_rref(system.matrix, system.rhs)[2])
         cls = classify_polytope(system)

@@ -278,7 +278,7 @@ VALUES = [
                cpts={"Y": Cpt("Y", ("X",), (F(1, 2), F(1)))},
                iota=JointDistribution(("X",), (F(1, 3), F(2, 3))))),
     (DiGraph, dict(nodes=["b", "a"], edges={("a", "b"), ("b", "b")})),
-    (LinearSystem, dict(matrix=[[1, "1/2"], [0, 2]], rhs=(3, "1/3"))),
+    (LinearSystem, dict(matrix=[[1, -2], [0, 2]], rhs=(3, 0))),
     (PolytopeClass, dict(kind="point", witness=(F(1), F(0)))),
     (LimStatus, dict(distribution=None, offending_periods=(2,))),
     (SemanticsFamily, dict(kind="mc", status="unique",
@@ -327,7 +327,7 @@ def test_value_fields_are_converted_once():
     g = DiGraph(["b", "a"], [("a", "b")])
     assert g.nodes == ("a", "b") and g.edges == frozenset({("a", "b")})
     assert IndependenceTriple(["a"], "b", ()).y == frozenset({"b"})
-    assert LinearSystem([[1]], [2]).rhs == (F(2),)
+    assert LinearSystem([[1]], [2]).rhs == (2,)
     assert JointDistribution(("A",), ("1/2", "1/2")).probs == (F(1, 2),) * 2
 
 

@@ -91,7 +91,7 @@ def test_dsep_by_paths_capacity():
 
 def test_classify_by_vertices_capacity():
     with pytest.raises(CapacityError):
-        classify_by_vertices(LinearSystem(((F(1),) * 9,), (F(1),)))
+        classify_by_vertices(LinearSystem(((1,) * 9,), (1,)))
 
 
 def test_dsep_oracle_agreement_random():

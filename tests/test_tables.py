@@ -140,34 +140,39 @@ def networks():
 
 
 def literal_systems(g):
-    """(cpt rows, wcpt rows, shared tail rows, tail rhs) by definition."""
+    """The rational rows ``[A | b]`` by definition, each with the factor
+    the builders multiply it by: (cpt rows, wcpt rows, shared tail rows),
+    the factor its CPT's denominator, or, in the tail, 1 for the
+    normalization row and iota's denominator for a pinning row."""
     cols = list(all_assignments(g.nodes))
     cpt_rows, wcpt_rows = [], []
     for x in sorted(set(g.nodes) - g.initial_nodes):
         cpt = g.cpts[x]
         for pidx, pr in enumerate(cpt.rows):
             c = assignment_from_index(pidx, cpt.parents)
-            cpt_rows.append([(pr - 1 if b[x] else pr) if agrees(b, c) else ZERO
-                             for b in cols])
-        wcpt_rows.append([cpt.prob_true(b) - 1 if b[x] else cpt.prob_true(b)
-                          for b in cols])
-    tail, tail_rhs = [[ONE] * len(cols)], [ONE]
+            cpt_rows.append(([(pr - 1 if b[x] else pr) if agrees(b, c) else ZERO
+                              for b in cols] + [ZERO], cpt.den))
+        wcpt_rows.append(([cpt.prob_true(b) - 1 if b[x] else cpt.prob_true(b)
+                           for b in cols] + [ZERO], cpt.den))
+    tail = [([ONE] * len(cols) + [ONE], 1)]
     init = tuple(sorted(g.initial_nodes))
     if init:
         for idx in range(1 << len(init)):
             d = assignment_from_index(idx, init)
-            tail.append([ONE if agrees(b, d) else ZERO for b in cols])
-            tail_rhs.append(g.iota.probs[idx])
-    return cpt_rows, wcpt_rows, tail, tail_rhs
+            tail.append(([ONE if agrees(b, d) else ZERO for b in cols]
+                         + [g.iota.probs[idx]], g.iota.den))
+    return cpt_rows, wcpt_rows, tail
 
 
 def test_system_builders_match_definitions():
+    # each built row, its rhs included, is exactly its literal row times
+    # its factor, a positive integer
     for g, _ in networks():
-        cpt_rows, wcpt_rows, tail, tail_rhs = literal_systems(g)
+        cpt_rows, wcpt_rows, tail = literal_systems(g)
         for built, rows in ((build_cpt_system(g), cpt_rows),
                             (build_wcpt_system(g), wcpt_rows)):
-            assert [list(r) for r in built.matrix] == rows + tail
-            assert list(built.rhs) == [ZERO] * len(rows) + tail_rhs
+            assert [[*r, b] for r, b in zip(built.matrix, built.rhs)] == \
+                [[k * x for x in row] for row, k in rows + tail]
 
 
 def literal_consistency(mu, g, x, mode):
