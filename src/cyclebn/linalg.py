@@ -19,14 +19,24 @@ perturbation), run on the integers of ``A x = b, x >= 0`` exactly as
 given, classifies the set of nonnegative solutions as empty, a single
 point, or an infinite polytope: one phase 1 finds a vertex, and phase 2,
 started from that vertex's basis, tests whether anything lies off its
-support.  The simplex keeps Gauss-Jordan pivots, which update every row,
-the z-row included, so that the whole tableau stays on one denominator
-d and a basic variable is its row's ``row[-1]`` over d.  Phase 1
-carries no artificial columns.  Bland's rule tries the original columns
-first, so it pivots as it would with them until the artificial sum is
-minimal, and any later pivot would be degenerate and leave the vertex as
-it is.  On the integer tableau d stays positive and ratios are compared
-by cross-multiplying.
+support.  The simplex keeps a condensed tableau, the integer Jordan
+exchange of exact vertex codes (Edmonds; Avis's lrs): a row per basic
+variable, a slot per nonbasic one (``cols`` names the variable of each)
+and the rhs, the z-row included, all on one denominator d, so that a
+basic variable is its row's ``row[-1]`` over d.  Bland's rule enters the
+smallest variable label, not the first slot, so every pivot is the one
+a full Gauss-Jordan tableau would make, on only the nonbasic columns.
+Phase 1 starts with the artificials basic and every original column
+in a slot; an artificial that leaves loses its slot, since Bland's rule
+tries the original columns first and would never bring it back before
+the artificial sum is minimal, and any later pivot would be degenerate
+and leave the vertex as it is.  On the integer tableau d stays positive
+and ratios are compared by cross-multiplying.
+
+``classify_polytope`` runs a zero-forcing presolve first (Andersen and
+Andersen, "Presolving in linear programming", 1995): a row with rhs 0
+whose live coefficients all have one sign forces those columns to 0,
+until nothing changes.  The simplex then runs on the columns left.
 """
 
 from __future__ import annotations
@@ -73,45 +83,68 @@ class PolytopeClass(_Value):
         vars(self).update(kind=kind, witness=witness)
 
 
-def _pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
-    """Fraction-free Gauss-Jordan pivot on (r, c) over the shared
-    denominator ``d``; returns the new one, the pivot."""
-    prow = rows[r]
-    p = prow[c]
-    for i, row in enumerate(rows):
-        f = row[c]
+# --- exact simplex ---------------------------------------------------------
+
+def _exchange(tab, basis, cols, r, s, d, n) -> int:
+    """Fraction-free Jordan exchange on the condensed tableau ``tab`` at
+    row r and slot s over the shared denominator d; returns the new one,
+    the pivot p.  The variable ``cols[s]`` enters row r.  Every other row
+    becomes ``(p*x - f*y) // d`` with ``-f`` in slot s, and the pivot
+    row keeps its entries with d in slot s, which the leaving variable
+    takes; a leaving artificial (label ``>= n``) can never re-enter, so
+    its slot is dropped instead.  Rows are replaced, never changed in
+    place, except by that drop, which happens only in phase 1."""
+    prow = tab[r]
+    p = prow[s]
+    for i, row in enumerate(tab):
+        f = row[s]
         if i == r or not f and p == d:
             continue
-        rows[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+        if f:
+            tab[i] = new = [(p * x - f * y) // d for x, y in zip(row, prow)]
+            new[s] = -f
+        else:
+            tab[i] = [p * x // d for x in row]
+    basis[r], leaving = cols[s], basis[r]
+    if leaving < n:
+        tab[r] = prow = [*prow]
+        prow[s] = d
+        cols[s] = leaving
+    else:
+        for row in tab:
+            del row[s]
+        del cols[s]
     return p
 
 
-# --- exact simplex ---------------------------------------------------------
-
 def _phase_one(a_eq: Sequence[Sequence[int]], b_eq: Sequence[int], n: int):
-    """Phase 1 on ``A x = b, x >= 0``: the feasible tableau
-    ``(rows, basis, d)`` over the original columns and the rhs, or
-    None when the system is infeasible.  A row whose artificial is basic
-    has ``basis[i] >= n``; at the optimum these artificials (at zero) are
-    driven out, and rows where none can be are redundant and dropped."""
+    """Phase 1 on ``A x = b, x >= 0``: the feasible condensed tableau
+    ``(rows, basis, cols, d)``, or None when the system is infeasible.
+    Row i holds basic variable ``basis[i]``; its slots hold the nonbasic
+    original columns ``cols`` in that order, then the rhs.  The start
+    artificial of row i has label ``n + i``.  At the optimum the
+    artificials still basic (at zero) are driven out, and rows where
+    none can be are redundant and dropped, so ``basis`` and ``cols`` are
+    disjoint original columns.  Phase 2 copies what it changes, so the
+    start can be reused."""
     m = len(a_eq)
     tab = [[*row, x] if x >= 0 else [-y for y in (*row, x)]
            for row, x in zip(a_eq, b_eq)]
-    basis = list(range(n, n + m))
+    basis, cols = list(range(n, n + m)), list(range(n))
     tab.append([-sum(col) for col in zip(*tab)] or [0] * (n + 1))
-    d = _pivot_to_optimum(tab, basis, n, 1)
+    d = _pivot_to_optimum(tab, basis, cols, 1, n)
     if tab.pop()[-1] != 0:       # phase-1 optimum = -(residual artificial sum)
         return None
     for i in range(m):
         if basis[i] >= n:
-            col = next((j for j in range(n) if tab[i][j] != 0), None)
-            if col is not None:
-                if tab[i][col] < 0:     # the row is 0 = ..., so negate it
+            s = min((s for s, x in enumerate(tab[i][:-1]) if x),
+                    key=cols.__getitem__, default=None)
+            if s is not None:
+                if tab[i][s] < 0:       # the row is 0 = ..., so negate it
                     tab[i] = [-x for x in tab[i]]
-                d = _pivot(tab, i, col, d)
-                basis[i] = col
+                d = _exchange(tab, basis, cols, i, s, d, n)
     keep = [i for i in range(m) if basis[i] < n]
-    return [tab[i] for i in keep], [basis[i] for i in keep], d
+    return [tab[i] for i in keep], [basis[i] for i in keep], cols, d
 
 
 def _vertex(rows, basis, d, n) -> Point:
@@ -129,72 +162,126 @@ def simplex_maximize(a_eq: Sequence[Sequence[int]], b_eq: Sequence[int],
     Returns ("infeasible", None, None), ("unbounded", None, None), or
     ("optimal", (value, den), (nums, den)): the optimum value / den and
     a vertex x = nums / den reaching it.  Phase 2 starts from ``start``,
-    the tableau ``_phase_one`` returned for the same system, or from a
-    phase 1 run here when it is None.  Bland's rule on both phases
-    guarantees termination.
+    the tableau ``(rows, basis, cols, d)`` that ``_phase_one`` returned
+    for the same system, or from a phase 1 run here when it is None; the
+    start is left as it was.  Bland's rule on both phases guarantees
+    termination.
     """
     n = len(objective)
     if start is None:
         start = _phase_one(a_eq, b_eq, n)
         if start is None:
             return "infeasible", None, None
-    rows, basis, d = start
-    basis = list(basis)
+    rows, basis, cols, d = start
+    basis, cols = list(basis), list(cols)
     # Phase 2: minimize -objective over the shared denominator d.
-    zrow = [-d * c for c in objective] + [0]
+    zrow = [-d * objective[j] for j in cols] + [0]
     for row, bi in zip(rows, basis):
-        f = zrow[bi] // d
-        if f:
-            zrow = [z - f * t for z, t in zip(zrow, row)]
+        c = objective[bi]
+        if c:
+            zrow = [z + c * t for z, t in zip(zrow, row)]
     tab = [*rows, zrow]
-    d = _pivot_to_optimum(tab, basis, n, d)
+    d = _pivot_to_optimum(tab, basis, cols, d, n)
     if d is None:
         return "unbounded", None, None
     nums, den = x = _vertex(tab, basis, d, n)
     return "optimal", (sum(map(int.__mul__, objective, nums)), den), x
 
 
-def _pivot_to_optimum(tab, basis, n_cols, d):
-    """Pivot with Bland's rule until the z-row (last row) is nonnegative;
-    returns the denominator, or None when the objective is unbounded."""
+def _pivot_to_optimum(tab, basis, cols, d, n):
+    """Pivot with Bland's rule until the z-row (last row) is nonnegative:
+    the smallest variable label with a negative slot enters; returns the
+    denominator, or None when the objective is unbounded."""
     m = len(tab) - 1
     while True:
-        enter = next((j for j in range(n_cols) if tab[m][j] < 0), None)
-        if enter is None:
+        labels = [j for j, z in zip(cols, tab[m]) if z < 0]
+        if not labels:
             return d
-        candidates = [i for i in range(m) if tab[i][enter] > 0]
+        s = cols.index(min(labels))
+        candidates = [i for i in range(m) if tab[i][s] > 0]
         if not candidates:
             return None
         row = candidates[0]
         for i in candidates[1:]:
             # b_i / a_i < b_row / a_row, cross-multiplied; ties to the smaller basic index
-            lhs, rhs = tab[i][-1] * tab[row][enter], tab[row][-1] * tab[i][enter]
+            lhs, rhs = tab[i][-1] * tab[row][s], tab[row][-1] * tab[i][s]
             if lhs < rhs or lhs == rhs and basis[i] < basis[row]:
                 row = i
-        d = _pivot(tab, row, enter, d)
-        basis[row] = enter
+        d = _exchange(tab, basis, cols, row, s, d, n)
+
+
+def _forced_zeros(a_eq: Sequence[Sequence[int]], b_eq: Sequence[int]) -> set[int]:
+    """Columns that are 0 at every nonnegative solution by the zero-forcing
+    rule, applied until nothing changes: a row with rhs 0 whose live
+    (not yet forced) coefficients all have one sign forces those columns
+    to 0.  A 0 or 1 CPT entry gives such a row, and so does a pinning
+    row of a zero-mass initial assignment."""
+    forced: set[int] = set()
+    pending = [row for row, x in zip(a_eq, b_eq) if not x]
+    while True:
+        rest = []
+        for row in pending:
+            live = [v for j, v in enumerate(row) if j not in forced] if forced else row
+            if min(live, default=0) >= 0 or max(live) <= 0:
+                forced.update(j for j, v in enumerate(row) if v)
+            else:
+                rest.append(row)
+        if len(rest) == len(pending):
+            return forced
+        pending = rest
+
+
+def _classify(a_eq, b_eq, n: int) -> PolytopeClass:
+    """``classify_polytope`` on the n columns of ``A x = b`` as given."""
+    start = _phase_one(a_eq, b_eq, n)
+    if start is None:
+        return PolytopeClass("empty")
+    rows, basis, _, d = start
+    v = _vertex(rows, basis, d, n)
+    off = tuple(0 if x else 1 for x in v[0])
+    status, value, _ = simplex_maximize(a_eq, b_eq, off, start)
+    if status == "unbounded" or value[0]:
+        return PolytopeClass("infinite", v)
+    return PolytopeClass("point", v)
 
 
 def classify_polytope(system: LinearSystem) -> PolytopeClass:
     """Classify {x : A x = b, x >= 0} as empty, a single point, or infinite.
 
-    One phase 1 proves the set empty or reaches a vertex v, read off its
-    basis.  The columns of A on the support of a vertex are linearly
-    independent, so no other feasible point has its support inside
-    supp(v): the set is {v} iff the sum of the coordinates off supp(v)
-    has maximum 0, which phase 2 decides, started from v's basis.  The
-    witness is v.
+    A presolve first drops the columns ``_forced_zeros`` finds: the set
+    is the face x_F = 0, so it keeps its kind, and a vertex of the
+    reduced system with zeros put back at F is a vertex of the set.  A
+    row left with no column is empty when its rhs is not 0 and dropped
+    when it is.  With nothing forced the system runs as given.
+
+    One phase 1 then proves the set empty or reaches a vertex v, read
+    off its basis.  The columns of A on the support of a vertex are
+    linearly independent, so no other feasible point has its support
+    inside supp(v): the set is {v} iff the sum of the coordinates off
+    supp(v) has maximum 0, which phase 2 decides, started from v's
+    basis.  The witness is v.
     """
-    n = system.num_cols
-    start = _phase_one(system.matrix, system.rhs, n)
-    if start is None:
-        return PolytopeClass("empty")
-    v = _vertex(*start, n)
-    off = tuple(0 if x else 1 for x in v[0])
-    status, value, _ = simplex_maximize(system.matrix, system.rhs, off, start)
-    if status == "unbounded" or value[0]:
-        return PolytopeClass("infinite", v)
-    return PolytopeClass("point", v)
+    n, a_eq, b_eq = system.num_cols, system.matrix, system.rhs
+    forced = _forced_zeros(a_eq, b_eq)
+    if not forced:
+        return _classify(a_eq, b_eq, n)
+    live = [j for j in range(n) if j not in forced]
+    rows, rhs = [], []
+    for row, x in zip(a_eq, b_eq):
+        row = [row[j] for j in live]
+        if any(row):
+            rows.append(row)
+            rhs.append(x)
+        elif x:
+            return PolytopeClass("empty")
+    poly = _classify(rows, rhs, len(live))
+    if poly.witness is None:
+        return poly
+    nums, den = poly.witness
+    x = [0] * n
+    for j, v in zip(live, nums):
+        x[j] = v
+    return PolytopeClass(poly.kind, (tuple(x), den))
 
 
 def solve_affine(rows: list[list[int]], n: int) -> tuple[list[int], int] | None:

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,9 @@ from conftest import fractions, random_cyclic_gbn, solve_rational, two_cycle
 from cyclebn import linalg
 from cyclebn.chain import CutsetChain
 from cyclebn.constraints import build_cpt_system, build_wcpt_system
-from cyclebn.linalg import (LinearSystem, _phase_one, classify_polytope,
-                            null_space_left, simplex_maximize, solve_affine)
+from cyclebn.linalg import (LinearSystem, _forced_zeros, _phase_one,
+                            classify_polytope, null_space_left,
+                            simplex_maximize, solve_affine)
 from cyclebn.model import scaled
 from cyclebn.oracle import (classify_by_vertices, fraction_rref, is_solution,
                             stationary_by_state_reduction)
@@ -327,6 +329,9 @@ def test_bscc_lrfs_match_state_reduction():
 
 # --- Bland's pivot sequence, pinned ----------------------------------------
 
+#: Each pin test takes well under a second; a rule that cycles never ends.
+PIN_BUDGET_S = 30
+
 #: sha256 of the classifications and LP optima below, recorded with the
 #: simplex on the integer rows of the systems as built, each CPT row times
 #: its CPT's denominator.
@@ -337,7 +342,27 @@ def _text(xs):
     return "none" if xs is None else ",".join(map(str, xs))
 
 
-def test_simplex_witnesses_are_pinned():
+@pytest.fixture
+def pivot_budget():
+    """Fail the test by name, not by hanging, when it runs past
+    ``PIN_BUDGET_S``: a pivot rule that loses Bland's termination cycles
+    forever.  Without ``SIGALRM`` (Windows) the test runs unguarded."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"over the {PIN_BUDGET_S} s budget: does the pivot rule cycle?")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(PIN_BUDGET_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_simplex_witnesses_are_pinned(pivot_budget):
     """Infinite families have many feasible points: the witness and the
     optimum picked are the ones Bland's rule reaches, and only the same
     pivot sequence reproduces them."""
@@ -356,11 +381,12 @@ def test_simplex_witnesses_are_pinned():
 
 
 #: sha256 of the classifications below, recorded, as ``WITNESS_DIGEST``,
-#: with the simplex on the integer rows of the systems as built.
-LARGE_WITNESS_DIGEST = "a8fce1f0df711f459a5b97e237b100f1d467f1b97a6d5690db11bb6054354f05"
+#: with the simplex on the integer rows of the systems as built, and with
+#: the zero-forcing presolve: the simplex runs on the columns it leaves.
+LARGE_WITNESS_DIGEST = "078a02d7c3c5b5cc3737d4c1e30caf585c1e578995132effac3c316c803829ad"
 
 
-def test_classify_witnesses_on_larger_systems_are_pinned():
+def test_classify_witnesses_on_larger_systems_are_pinned(pivot_budget):
     """The cpt and wcpt systems of 5- and 6-node networks (up to 64
     columns; 0/1, halves or eighths as CPT entries, so every kind
     occurs): the witness is the vertex Bland's rule reaches in phase 1."""
@@ -416,13 +442,18 @@ def test_classify_runs_phase_one_once(monkeypatch):
     counted("_phase_one")
     counted("simplex_maximize")
     rng = random.Random(15)
+    presolved = 0
     for _ in range(60):
         before = dict(calls)
         kind = classify_polytope(_random_system(rng)).kind
-        assert calls["_phase_one"] == before["_phase_one"] + 1
+        runs = calls["_phase_one"] - before["_phase_one"]
+        # at most once, and exactly once unless the presolve proved it empty
+        assert runs == 1 or runs == 0 and kind == "empty"
+        presolved += not runs
         # phase 2 runs through simplex_maximize on every nonempty set
         assert calls["simplex_maximize"] == \
             before["simplex_maximize"] + (kind != "empty")
+    assert presolved
 
 
 #: Systems that take phase 1's drive-out and row-drop paths.  An
@@ -452,10 +483,90 @@ def test_drive_out_and_row_drop_keep_a_basis_of_original_columns():
         start = _phase_one(system.matrix, system.rhs, n)
         assert (start is None) == (kind == "empty")
         if start is not None:
-            rows, basis, _ = start
+            rows, basis, cols, _ = start
             assert all(b < n for b in basis)
+            # disjoint original columns: each one is basic or holds a slot
+            assert sorted(basis + cols) == list(range(n))
             assert len(rows) == len(fraction_rref(system.matrix, system.rhs)[2])
         cls = classify_polytope(system)
         assert cls.kind == kind
         if kind != "empty":
             assert fractions(cls.witness) in vertices
+
+
+# --- the zero-forcing presolve ---------------------------------------------
+
+def _forcing_system(rng: random.Random) -> LinearSystem:
+    """0-8 columns with a forcing chain: the first row, rhs 0, has one
+    sign on the chain's first columns, and each later chain row one sign
+    on its new columns but any signs on columns forced before it.  Random
+    rows follow, some only over the chain's columns with rhs not 0 (empty
+    once the chain is forced), and a normalization row half the time.
+    The chain covers every column one time in four, and the rows come
+    shuffled, so a row often forces only after a row listed below it."""
+    n = rng.randint(0, 8)
+    order = rng.sample(range(n), n)
+    chain = order if rng.random() < 0.25 else order[:rng.randint(0, n)]
+    rows, rhs = [], []
+    done = 0
+    while done < len(chain):
+        new = chain[done:done + rng.randint(1, 3)]
+        sign = rng.choice((1, -1))
+        row = [0] * n
+        for j in new:
+            row[j] = sign * rng.randint(1, 3)
+        for j in chain[:done]:
+            row[j] = rng.choice((0, rng.randint(-3, 3)))
+        rows.append(row)
+        rhs.append(0)
+        done += len(new)
+    for _ in range(rng.randint(0, 3)):
+        span = chain if chain and rng.random() < 0.4 else range(n)
+        row = [0] * n
+        for j in span:
+            row[j] = rng.randint(-2, 2)
+        rows.append(row)
+        rhs.append(rng.choice((0, rng.randint(-2, 2))))
+    if rng.random() < 0.5:
+        rows.append([1] * n)
+        rhs.append(1)
+    order = rng.sample(range(len(rows)), len(rows))
+    return LinearSystem([rows[i] for i in order], [rhs[i] for i in order])
+
+
+def _one_signed(row, live) -> bool:
+    """Do the nonzero entries of ``row`` at the columns ``live`` exist
+    and all have one sign?"""
+    return len({row[j] > 0 for j in live if row[j]}) == 1
+
+
+def test_presolve_matches_vertex_enumeration():
+    """The presolve keeps the kind and lifts the witness to a vertex; its
+    forced set is closed (no row with rhs 0 forces more) and sound (each
+    forced column has maximum 0 over the set, by ``simplex_maximize``,
+    which runs no presolve)."""
+    rng = random.Random(16)
+    seen = dict.fromkeys(("chain", "all forced", "row lost", "no columns"), 0)
+    for _ in range(200):
+        system = _forcing_system(rng)
+        n, a, b = system.num_cols, system.matrix, system.rhs
+        forced = _forced_zeros(a, b)
+        live = [j for j in range(n) if j not in forced]
+        assert not any(_one_signed(row, live) for row, x in zip(a, b) if not x)
+        for j in forced:
+            unit = [int(k == j) for k in range(n)]
+            status, value, _ = simplex_maximize(a, b, unit)
+            assert status == "infeasible" or status == "optimal" and value[0] == 0
+        direct = {j for row, x in zip(a, b) if not x and _one_signed(row, range(n))
+                  for j in range(n) if row[j]}
+        seen["chain"] += forced != direct
+        seen["all forced"] += n > 0 and not live
+        seen["row lost"] += any(x and not any(row[j] for j in live)
+                                for row, x in zip(a, b))
+        seen["no columns"] += n == 0
+        cls = classify_polytope(system)
+        kind, vertices = classify_by_vertices(system)
+        assert cls.kind == kind
+        if kind != "empty":
+            assert fractions(cls.witness) in vertices
+    assert min(seen.values()) >= 20, seen
