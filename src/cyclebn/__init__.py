@@ -12,8 +12,8 @@ first use of one of them.
 """
 
 from .chain import (CutsetChain, LimStatus, NotACutsetError, cutset_mc,
-                    dissect, extend, is_smooth, lim, long_run_frequency,
-                    mcs, next_dist, reach_probs)
+                    dissect, is_smooth, lim, long_run_frequency, mcs,
+                    next_dist, reach_probs)
 from .constraints import (build_cpt_system, build_wcpt_system,
                           check_consistency, cpt_i_via_cutsets,
                           is_strongly_consistent, solve_family)
@@ -26,8 +26,7 @@ from .linalg import (LinearSystem, PolytopeClass, classify_polytope,
 from .model import (CapacityError, Cpt, Gbn, InternalError, JointDistribution,
                     Violation,
                     all_assignments, assignment_from_index,
-                    canonical_index, dirac, format_rational, make_gbn,
-                    parse_rational)
+                    canonical_index, dirac, format_rational, parse_rational)
 
 __version__ = "0.1.0"
 

@@ -23,7 +23,7 @@ MAX_CUTSET_SIZE = 16
 PRIME = "'"
 
 
-class NotACutsetError(Exception):
+class NotACutsetError(ValueError):
     pass
 
 
@@ -206,15 +206,6 @@ def _forward_eliminate(g: Gbn, cut: tuple[str, ...], rows: bool,
     return out
 
 
-def extend(g: Gbn, cut, gamma: JointDistribution) -> JointDistribution:
-    """Full joint distribution over the original variables recovered from
-    a distribution over the cutset."""
-    cut = _check_cutset(g, cut)
-    g._require_valid()
-    # extension reads only the network and the cutset of a chain
-    return CutsetChain._of_rows(g, cut, (), ()).extend([gamma])[0]
-
-
 class CutsetChain:
     """DTMC over cutset assignments with an exact transition matrix.
 
@@ -235,12 +226,6 @@ class CutsetChain:
             raise ValueError(f"a chain over {len(self.cutset)} cut nodes "
                              f"needs {1 << len(self.cutset)} rows")
         self.rows, self.dens = zip(*map(scaled, matrix))
-
-    @classmethod
-    def _of_rows(cls, g, cutset, rows, dens) -> CutsetChain:
-        chain = cls.__new__(cls)
-        chain.network, chain.cutset, chain.rows, chain.dens = g, cutset, rows, dens
-        return chain
 
     def extend(self, gammas) -> tuple[JointDistribution, ...]:
         """Full joints over the network's variables recovered from the
@@ -344,7 +329,9 @@ def cutset_mc(g: Gbn, cut) -> CutsetChain:
             row[key >> n] = p // common
         rows.append(row)
         dens.append(den // common)
-    return CutsetChain._of_rows(g, cut, tuple(rows), tuple(dens))
+    chain = CutsetChain.__new__(CutsetChain)
+    chain.network, chain.cutset, chain.rows, chain.dens = g, cut, tuple(rows), tuple(dens)
+    return chain
 
 
 def reach_probs(chain: CutsetChain,

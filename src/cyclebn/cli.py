@@ -259,23 +259,6 @@ def parse_document(text: str) -> Gbn:
     return g
 
 
-def serialize_document(g: Gbn) -> str:
-    """Inverse of :func:`parse_document` up to JSON formatting."""
-    doc = {
-        "variables": list(g.nodes),
-        "edges": sorted([u, v] for (u, v) in g.edges),
-        "cpts": {
-            x: {"parents": list(cpt.parents),
-                "rows": {key: format_rational(r)
-                         for key, r in zip(_bit_keys(cpt.parents), cpt.rows)}}
-            for x, cpt in sorted(g.cpts.items())
-        },
-        "iota": {key: format_rational(p)
-                 for key, p in zip(_bit_keys(g.iota.variables), g.iota.probs)},
-    }
-    return json.dumps(doc, indent=2)
-
-
 def _load(path: str) -> Gbn:
     with open(path, encoding="utf-8") as fh:
         return parse_document(fh.read())
@@ -455,12 +438,12 @@ def _cmd_semantics(args) -> tuple[dict, int]:
     if kind == "bn":
         try:
             # the empty set is a cutset exactly when the graph is acyclic
-            mu = chainmod.extend(g, (), JointDistribution.uniform(()))
+            mc = chainmod.cutset_mc(g, ())
         except chainmod.NotACutsetError:
             out.update(status="empty", notes="cyclic graph")
             return out, 0
-        out.update(status=UNIQUE,
-                   distributions=[_vector_out(mu)])
+        mu = mc.extend([JointDistribution.uniform(())])[0]
+        out.update(status=UNIQUE, distributions=[_vector_out(mu)])
         return out, 0
     if kind in ("cpt", "wcpt"):
         out.update(_family_out(constraints.solve_family(g, kind)))
@@ -468,8 +451,6 @@ def _cmd_semantics(args) -> tuple[dict, int]:
     if kind == "cpti":
         if args.cutset:
             cutsets = [_parse_names(c) for c in args.cutset.split(";")]
-        elif graphmod.is_acyclic(inference.to_digraph(g)):
-            cutsets = [()]
         else:
             cutsets = graphmod.enumerate_cutsets(inference.to_digraph(g),
                                                  minimal_only=True)
@@ -604,9 +585,6 @@ def main(argv=None) -> int:
     except CapacityError as e:
         print(f"error: capacity: {e}", file=sys.stderr)
         return EXIT_CAPACITY
-    except chainmod.NotACutsetError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID

@@ -27,24 +27,19 @@ def _weak_rows(g: Gbn):
 
 
 def _pinned(g: Gbn, rows: list) -> LinearSystem:
-    """``rows`` equal to 0, then the normalization row, then one row per
-    initial assignment (zero-mass ones included) pinning the restriction
-    to the initial nodes to iota, times iota's denominator; without
-    initial nodes that row would repeat normalization."""
-    rhs = [0] * len(rows) + [1]
-    rows = rows + [[1] * (1 << len(g.nodes))]
-    init = tuple(sorted(g.initial_nodes))
-    if init:
-        init_of, den = sub_indices(g.nodes, init), g.iota.den
-        rows += [[den if k == i else 0 for k in init_of] for i in range(1 << len(init))]
-        rhs += g.iota.nums
-    return LinearSystem(tuple(rows), tuple(rhs))
+    """``rows`` equal to 0, then one row per assignment of iota's
+    variables (zero-mass ones included) pinning the restriction to them
+    to iota, times iota's denominator; without initial nodes that is
+    the normalization row."""
+    init_of, den = sub_indices(g.nodes, g.iota.variables), g.iota.den
+    pins = [[den if k == i else 0 for k in init_of] for i in range(len(g.iota.nums))]
+    return LinearSystem(rows + pins, [0] * len(rows) + [*g.iota.nums])
 
 
 def build_cpt_system(g: Gbn) -> LinearSystem:
     """Strong-consistency system: for each non-initial node X and parent
     assignment c, the row Pr(X=T|c) * mu(c) - mu(X=T, c) = 0, followed by
-    the normalization row and the initial-distribution pinning rows."""
+    the initial-distribution pinning rows."""
     return _pinned(g, [[w if k == c else 0 for k, w in zip(parent_of, row)]
                        for cpt, parent_of, row in _weak_rows(g)
                        for c in range(len(cpt.nums))])
@@ -52,7 +47,7 @@ def build_cpt_system(g: Gbn) -> LinearSystem:
 
 def build_wcpt_system(g: Gbn) -> LinearSystem:
     """Weak-consistency system: one marginal equation per non-initial
-    node, plus normalization and initial-distribution pinning."""
+    node, plus initial-distribution pinning."""
     return _pinned(g, [row for _, _, row in _weak_rows(g)])
 
 

@@ -26,9 +26,3 @@ class SemanticsFamily(_Value):
                  notes: str = "") -> None:
         vars(self).update(kind=kind, status=status,
                           distributions=distributions, notes=notes)
-
-    @property
-    def unique_distribution(self) -> JointDistribution:
-        if self.status != UNIQUE:
-            raise ValueError(f"family is {self.status}, not unique")
-        return self.distributions[0]

@@ -51,10 +51,6 @@ class DiGraph(_Value):
     def predecessors(self, node: Hashable) -> frozenset[Hashable]:
         return self._adjacency[1].get(node, frozenset())
 
-    @property
-    def initial_nodes(self) -> frozenset[Hashable]:
-        return frozenset(self.nodes) - {v for (_, v) in self.edges}
-
 
 def strong_components(succ: Sequence[Sequence[int]]
                       ) -> tuple[list[list[int]], list[bool]]:

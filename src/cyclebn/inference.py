@@ -1,6 +1,6 @@
 """The standard semantics of an acyclic network by the chain rule, one
-assignment at a time: the definition behind ``chain.extend`` on the empty
-cutset and behind ``chain.next_dist``.  Independence checks over
+assignment at a time: the definition behind ``CutsetChain.extend`` on the
+empty cutset and behind ``chain.next_dist``.  Independence checks over
 d-separation triples live in ``oracle``."""
 
 from __future__ import annotations

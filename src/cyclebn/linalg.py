@@ -36,7 +36,8 @@ and ratios are compared by cross-multiplying.
 ``classify_polytope`` runs a zero-forcing presolve first (Andersen and
 Andersen, "Presolving in linear programming", 1995): a row with rhs 0
 whose live coefficients all have one sign forces those columns to 0,
-until nothing changes.  The simplex then runs on the columns left.
+until nothing changes.  The simplex then runs on the columns left and
+the rows that still have one.
 """
 
 from __future__ import annotations
@@ -231,28 +232,14 @@ def _forced_zeros(a_eq: Sequence[Sequence[int]], b_eq: Sequence[int]) -> set[int
         pending = rest
 
 
-def _classify(a_eq, b_eq, n: int) -> PolytopeClass:
-    """``classify_polytope`` on the n columns of ``A x = b`` as given."""
-    start = _phase_one(a_eq, b_eq, n)
-    if start is None:
-        return PolytopeClass("empty")
-    rows, basis, _, d = start
-    v = _vertex(rows, basis, d, n)
-    off = tuple(0 if x else 1 for x in v[0])
-    status, value, _ = simplex_maximize(a_eq, b_eq, off, start)
-    if status == "unbounded" or value[0]:
-        return PolytopeClass("infinite", v)
-    return PolytopeClass("point", v)
-
-
 def classify_polytope(system: LinearSystem) -> PolytopeClass:
     """Classify {x : A x = b, x >= 0} as empty, a single point, or infinite.
 
     A presolve first drops the columns ``_forced_zeros`` finds: the set
     is the face x_F = 0, so it keeps its kind, and a vertex of the
-    reduced system with zeros put back at F is a vertex of the set.  A
-    row left with no column is empty when its rhs is not 0 and dropped
-    when it is.  With nothing forced the system runs as given.
+    reduced system with zeros put back at F is a vertex of the set.
+    Every row left with no column goes too, and the set is empty when
+    such a row's rhs is not 0.
 
     One phase 1 then proves the set empty or reaches a vertex v, read
     off its basis.  The columns of A on the support of a vertex are
@@ -261,27 +248,29 @@ def classify_polytope(system: LinearSystem) -> PolytopeClass:
     supp(v) has maximum 0, which phase 2 decides, started from v's
     basis.  The witness is v.
     """
-    n, a_eq, b_eq = system.num_cols, system.matrix, system.rhs
-    forced = _forced_zeros(a_eq, b_eq)
-    if not forced:
-        return _classify(a_eq, b_eq, n)
+    n = system.num_cols
+    forced = _forced_zeros(system.matrix, system.rhs)
     live = [j for j in range(n) if j not in forced]
-    rows, rhs = [], []
-    for row, x in zip(a_eq, b_eq):
+    a_eq, b_eq = [], []
+    for row, x in zip(system.matrix, system.rhs):
         row = [row[j] for j in live]
         if any(row):
-            rows.append(row)
-            rhs.append(x)
+            a_eq.append(row)
+            b_eq.append(x)
         elif x:
             return PolytopeClass("empty")
-    poly = _classify(rows, rhs, len(live))
-    if poly.witness is None:
-        return poly
-    nums, den = poly.witness
+    start = _phase_one(a_eq, b_eq, len(live))
+    if start is None:
+        return PolytopeClass("empty")
+    rows, basis, _, d = start
+    nums, den = _vertex(rows, basis, d, len(live))
+    off = tuple(0 if x else 1 for x in nums)
+    status, value, _ = simplex_maximize(a_eq, b_eq, off, start)
+    kind = "infinite" if status == "unbounded" or value[0] else "point"
     x = [0] * n
     for j, v in zip(live, nums):
         x[j] = v
-    return PolytopeClass(poly.kind, (tuple(x), den))
+    return PolytopeClass(kind, (tuple(x), den))
 
 
 def solve_affine(rows: list[list[int]], n: int) -> tuple[list[int], int] | None:

@@ -378,12 +378,3 @@ class Gbn(_Value):
         if self._violations:
             raise ValueError(f"invalid network: {list(self._violations)}")
 
-
-def make_gbn(nodes: Iterable[str],
-             edges: Iterable[tuple[str, str]],
-             cpts: Iterable[Cpt],
-             iota: JointDistribution | None = None) -> Gbn:
-    """Convenience constructor; defaults ``iota`` to the empty-set distribution."""
-    if iota is None:
-        iota = JointDistribution((), (1,))
-    return Gbn(tuple(nodes), frozenset(edges), {c.owner: c for c in cpts}, iota)

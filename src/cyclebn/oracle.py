@@ -165,7 +165,7 @@ def post_star(g: DiGraph, node) -> frozenset:
 
 def close(g: DiGraph) -> DiGraph:
     """Add both edges between every pair of distinct initial nodes."""
-    init = sorted(g.initial_nodes)
+    init = [v for v in g.nodes if not g.predecessors(v)]
     extra = {(a, b) for a in init for b in init if a != b}
     return DiGraph(g.nodes, g.edges | extra)
 

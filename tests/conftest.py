@@ -2,14 +2,45 @@
 
 from __future__ import annotations
 
+import json
 import random
+from collections.abc import Iterable
 from fractions import Fraction
 
+from cyclebn.cli import _bit_keys
 from cyclebn.graph import DiGraph, enumerate_cutsets, is_acyclic
 from cyclebn.linalg import solve_affine
-from cyclebn.model import Cpt, Gbn, JointDistribution, make_gbn, scaled
+from cyclebn.model import Cpt, Gbn, JointDistribution, format_rational, scaled
 
 NAMES = ("A", "B", "C", "D", "E", "F", "G", "H")
+
+
+def make_gbn(nodes: Iterable[str],
+             edges: Iterable[tuple[str, str]],
+             cpts: Iterable[Cpt],
+             iota: JointDistribution | None = None) -> Gbn:
+    """A network from a CPT list; ``iota`` defaults to the empty-set
+    distribution."""
+    if iota is None:
+        iota = JointDistribution((), (1,))
+    return Gbn(tuple(nodes), frozenset(edges), {c.owner: c for c in cpts}, iota)
+
+
+def serialize_document(g: Gbn) -> str:
+    """Inverse of ``cli.parse_document`` up to JSON formatting."""
+    doc = {
+        "variables": list(g.nodes),
+        "edges": sorted([u, v] for (u, v) in g.edges),
+        "cpts": {
+            x: {"parents": list(cpt.parents),
+                "rows": {key: format_rational(r)
+                         for key, r in zip(_bit_keys(cpt.parents), cpt.rows)}}
+            for x, cpt in sorted(g.cpts.items())
+        },
+        "iota": {key: format_rational(p)
+                 for key, p in zip(_bit_keys(g.iota.variables), g.iota.probs)},
+    }
+    return json.dumps(doc, indent=2)
 
 
 def fractions(point):
@@ -65,15 +96,16 @@ def rand_joint(rng: random.Random, variables,
 def _attach_tables(rng: random.Random, nodes, edges, smooth: bool,
                    denom: int) -> Gbn:
     g = DiGraph(tuple(nodes), frozenset(edges))
-    cpts = []
+    cpts, initial = [], []
     for x in g.nodes:
         parents = tuple(sorted(g.predecessors(x)))
-        if not parents and x in g.initial_nodes:
+        if not parents:
+            initial.append(x)
             continue
         rows = tuple(rand_entry(rng, denom, smooth)
                      for _ in range(1 << len(parents)))
         cpts.append(Cpt(x, parents, rows))
-    iota = rand_joint(rng, sorted(g.initial_nodes), smooth)
+    iota = rand_joint(rng, initial, smooth)
     return make_gbn(g.nodes, g.edges, cpts, iota)
 
 

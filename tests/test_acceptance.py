@@ -61,7 +61,7 @@ def test_criterion_1_consistency_trichotomy():
 
         fam = solve_family(two_cycle("3/4", "1/2", "3/4", "1/2"), "cpt")
         assert fam.status == UNIQUE
-        assert fam.unique_distribution.probs == \
+        assert fam.distributions[0].probs == \
             (F(1, 10), F(3, 10), F(3, 10), F(3, 10))
 
 
@@ -204,7 +204,7 @@ def test_criterion_8_consistency_split():
             fam = cpt_i_via_cutsets(g, family)
             if fam.status == UNIQUE:
                 intersections += 1
-                assert is_strongly_consistent(fam.unique_distribution, g)
+                assert is_strongly_consistent(fam.distributions[0], g)
         assert intersections > 0
 
 

@@ -6,15 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (dense_cyclic_gbn, rand_entry, rand_joint,
+from conftest import (dense_cyclic_gbn, make_gbn, rand_entry, rand_joint,
                       random_cyclic_gbn, random_cutset, two_cycle)
 from cyclebn.chain import (CutsetChain, NotACutsetError, _forward_eliminate,
-                           cutset_mc, dissect, extend, is_smooth, lim,
+                           cutset_mc, dissect, is_smooth, lim,
                            long_run_frequency, mcs, next_dist, reach_probs)
 from cyclebn.graph import DiGraph, is_acyclic
 from cyclebn.inference import chain_rule_dist
 from cyclebn.model import (Cpt, InternalError, JointDistribution,
-                           assignment_from_index, dirac, make_gbn)
+                           assignment_from_index, dirac)
 from cyclebn.oracle import (fraction_rref, iterate_next,
                             stationary_by_state_reduction)
 
@@ -68,7 +68,8 @@ def test_dissect_empty_cutset_identity():
                  JointDistribution(("X",), (F(1, 4), F(3, 4))))
     assert dissect(g, (), JointDistribution((), (F(1),))) is g
     assert next_dist(g, (), JointDistribution((), (F(1),))) == chain_rule_dist(g)
-    assert extend(g, (), JointDistribution((), (F(1),))) == chain_rule_dist(g)
+    assert cutset_mc(g, ()).extend([JointDistribution((), (F(1),))])[0] == \
+        chain_rule_dist(g)
 
 
 def test_next_dist_from_dirac():
@@ -97,8 +98,10 @@ def test_invalid_network_built_in_code_is_refused():
     acyclic = make_gbn(["X", "Y"], [("Y", "X")], [bad],
                        JointDistribution.uniform(("Y",)))
     calls = [lambda: cutset_mc(cyclic, ("X",)),
-             lambda: extend(cyclic, ("X",), JointDistribution.uniform(("X",))),
-             lambda: extend(acyclic, (), JointDistribution((), (F(1),))),
+             lambda: cutset_mc(cyclic, ("X",)).extend(
+                 [JointDistribution.uniform(("X",))])[0],
+             lambda: cutset_mc(acyclic, ()).extend(
+                 [JointDistribution((), (F(1),))])[0],
              lambda: chain_rule_dist(acyclic)]
     for call in calls:
         with pytest.raises(ValueError, match=r"invalid network: \[Violation\("
@@ -192,8 +195,8 @@ def test_mcs_matches_stationary_extension():
 
 
 def test_chain_extends_every_start_in_one_call_in_order():
-    """Extending a list of starts through the chain gives what the public
-    extend gives one start at a time, in the order given."""
+    """Extending a list of starts through the chain gives what extending
+    one start at a time gives, in the order given."""
     rng = random.Random(23)
     multi = 0
     for _ in range(120):
@@ -202,7 +205,8 @@ def test_chain_extends_every_start_in_one_call_in_order():
         cut = random_cutset(rng, g, max_size=3)
         mc = cutset_mc(g, cut)
         starts = [*mc.bscc_lrfs, rand_joint(rng, cut)]
-        assert list(mc.extend(starts)) == [extend(g, cut, s) for s in starts]
+        assert list(mc.extend(starts)) == [cutset_mc(g, cut).extend([s])[0]
+                                           for s in starts]
         multi += len(mc.bsccs) > 1
     assert multi >= 10
 
@@ -301,7 +305,7 @@ def _assert_compiled_matches_oracle(g, cut, gamma):
     for b, row in enumerate(mc.matrix):
         start = dirac(assignment_from_index(b, cut))
         assert row == next_dist(g, cut, start).restrict(cut).probs
-    assert extend(g, cut, gamma) == \
+    assert mc.extend([gamma])[0] == \
         chain_rule_dist(dissect(g, cut, gamma)).restrict(g.nodes)
 
 

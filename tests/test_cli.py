@@ -13,12 +13,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cyclebn
-from conftest import two_cycle
+from conftest import serialize_document, two_cycle
 from cyclebn import chain as chainmod
 from cyclebn.chain import cutset_mc
 from cyclebn.cli import (DocumentError, _bit_keys, _chain_out, _Cutsets,
                          _json_text, _load, _pretty, _vector_out, main,
-                         parse_document, serialize_document)
+                         parse_document)
 from cyclebn.model import Gbn, JointDistribution, format_rational
 from cyclebn.oracle import check_cpt_i_member, closed_cut_triples
 

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_acyclic_gbn, random_cyclic_gbn, two_cycle
-from cyclebn.chain import cutset_mc, extend
+from conftest import make_gbn, random_acyclic_gbn, random_cyclic_gbn, two_cycle
+from cyclebn.chain import cutset_mc
 from cyclebn.constraints import (build_cpt_system, build_wcpt_system,
                                  check_consistency, cpt_i_via_cutsets,
                                  is_strongly_consistent, solve_family)
@@ -15,7 +15,7 @@ from cyclebn.families import EMPTY, INFINITE, UNIQUE, SemanticsFamily
 from cyclebn.graph import enumerate_cutsets
 from cyclebn.inference import chain_rule_dist, to_digraph
 from cyclebn.linalg import LinearSystem
-from cyclebn.model import Cpt, JointDistribution, make_gbn, scaled
+from cyclebn.model import Cpt, JointDistribution, scaled
 from cyclebn.oracle import (IndependenceTriple, check_cpt_i_member,
                             classify_by_vertices, close, closed_cut_triples,
                             enumerate_dsep_triples, is_solution)
@@ -23,10 +23,18 @@ from cyclebn.oracle import (IndependenceTriple, check_cpt_i_member,
 F = Fraction
 
 
+def unique_cpt(g):
+    """The one distribution of the strong-consistency family of ``g``."""
+    fam = solve_family(g, "cpt")
+    assert fam.status == UNIQUE
+    return fam.distributions[0]
+
+
 def test_cpt_system_shape_and_first_row():
     g = two_cycle("3/4", "1/2", "3/4", "1/2")
     sys = build_cpt_system(g)
-    # four conditional rows plus normalization; no initial nodes to pin
+    # four conditional rows plus the one pin row, which without initial
+    # nodes is normalization
     assert len(sys.matrix) == 5
     # Pr(X=T | Y=F) mu(FF) - mu(TF) = 0, times the denominator 4
     assert sys.matrix[0] == (3, 0, -1, 0)
@@ -37,7 +45,7 @@ def test_cpt_system_shape_and_first_row():
 def test_cpt_family_unique():
     fam = solve_family(two_cycle("3/4", "1/2", "3/4", "1/2"), "cpt")
     assert fam.status == UNIQUE
-    assert fam.unique_distribution.probs == (F(1, 10), F(3, 10), F(3, 10), F(3, 10))
+    assert fam.distributions[0].probs == (F(1, 10), F(3, 10), F(3, 10), F(3, 10))
 
 
 def test_cpt_family_empty():
@@ -61,7 +69,7 @@ def test_unknown_family_kind():
 
 def test_wcpt_contains_cpt_solution():
     g = two_cycle("3/4", "1/2", "3/4", "1/2")
-    mu = solve_family(g, "cpt").unique_distribution
+    mu = unique_cpt(g)
     wsys = build_wcpt_system(g)
     assert is_solution(wsys, mu.probs)
 
@@ -69,7 +77,7 @@ def test_wcpt_contains_cpt_solution():
 def test_wcpt_system_shape():
     g = two_cycle("3/4", "1/2", "3/4", "1/2")
     sys = build_wcpt_system(g)
-    assert len(sys.matrix) == 3    # one marginal row per node + normalization
+    assert len(sys.matrix) == 3    # one marginal row per node + the pin row
 
 
 def test_acyclic_cpt_solution_is_chain_rule():
@@ -78,7 +86,7 @@ def test_acyclic_cpt_solution_is_chain_rule():
                  JointDistribution(("X",), (F(1, 4), F(3, 4))))
     fam = solve_family(g, "cpt")
     assert fam.status == UNIQUE
-    assert fam.unique_distribution == chain_rule_dist(g)
+    assert fam.distributions[0] == chain_rule_dist(g)
 
 
 def test_iota_rows_pin_initial_marginal():
@@ -87,12 +95,12 @@ def test_iota_rows_pin_initial_marginal():
                  [Cpt("C", ("A", "B"), (F(1, 2),) * 4)], iota)
     fam = solve_family(g, "cpt")
     assert fam.status == UNIQUE
-    assert fam.unique_distribution.restrict(("A", "B")) == iota
+    assert fam.distributions[0].restrict(("A", "B")) == iota
 
 
 def test_check_consistency_strong_and_weak():
     g = two_cycle("3/4", "1/2", "3/4", "1/2")
-    mu = solve_family(g, "cpt").unique_distribution
+    mu = unique_cpt(g)
     assert check_consistency(mu, g, "X", "strong")
     assert check_consistency(mu, g, "X", "weak")
     uniform = JointDistribution.uniform(("X", "Y"))
@@ -120,7 +128,7 @@ def test_weak_but_not_strong():
 
 def test_is_strongly_consistent():
     g = two_cycle("3/4", "1/2", "3/4", "1/2")
-    mu = solve_family(g, "cpt").unique_distribution
+    mu = unique_cpt(g)
     assert is_strongly_consistent(mu, g)
     assert not is_strongly_consistent(JointDistribution.uniform(("X", "Y")), g)
 
@@ -137,7 +145,7 @@ def test_cpt_i_member_acyclic():
 
 def test_cpt_i_member_rejects_non_singleton():
     g = two_cycle("3/4", "1/2", "3/4", "1/2")
-    mu = solve_family(g, "cpt").unique_distribution
+    mu = unique_cpt(g)
     bad = IndependenceTriple({"X", "Y"}, set(), set())
     with pytest.raises(ValueError):
         check_cpt_i_member(mu, g, [bad])
@@ -147,7 +155,7 @@ def test_cpt_i_via_cutsets_agreeing():
     g = two_cycle("3/4", "1/2", "3/4", "1/2")
     fam = cpt_i_via_cutsets(g, [("X",), ("Y",)])
     assert fam.status == UNIQUE
-    assert fam.unique_distribution == solve_family(g, "cpt").unique_distribution
+    assert fam.distributions[0] == unique_cpt(g)
 
 
 def test_cpt_i_via_cutsets_coverage_precondition():
@@ -204,8 +212,7 @@ def test_cpt_i_lp_matches_old_rule_membership_and_vertices():
         vecs = []
         for cut in cuts:
             chain = cutset_mc(g, cut)
-            vecs.append([extend(g, cut, d)
-                         for d in chain.bscc_lrfs])
+            vecs.append([chain.extend([d])[0] for d in chain.bscc_lrfs])
         triples = [t for cut in cuts for t in closed_cut_triples(g, cut)]
 
         def member(weights):

@@ -11,9 +11,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_cyclic_gbn
-from cyclebn.cli import _pair, main, parse_document, serialize_document
-from cyclebn.model import Cpt, JointDistribution, make_gbn, parse_rational
+from conftest import make_gbn, random_cyclic_gbn, serialize_document
+from cyclebn.cli import _pair, main, parse_document
+from cyclebn.model import Cpt, JointDistribution, parse_rational
 from test_model import PLAIN_EDGES
 
 F = Fraction

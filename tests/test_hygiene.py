@@ -129,3 +129,26 @@ def test_cli_import_loads_no_introspection_and_no_oracle():
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "[]\ncyclebn.oracle\n"
+
+
+def test_every_module_function_has_a_caller_outside_tests():
+    # Code that only the tests call belongs in the tests.  A function is
+    # read by name (a load or an attribute) in the package, ``__init__``
+    # aside, or in the benchmark under ``perfbench/``.  ``oracle`` holds
+    # the brute-force references, which are read by the tests.
+    perfbench = PACKAGE.parents[1] / "perfbench"
+    readers = [tree for name, tree in _trees() if name != "__init__.py"]
+    readers += [ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+                for path in sorted(perfbench.glob("*.py"))]
+    read = set()
+    for tree in readers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    found = [f"{name[:-3]}.{node.name}" for name, tree in _trees()
+             if name not in ("__init__.py", "oracle.py")
+             for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name not in read]
+    assert not found, f"functions only the tests call: {', '.join(found)}"

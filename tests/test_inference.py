@@ -5,11 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_acyclic_gbn, two_cycle
+from conftest import make_gbn, random_acyclic_gbn, two_cycle
 from cyclebn.graph import DiGraph
 from cyclebn.inference import CyclicGraphError, chain_rule_dist, to_digraph
-from cyclebn.model import (CapacityError, Cpt, JointDistribution, dirac,
-                           make_gbn)
+from cyclebn.model import CapacityError, Cpt, JointDistribution, dirac
 from cyclebn.oracle import (IndependenceTriple, check_independence, close,
                             dsep_implies_indep_check, enumerate_dsep_triples)
 

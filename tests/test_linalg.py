@@ -570,3 +570,23 @@ def test_presolve_matches_vertex_enumeration():
         if kind != "empty":
             assert fractions(cls.witness) in vertices
     assert min(seen.values()) >= 20, seen
+
+
+def test_all_zero_rows_keep_the_class_or_empty_it():
+    """An all-zero row with rhs 0 holds at every point, so inserting such
+    rows keeps the kind and the witness; one with rhs not 0 holds at
+    none, so the set is empty."""
+    rng = random.Random(17)
+    for _ in range(200):
+        system = rng.choice((_random_system, _forcing_system))(rng)
+        rows, rhs = list(system.matrix), list(system.rhs)
+        zero = (0,) * system.num_cols
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randint(0, len(rows))
+            rows.insert(i, zero)
+            rhs.insert(i, 0)
+        assert classify_polytope(LinearSystem(rows, rhs)) == classify_polytope(system)
+        i = rng.randint(0, len(rows))
+        rows.insert(i, zero)
+        rhs.insert(i, rng.choice((-2, -1, 1, 2)))
+        assert classify_polytope(LinearSystem(rows, rhs)).kind == "empty"

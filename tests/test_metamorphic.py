@@ -6,8 +6,8 @@ import io
 import json
 import random
 
-from conftest import random_cutset, random_cyclic_gbn
-from cyclebn.cli import main, serialize_document
+from conftest import random_cutset, random_cyclic_gbn, serialize_document
+from cyclebn.cli import main
 
 KINDS = ("bn", "cpt", "wcpt", "cpti", "mc", "lim", "limavg")
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import make_gbn
 from cyclebn.chain import LimStatus
 from cyclebn.families import SemanticsFamily
 from cyclebn.graph import DiGraph
@@ -12,7 +13,7 @@ from cyclebn.linalg import LinearSystem, PolytopeClass
 from cyclebn.model import (CapacityError, Cpt, Gbn, JointDistribution,
                            Violation, _Value, all_assignments,
                            assignment_from_index, canonical_index, dirac,
-                           format_rational, make_gbn, parse_rational,
+                           format_rational, parse_rational,
                            sums_to_one)
 from cyclebn.oracle import IndependenceTriple, IterationTrace
 

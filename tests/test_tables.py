@@ -142,8 +142,10 @@ def networks():
 def literal_systems(g):
     """The rational rows ``[A | b]`` by definition, each with the factor
     the builders multiply it by: (cpt rows, wcpt rows, shared tail rows),
-    the factor its CPT's denominator, or, in the tail, 1 for the
-    normalization row and iota's denominator for a pinning row."""
+    the factor its CPT's denominator, or, in the tail, iota's
+    denominator for the pinning row of each assignment of the initial
+    nodes; without initial nodes the one (empty) assignment's row is
+    the normalization row."""
     cols = list(all_assignments(g.nodes))
     cpt_rows, wcpt_rows = [], []
     for x in sorted(set(g.nodes) - g.initial_nodes):
@@ -154,13 +156,12 @@ def literal_systems(g):
                               for b in cols] + [ZERO], cpt.den))
         wcpt_rows.append(([cpt.prob_true(b) - 1 if b[x] else cpt.prob_true(b)
                            for b in cols] + [ZERO], cpt.den))
-    tail = [([ONE] * len(cols) + [ONE], 1)]
     init = tuple(sorted(g.initial_nodes))
-    if init:
-        for idx in range(1 << len(init)):
-            d = assignment_from_index(idx, init)
-            tail.append(([ONE if agrees(b, d) else ZERO for b in cols]
-                         + [g.iota.probs[idx]], g.iota.den))
+    tail = []
+    for idx in range(1 << len(init)):
+        d = assignment_from_index(idx, init)
+        tail.append(([ONE if agrees(b, d) else ZERO for b in cols]
+                     + [g.iota.probs[idx]], g.iota.den))
     return cpt_rows, wcpt_rows, tail
 
 
@@ -173,6 +174,17 @@ def test_system_builders_match_definitions():
                             (build_wcpt_system(g), wcpt_rows)):
             assert [[*r, b] for r, b in zip(built.matrix, built.rhs)] == \
                 [[k * x for x in row] for row, k in rows + tail]
+
+
+def test_built_systems_have_no_redundant_row():
+    # a row per CPT row (strong) or per non-initial node (weak), then one
+    # pinning row per entry of iota: no separate normalization row
+    for g, _ in networks():
+        non_initial = sorted(set(g.nodes) - g.initial_nodes)
+        pins = len(g.iota.nums)
+        assert len(build_cpt_system(g).matrix) == \
+            sum(len(g.cpts[x].nums) for x in non_initial) + pins
+        assert len(build_wcpt_system(g).matrix) == len(non_initial) + pins
 
 
 def literal_consistency(mu, g, x, mode):
