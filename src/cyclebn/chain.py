@@ -1,9 +1,9 @@
 """Cutset machinery: dissection, one-step unfolding, the cutset Markov
-chain, and the Markov-chain (also limit-average) and limit semantics.
-Starts, bottom-component and long-run frequencies are each a
+chain compiled once per (network, cutset) by ``cutset_mc``, and the
+Markov-chain (also limit-average) and limit semantics over it.  Starts,
+bottom-component and long-run frequencies are each a
 :class:`JointDistribution` over the cutset, the last two built from the
-integers of the chain's solves; one over other variables is a
-``ValueError``."""
+integers of the chain's solves; one over other variables a ValueError."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from . import graph as graphmod
 from .inference import chain_rule_dist, to_digraph
 from .linalg import null_space_left, solve_affine
 from .model import (CapacityError, Cpt, Gbn, InternalError,
-                    JointDistribution, _Value, scaled)
+                    JointDistribution, _Value)
 
 #: Cutset chains are capped at 2**16 states.
 MAX_CUTSET_SIZE = 16
@@ -27,18 +27,18 @@ class NotACutsetError(ValueError):
     pass
 
 
-def _check_cutset(g: Gbn, cut) -> tuple[str, ...]:
+def _check_cut(g: Gbn, cut) -> tuple[str, ...]:
+    """``cut`` sorted, once it names distinct nodes of ``g``, none
+    initial; whether it is a cutset is left to the caller."""
     cut = tuple(sorted(cut))
     if len(set(cut)) != len(cut):
         raise ValueError(f"duplicate variable names: {cut}")
-    dg = to_digraph(g)
-    if not graphmod.is_cutset(dg, cut):
-        raise NotACutsetError(f"{list(cut)} is not a cutset")
+    if not set(cut) <= set(g.nodes):
+        raise ValueError("cutset contains unknown nodes")
     overlap = set(cut) & g.initial_nodes
     if overlap:
-        # Initial nodes lie on no cycle, so any cutset containing them has
-        # an equivalent cutset without them; the dissection product
-        # distribution is only defined for the disjoint form.
+        # Initial nodes lie on no cycle, so a cutset holding them has an
+        # equivalent one without them, the only form dissection defines.
         raise NotACutsetError(
             f"cutset must not contain initial nodes: {sorted(overlap)}")
     return cut
@@ -55,7 +55,9 @@ def dissect(g: Gbn, cut, gamma: JointDistribution) -> Gbn:
     """Acyclic copy of ``g`` where each cut node gets a primed duplicate
     receiving its incoming edges, and the cut nodes become initial with
     distribution ``gamma``."""
-    cut = _check_cutset(g, cut)
+    cut = _check_cut(g, cut)
+    if not graphmod.is_cutset(to_digraph(g), cut):
+        raise NotACutsetError(f"{list(cut)} is not a cutset")
     _check_cover(cut, gamma)
     if not cut:
         return g
@@ -66,13 +68,9 @@ def dissect(g: Gbn, cut, gamma: JointDistribution) -> Gbn:
     nodes = g.nodes + tuple(c + PRIME for c in cut)
     edges = frozenset(
         (u, v + PRIME) if v in cut_set else (u, v) for (u, v) in g.edges)
-    cpts = {}
-    for x, cpt in g.cpts.items():
-        if x in cut_set:
-            cpts[x + PRIME] = Cpt._of_table(x + PRIME, cpt.parents,
-                                            cpt.nums, cpt.den)
-        else:
-            cpts[x] = cpt
+    cpts = {x: cpt for x, cpt in g.cpts.items() if x not in cut_set}
+    cpts.update((x + PRIME, Cpt._of_table(x + PRIME, cpt.parents, cpt.nums, cpt.den))
+                for x, cpt in g.cpts.items() if x in cut_set)
     iota = g.iota.product(gamma)
     out = Gbn(nodes, edges, cpts, iota)
     if not graphmod.is_acyclic(to_digraph(out)):
@@ -100,79 +98,83 @@ def _spread(index: int, bits) -> int:
     return sum(b for j, b in enumerate(reversed(bits)) if index >> j & 1)
 
 
-def _forward_eliminate(g: Gbn, cut: tuple[str, ...], rows: bool,
-                       gammas) -> list[tuple[dict[int, int], int]]:
-    """Chain-rule product over the dissected DAG of ``g`` for each sparse
-    cutset distribution ``({index: num}, den)`` in ``gammas``, int
-    numerators over a positive denominator, without building the
-    dissected network.  ``g`` must be valid and ``cut`` a cutset.
-
-    Keys are ints: bit n-1-i is the i-th sorted node and bit n+k-1-j the
-    primed copy of cut node j, so a key over the original nodes is its
-    canonical index.  Each table starts as iota x gamma.  The non-initial
-    nodes are placed in topological order, and every other node is
-    summed out once its last child is placed.  What stays are the
-    targets: the primed cut nodes when ``rows`` is set, the original
-    nodes otherwise.  Nodes that are not ancestors of a target cannot
-    change the result and are never placed.
-
-    Table values are int numerators over one shared denominator ``D``,
-    which starts as the product of the denominators of iota and gamma.
-    Placing a node with CPT ``nums`` over ``d`` splits an entry ``p``
-    into ``p*nums[idx]`` and ``p*d - p*nums[idx]`` and sets ``D *= d``.
-    The mass check is ``sum == D``.  Each table is returned with its ``D``, and no gcd is
-    taken here: callers reduce what they keep.
-    """
+def _layout(g: Gbn, cut: tuple[str, ...]):
+    """The bit layout shared by every elimination over the dissected DAG
+    of ``g`` at ``cut``: bit n-1-i is the i-th sorted node and bit
+    n+k-1-j the primed copy of cut node j, so a key over the original
+    nodes is its canonical index.  Returns each CPT as ``(parent bits,
+    nums, den)`` keyed by its node's bit (a cut node's primed bit), and
+    what a start table is built from: iota's nonzero entries keyed by
+    bit, its denominator and the cut nodes' bits."""
     n, k = len(g.nodes), len(cut)
     bit = {v: 1 << (n - 1 - i) for i, v in enumerate(g.nodes)}
     primed = {c: 1 << (n + k - 1 - j) for j, c in enumerate(cut)}
-    cpt_of = {primed.get(x, bit[x]): cpt for x, cpt in g.cpts.items()}
-    parents = {b: [bit[u] for u in cpt.parents] for b, cpt in cpt_of.items()}
-    targets = set(primed.values()) if rows else set(bit.values())
-    relevant, stack = set(), list(targets)
+    cpts = {primed.get(x, bit[x]): ([bit[u] for u in cpt.parents], cpt.nums, cpt.den)
+            for x, cpt in g.cpts.items()}
+    iota_bits = [bit[v] for v in g.iota.variables]
+    iota = [(_spread(a, iota_bits), p) for a, p in enumerate(g.iota.nums) if p]
+    return cpts, (iota, g.iota.den, [bit[c] for c in cut])
+
+
+def _build_plan(cpts, cut: tuple[str, ...], targets: int) -> tuple[int, list]:
+    """The plan of an elimination that keeps the nodes on the bits of
+    ``targets``: the mask a start table keeps, and a step ``(bit, parent
+    bits, nums, den, keep)`` per placed node.  Only the targets'
+    ancestors are placed, in topological order, lowest ready bit first
+    (the primed targets, highest, last); a node is summed out by the
+    ``keep`` of the step placing its last child.  A node that cannot be
+    placed lies on or below a cycle of G minus ``cut``: NotACutsetError.
+    With every original node a target, every non-initial node off the
+    cut must be placed, so that plan is the cutset test."""
+    relevant = set()
+    stack = [1 << i for i in range(targets.bit_length()) if targets >> i & 1]
     while stack:
         b = stack.pop()
         if b not in relevant:
             relevant.add(b)
-            stack.extend(parents.get(b, ()))
+            if b in cpts:
+                stack.extend(cpts[b][0])
+    todo = relevant & cpts.keys()             # nodes not yet placed
     pending = dict.fromkeys(relevant, 0)      # children not yet placed
-    unplaced = {}                             # parents not yet placed
-    children: dict[int, list[int]] = {}
-    for b in relevant & cpt_of.keys():
-        unplaced[b] = 0
-        for u in parents[b]:
+    for b in todo:
+        for u in cpts[b][0]:
             pending[u] += 1
-            if u in cpt_of:
-                unplaced[b] += 1
-                children.setdefault(u, []).append(b)
-    start_keep = ~sum(b for b in bit.values()
-                      if b not in targets and not pending.get(b))
-    # Kahn's topological order, lowest bit first: the primed targets,
-    # whose bits are highest, come last.
+    start_keep = targets | sum(b for b, m in pending.items() if m)
     steps = []
-    ready = {b for b, m in unplaced.items() if not m}
-    while ready:
-        b = min(ready)
-        ready.remove(b)
+    while todo:
+        b = min((b for b in todo if todo.isdisjoint(cpts[b][0])), default=None)
+        if b is None:
+            raise NotACutsetError(f"{list(cut)} is not a cutset")
+        todo.remove(b)
+        parents, nums, den = cpts[b]
         drop = 0
-        for u in parents[b]:
+        for u in parents:
             pending[u] -= 1
-            if not pending[u] and u not in targets:
+            if not pending[u] and not u & targets:
                 drop |= u
-        cpt = cpt_of[b]
-        steps.append((b, parents[b], cpt.nums, cpt.den, ~drop))
-        for c in children.get(b, ()):
-            unplaced[c] -= 1
-            if not unplaced[c]:
-                ready.add(c)
-    if len(steps) != len(unplaced):
-        raise InternalError(
-            f"dissected graph at cutset {list(cut)} has no topological order")
+        steps.append((b, parents, nums, den, ~drop))
+    return start_keep, steps
 
-    iota_bits = [bit[v] for v in g.iota.variables]
-    cut_bits = [bit[c] for c in cut]
-    iota_den = g.iota.den
-    iota = [(_spread(a, iota_bits), p) for a, p in enumerate(g.iota.nums) if p]
+
+def _forward_eliminate(chain: CutsetChain, targets: int,
+                       gammas) -> list[tuple[dict[int, int], int]]:
+    """Chain-rule product over the dissected DAG of the chain's network,
+    kept on the nodes on the bits of ``targets`` and summed over the
+    rest, for each sparse cutset distribution ``({index: num}, den)`` in
+    ``gammas``, without building the dissected network: each table
+    starts as iota x gamma and runs the chain's plan for ``targets``,
+    built on first use and kept.
+
+    Table values are int numerators over one shared denominator ``D``,
+    first the product of the denominators of iota and gamma.  Placing a
+    node with CPT ``nums`` over ``d`` splits an entry ``p`` into
+    ``p*nums[idx]`` and ``p*d - p*nums[idx]`` and sets ``D *= d``; the
+    mass check is ``sum == D``.  Each table comes with its ``D``,
+    unreduced: callers reduce what they keep."""
+    if targets not in chain._plans:
+        chain._plans[targets] = _build_plan(chain._cpts, chain.cutset, targets)
+    start_keep, steps = chain._plans[targets]
+    iota, iota_den, cut_bits = chain._start
     out = []
     for gamma, den in gammas:
         den *= iota_den
@@ -207,41 +209,34 @@ def _forward_eliminate(g: Gbn, cut: tuple[str, ...], rows: bool,
 
 
 class CutsetChain:
-    """DTMC over cutset assignments with an exact transition matrix.
+    """DTMC over cutset assignments with an exact transition matrix,
+    compiled once per (network, cutset) by :func:`cutset_mc`, its only
+    constructor.
 
     State ``i`` is the cutset assignment with canonical index ``i``.
     Row ``u`` is held as integers ``rows[u]`` over its least denominator
     ``dens[u]``, so ``P[u][v] = rows[u][v] / dens[u]`` and the gcd of a
     row and its denominator is 1.  The support, the BSCCs (listed by
     smallest state), their periods and both solves read these integers;
-    the ``Fraction`` ``matrix`` is built only when it is read.  A chain
-    from :func:`cutset_mc` keeps the ``network`` it extends into, and
-    ``CutsetChain(cutset, matrix)`` one from ``Fraction`` rows, one per
-    assignment of the cutset, has none.
+    the ``Fraction`` ``matrix`` is built only when it is read.  The chain
+    keeps its ``network``, the bit layout and one elimination plan per
+    target set, built at most once: the primed cut for the rows, the
+    original nodes for :meth:`extend`.
     """
-
-    def __init__(self, cutset, matrix):
-        self.network, self.cutset = None, tuple(sorted(cutset))
-        if len(matrix) != 1 << len(self.cutset):
-            raise ValueError(f"a chain over {len(self.cutset)} cut nodes "
-                             f"needs {1 << len(self.cutset)} rows")
-        self.rows, self.dens = zip(*map(scaled, matrix))
 
     def extend(self, gammas) -> tuple[JointDistribution, ...]:
         """Full joints over the network's variables recovered from the
         distributions ``gammas`` over the cutset, all in one elimination
         and in the order given."""
-        g, cut = self.network, self.cutset
-        if g is None:
-            raise ValueError("a chain built from a matrix has no network to extend into")
+        nodes, cut = self.network.nodes, self.cutset
         starts = [({i: p for i, p in enumerate(_check_cover(cut, d).nums) if p}, d.den)
                   for d in gammas]
         out = []
-        for table, den in _forward_eliminate(g, cut, False, starts):
-            nums = [0] * (1 << len(g.nodes))
+        for table, den in _forward_eliminate(self, (1 << len(nodes)) - 1, starts):
+            nums = [0] * (1 << len(nodes))
             for key, p in table.items():
                 nums[key] = p
-            out.append(JointDistribution._of_table(g.nodes, nums, den))
+            out.append(JointDistribution._of_table(nodes, nums, den))
         return tuple(out)
 
     @cached_property
@@ -254,9 +249,7 @@ class CutsetChain:
         return len(self.rows)
 
     def step(self, gamma: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-        n = self.num_states
-        return tuple(sum(gamma[i] * self.matrix[i][j] for i in range(n))
-                     for j in range(n))
+        return tuple(sum(x * p for x, p in zip(gamma, col)) for col in zip(*self.matrix))
 
     @cached_property
     def _successors(self) -> list[list[int]]:
@@ -312,16 +305,21 @@ class CutsetChain:
 
 
 def cutset_mc(g: Gbn, cut) -> CutsetChain:
-    """Transition matrix P(b, c) = one-step probability of cutset
-    assignment c when starting from the point mass on b.  Every row
-    comes over the elimination's shared denominator and is reduced by
-    one gcd."""
-    cut = _check_cutset(g, cut)
+    """The chain of ``g`` at ``cut``, compiled once: the cut checked, ``g``
+    validated, the bit layout and the extension plan (the cutset test)
+    built.  Row b holds P(b, c), the one-step probability of cutset
+    assignment c from the point mass on b; one elimination gives every
+    row, and each is reduced by one gcd."""
+    cut = _check_cut(g, cut)
     _check_cutset_size(cut)
     g._require_valid()
+    chain = CutsetChain.__new__(CutsetChain)
+    chain.network, chain.cutset = g, cut
+    chain._cpts, chain._start = _layout(g, cut)
     n, size = len(g.nodes), 1 << len(cut)
+    chain._plans = {(1 << n) - 1: _build_plan(chain._cpts, cut, (1 << n) - 1)}
     rows, dens = [], []
-    for table, den in _forward_eliminate(g, cut, True,
+    for table, den in _forward_eliminate(chain, (size - 1) << n,
                                          (({i: 1}, 1) for i in range(size))):
         common = math.gcd(den, *table.values())
         row = [0] * size
@@ -329,8 +327,7 @@ def cutset_mc(g: Gbn, cut) -> CutsetChain:
             row[key >> n] = p // common
         rows.append(row)
         dens.append(den // common)
-    chain = CutsetChain.__new__(CutsetChain)
-    chain.network, chain.cutset, chain.rows, chain.dens = g, cut, tuple(rows), tuple(dens)
+    chain.rows, chain.dens = tuple(rows), tuple(dens)
     return chain
 
 
@@ -381,11 +378,10 @@ def long_run_frequency(chain: CutsetChain,
     return JointDistribution._of_table(chain.cutset, nums, den)
 
 
-def mcs(g: Gbn, cut, gamma0: JointDistribution) -> JointDistribution:
+def mcs(chain: CutsetChain, gamma0: JointDistribution) -> JointDistribution:
     """Markov chain semantics: extend the long-run frequency of the
     cutset chain started from ``gamma0``.  It is also the limit-average
     semantics, the extension of the Cesaro limit of the cutset sequence."""
-    chain = cutset_mc(g, cut)
     return chain.extend([long_run_frequency(chain, gamma0)])[0]
 
 
@@ -405,7 +401,7 @@ class LimStatus(_Value):
         return self.distribution is not None
 
 
-def lim(g: Gbn, cut, gamma0: JointDistribution) -> LimStatus:
+def lim(chain: CutsetChain, gamma0: JointDistribution) -> LimStatus:
     """Limit semantics: the extension of the limit of the cutset sequence.
 
     It is the long-run frequency f from ``gamma0``, reported undefined,
@@ -415,7 +411,6 @@ def lim(g: Gbn, cut, gamma0: JointDistribution) -> LimStatus:
     transient mass that gives each cyclic class of a periodic BSCC the
     same mass also converges, yet is reported undefined with that period.
     """
-    chain = cutset_mc(g, cut)
     freq = long_run_frequency(chain, gamma0)
     # f is positive on every state of a component that gamma0 reaches
     offending = tuple(p for p, comp in zip(chain.periods, chain.bsccs)

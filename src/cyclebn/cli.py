@@ -468,21 +468,20 @@ def _cmd_semantics(args) -> tuple[dict, int]:
     # the start has 2**|cut| entries: refuse an oversized cutset first
     chainmod._check_cutset_size(cut)
     gamma0 = _parse_gamma0(args.gamma0, cut)
+    mc = chainmod.cutset_mc(g, cut)
     if kind == "lim":
-        status = chainmod.lim(g, cut, gamma0)
+        status = chainmod.lim(mc, gamma0)
         out["cutset"] = list(cut)
         if not status.defined:
             out.update(status="undefined",
                        offending_periods=list(status.offending_periods))
             return out, 0
-        d = status.distribution
-        out.update(status=UNIQUE, distributions=[_vector_out(d)])
+        out.update(status=UNIQUE, distributions=[_vector_out(status.distribution)])
         return out, 0
     if kind == "limavg":
         # the limit average is the extended long-run frequency
-        d = chainmod.mcs(g, cut, gamma0)
         out.update(status=UNIQUE, cutset=list(cut),
-                   distributions=[_vector_out(d)])
+                   distributions=[_vector_out(chainmod.mcs(mc, gamma0))])
         return out, 0
     raise ValueError(f"unknown semantics kind: {kind}")
 

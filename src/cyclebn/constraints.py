@@ -60,7 +60,10 @@ def _witness(g: Gbn, nums, den: int) -> JointDistribution:
 
 
 def solve_family(g: Gbn, kind: str) -> SemanticsFamily:
-    """Classify the strong ("cpt") or weak ("wcpt") consistency family."""
+    """Classify the strong ("cpt") or weak ("wcpt") consistency family.
+    The weak one is never empty: at the cutset of every non-initial node,
+    each stationary vector pi of the chain extends to iota x pi, which is
+    weakly consistent, so an empty "wcpt" is an ``InternalError``."""
     if kind == "cpt":
         system = build_cpt_system(g)
     elif kind == "wcpt":
@@ -69,6 +72,8 @@ def solve_family(g: Gbn, kind: str) -> SemanticsFamily:
         raise ValueError(f"unknown family kind: {kind}")
     poly = classify_polytope(system)
     if poly.kind == "empty":
+        if kind == "wcpt":
+            raise InternalError("the weak consistency family is never empty")
         return SemanticsFamily(kind, EMPTY)
     status = UNIQUE if poly.kind == "point" else INFINITE
     return SemanticsFamily(kind, status, (_witness(g, *poly.witness),))

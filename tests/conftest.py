@@ -7,6 +7,7 @@ import random
 from collections.abc import Iterable
 from fractions import Fraction
 
+from cyclebn.chain import CutsetChain
 from cyclebn.cli import _bit_keys
 from cyclebn.graph import DiGraph, enumerate_cutsets, is_acyclic
 from cyclebn.linalg import solve_affine
@@ -55,6 +56,17 @@ def solve_rational(matrix, rhs):
     n = len(matrix[0]) if matrix else 0
     return fractions(solve_affine([scaled([*row, x])[0]
                                    for row, x in zip(matrix, rhs)], n))
+
+
+def matrix_chain(cutset: Iterable[str], matrix) -> CutsetChain:
+    """A hand-made chain over the sorted ``cutset`` with the ``Fraction``
+    rows ``matrix``, one per cutset assignment, for tests of the chain
+    analyses, which read only the rows.  It has no network, so it cannot
+    extend; ``cutset_mc`` builds every chain of the package."""
+    chain = CutsetChain.__new__(CutsetChain)
+    chain.cutset = tuple(sorted(cutset))
+    chain.rows, chain.dens = zip(*map(scaled, matrix))
+    return chain
 
 
 def two_cycle(s1, s2, t1, t2) -> Gbn:
@@ -133,6 +145,16 @@ def random_cyclic_gbn(rng: random.Random, max_vars: int = 4,
                  if u != v and rng.random() < edge_prob}
         if not is_acyclic(DiGraph(tuple(nodes), frozenset(edges))):
             return _attach_tables(rng, nodes, edges, smooth, denom)
+
+
+def random_looped_gbn(rng: random.Random, max_vars: int = 5,
+                      edge_prob: float = 0.3) -> Gbn:
+    """Random network whose edges, self-loops included, are each drawn
+    with probability ``edge_prob``; the nodes left without a parent are
+    initial.  It may be acyclic."""
+    nodes = list(NAMES[:rng.randint(1, max_vars)])
+    edges = {(u, v) for u in nodes for v in nodes if rng.random() < edge_prob}
+    return _attach_tables(rng, nodes, edges, False, 2)
 
 
 def dense_cyclic_gbn(rng: random.Random, n: int) -> Gbn:

@@ -92,7 +92,7 @@ def test_criterion_3_stationary_distribution():
             [dirac({"X": bool(i & 2), "Y": bool(i & 1)}) for i in range(4)] + \
             [rand_joint(rng, ("X", "Y")) for _ in range(3)]
         for gamma0 in probes:
-            assert mcs(g, ("X", "Y"), gamma0).probs == pi
+            assert mcs(mc, gamma0).probs == pi
 
 
 def test_criterion_4_periodicity():
@@ -109,14 +109,14 @@ def test_criterion_4_periodicity():
             gamma0 = rand_joint(rng, ("X", "Y"))
             trace = iterate_next(g, ("X", "Y"), gamma0, 4)
             assert trace.steps[4] == trace.steps[0] == gamma0.probs
-        status = lim(g, ("X", "Y"), dirac({"X": True, "Y": True}))
+        status = lim(mc, dirac({"X": True, "Y": True}))
         assert not status.defined and status.offending_periods == (4,)
-        status = lim(g, ("X", "Y"), JointDistribution.uniform(("X", "Y")))
+        status = lim(mc, JointDistribution.uniform(("X", "Y")))
         assert status.defined
         assert status.distribution.probs == (F(1, 4),) * 4
         for _ in range(10):
             gamma0 = rand_joint(rng, ("X", "Y"))
-            assert mcs(g, ("X", "Y"), gamma0).probs == (F(1, 4),) * 4
+            assert mcs(mc, gamma0).probs == (F(1, 4),) * 4
 
 
 def test_criterion_5_acyclic_conservativity():
@@ -133,7 +133,7 @@ def test_criterion_5_acyclic_conservativity():
                 # consistency constraints already pin a unique distribution
                 affine_unique += 1
                 assert x == mu.probs
-            assert mcs(g, (), JointDistribution((), (F(1),))) == mu
+            assert mcs(cutset_mc(g, ()), JointDistribution((), (F(1),))) == mu
             triples = enumerate_dsep_triples(close(to_digraph(g)))
             assert check_cpt_i_member(mu, g, triples)
         assert affine_unique > 0
@@ -149,12 +149,12 @@ def test_criterion_6_smooth_networks():
             assert all(p > 0 for row in mc.matrix for p in row)
             assert len(mc.bsccs) == 1
             assert mc.periods == (1,)
-            m = mcs(g, cut, JointDistribution.uniform(cut))
+            m = mcs(mc, JointDistribution.uniform(cut))
             for _ in range(5):
                 gamma0 = rand_joint(rng, cut)
-                status = lim(g, cut, gamma0)
+                status = lim(mc, gamma0)
                 assert status.defined
-                assert status.distribution == mcs(g, cut, gamma0) == m
+                assert status.distribution == mcs(mc, gamma0) == m
 
 
 def test_criterion_7_stationarity_and_power_iteration():
@@ -187,7 +187,7 @@ def test_criterion_8_consistency_split():
         for _ in range(100):
             g = random_cyclic_gbn(rng, max_vars=4)
             cut = random_cutset(rng, g)
-            mu = mcs(g, cut, rand_joint(rng, cut))
+            mu = mcs(cutset_mc(g, cut), rand_joint(rng, cut))
             non_initial = set(g.nodes) - g.initial_nodes
             for x in sorted(non_initial - set(cut)):
                 assert check_consistency(mu, g, x, "strong")

@@ -1,20 +1,22 @@
 """Dissection, unfolding, cutset Markov chains, and the limit semantics."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import (dense_cyclic_gbn, make_gbn, rand_entry, rand_joint,
-                      random_cyclic_gbn, random_cutset, two_cycle)
+from conftest import (dense_cyclic_gbn, make_gbn, matrix_chain, rand_entry,
+                      rand_joint, random_cyclic_gbn, random_cutset,
+                      random_looped_gbn, two_cycle)
 from cyclebn.chain import (CutsetChain, NotACutsetError, _forward_eliminate,
                            cutset_mc, dissect, is_smooth, lim,
                            long_run_frequency, mcs, next_dist, reach_probs)
-from cyclebn.graph import DiGraph, is_acyclic
+from cyclebn.graph import DiGraph, is_acyclic, is_cutset
 from cyclebn.inference import chain_rule_dist
-from cyclebn.model import (Cpt, InternalError, JointDistribution,
-                           assignment_from_index, dirac)
+from cyclebn.model import (CapacityError, Cpt, InternalError, JointDistribution,
+                           assignment_from_index, dirac, scaled)
 from cyclebn.oracle import (fraction_rref, iterate_next,
                             stationary_by_state_reduction)
 
@@ -120,8 +122,7 @@ def test_cutset_mc_capacity():
     cpts = [Cpt(v, (names[(i - 1) % 17],), (F(1, 2), F(1, 2)))
             for i, v in enumerate(names)]
     g = make_gbn(names, edges, cpts)
-    from cyclebn.model import CapacityError
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="^cutset size capped at 16$"):
         cutset_mc(g, tuple(names))
 
 
@@ -148,7 +149,7 @@ def test_multi_bscc_reach_probs():
               (F(0), F(1), F(0), F(0)),
               (F(1, 3), F(2, 3), F(0), F(0)),
               (F(0), F(0), F(0), F(1)))
-    mc = CutsetChain(("A", "B"), matrix)
+    mc = matrix_chain(("A", "B"), matrix)
     masses, den = reach_probs(mc, JointDistribution(("A", "B"), (0, 0, 1, 0)))
     lam = [F(m, den) for m in masses]
     assert len(mc.bsccs) == 3
@@ -164,14 +165,14 @@ def test_long_run_frequency_weighted():
               (F(0), F(1), F(0), F(0)),
               (F(1, 3), F(2, 3), F(0), F(0)),
               (F(0), F(0), F(0), F(1)))
-    mc = CutsetChain(("A", "B"), matrix)
+    mc = matrix_chain(("A", "B"), matrix)
     lrf = long_run_frequency(mc, JointDistribution(("A", "B"), (F(0), F(0), F(1), F(0))))
     assert lrf.probs == (F(1, 3), F(2, 3), F(0), F(0))
 
 
 def test_stationary_set_unique_vs_infinite():
     assert len(cutset_mc(two_cycle(*EX52), ("X", "Y")).bsccs) == 1
-    two_absorbing = CutsetChain(
+    two_absorbing = matrix_chain(
         ("A", "B"),
         ((F(1), F(0), F(0), F(0)),
          (F(0), F(1), F(0), F(0)),
@@ -188,7 +189,7 @@ def test_semantics_cardinality():
 
 def test_mcs_matches_stationary_extension():
     g = two_cycle(*EX52)
-    out = mcs(g, ("X", "Y"), JointDistribution.uniform(("X", "Y")))
+    out = mcs(cutset_mc(g, ("X", "Y")), JointDistribution.uniform(("X", "Y")))
     assert out.probs == (F(48, 121), F(18, 121), F(40, 121), F(15, 121))
     # with C = all nodes, Extend is the identity on the cutset marginal
     assert out.restrict(("X", "Y")) == out
@@ -211,17 +212,9 @@ def test_chain_extends_every_start_in_one_call_in_order():
     assert multi >= 10
 
 
-def test_chain_from_a_matrix_has_no_network_to_extend():
-    mc = CutsetChain(("X",), ((F(1, 2), F(1, 2)), (F(1), F(0))))
-    with pytest.raises(ValueError, match="no network"):
-        mc.extend(mc.bscc_lrfs)
-
-
-def test_chain_from_a_matrix_has_one_row_per_cutset_assignment():
-    rows = ((F(1), F(0)), (F(0), F(1)))
-    assert CutsetChain(("B", "A"), rows * 2).cutset == ("A", "B")
-    with pytest.raises(ValueError, match="needs 4 rows"):
-        CutsetChain(("A", "B"), rows)
+def test_cutset_mc_is_the_only_constructor():
+    with pytest.raises(TypeError):
+        CutsetChain(("X",), ((F(1, 2), F(1, 2)), (F(1), F(0))))
 
 
 def test_mcs_gamma0_domain_check():
@@ -234,14 +227,14 @@ def test_mcs_gamma0_domain_check():
         for call in (lambda: mc.extend([mc.bscc_lrfs[0], wrong]),
                      lambda: reach_probs(mc, wrong),
                      lambda: long_run_frequency(mc, wrong),
-                     lambda: mcs(g, cut, wrong), lambda: lim(g, cut, wrong)):
+                     lambda: mcs(mc, wrong), lambda: lim(mc, wrong)):
             with pytest.raises(ValueError, match=r"cutset is \['X', 'Y'\]"):
                 call()
 
 
 def test_lim_aperiodic_defined():
     g = two_cycle(*EX52)
-    status = lim(g, ("X", "Y"), dirac({"X": False, "Y": False}))
+    status = lim(cutset_mc(g, ("X", "Y")), dirac({"X": False, "Y": False}))
     assert status.defined
     assert status.distribution.probs == (F(48, 121), F(18, 121),
                                          F(40, 121), F(15, 121))
@@ -249,14 +242,14 @@ def test_lim_aperiodic_defined():
 
 def test_lim_periodic_undefined():
     g = two_cycle(*PERIODIC)
-    status = lim(g, ("X", "Y"), dirac({"X": True, "Y": True}))
+    status = lim(cutset_mc(g, ("X", "Y")), dirac({"X": True, "Y": True}))
     assert not status.defined
     assert status.offending_periods == (4,)
 
 
 def test_lim_periodic_stationary_defined():
     g = two_cycle(*PERIODIC)
-    status = lim(g, ("X", "Y"), JointDistribution.uniform(("X", "Y")))
+    status = lim(cutset_mc(g, ("X", "Y")), JointDistribution.uniform(("X", "Y")))
     assert status.defined
     assert status.distribution.probs == (F(1, 4),) * 4
 
@@ -285,9 +278,10 @@ def test_unfolding_converges_from_periodic_stationary_mass():
     "or every reached BSCC aperiodic), not a necessary one"))
 def test_lim_defined_whenever_unfolding_converges():
     g, cut, gamma0 = lim_counterexample()
-    status = lim(g, cut, gamma0)
+    mc = cutset_mc(g, cut)
+    status = lim(mc, gamma0)
     assert status.defined
-    assert status.distribution == mcs(g, cut, gamma0)
+    assert status.distribution == mcs(mc, gamma0)
 
 
 def test_is_smooth():
@@ -338,8 +332,7 @@ def test_cutset_mc_rows_are_integers_over_least_denominators():
             trace = iterate_next(g, cut, dirac(assignment_from_index(b, cut)), 1)
             assert row == trace.steps[1]
         # Fraction rows give the same integer form
-        again = CutsetChain(cut, mc.matrix)
-        assert (again.rows, again.dens) == (mc.rows, mc.dens)
+        assert [scaled(row) for row in mc.matrix] == list(zip(mc.rows, mc.dens))
         wide += max(mc.dens) > 1
     assert wide > 30
 
@@ -411,16 +404,13 @@ def test_compiled_chain_matches_unfolding_on_ring_with_chords():
 
 
 def test_invariant_failures_raise_internal_error():
-    # elimination needs a topological order of the dissected graph
-    g = make_gbn(["X", "Y", "Z"],
-                 [("X", "Z"), ("Y", "Z"), ("Z", "Y"), ("Y", "X")],
-                 [Cpt("X", ("Y",), (F(1, 2), F(1, 2))),
-                  Cpt("Y", ("Z",), (F(1, 2), F(1, 2))),
-                  Cpt("Z", ("X", "Y"), (F(1, 2),) * 4)])
-    with pytest.raises(InternalError):
-        _forward_eliminate(g, ("X",), True, [({0: 1}, 1)])
+    # an elimination keeps its tables' mass: a start of mass 1/2 is caught
+    mc = cutset_mc(two_cycle(*EX52), ("X",))
+    primed_x = 1 << len(mc.network.nodes)
+    with pytest.raises(InternalError, match="mass is 1/2"):
+        _forward_eliminate(mc, primed_x, [({0: 1}, 2)])
     # a substochastic matrix has no stationary vector
-    leaky = CutsetChain(("A",), ((F(1, 2), F(0)), (F(0), F(1, 2))))
+    leaky = matrix_chain(("A",), ((F(1, 2), F(0)), (F(0), F(1, 2))))
     with pytest.raises(InternalError):
         leaky.bscc_lrfs
     assert not issubclass(InternalError, AssertionError)
@@ -513,7 +503,7 @@ def _random_chain(rng):
     k = (n - 1).bit_length()
     matrix = [row + [F(0)] * ((1 << k) - n) for row in matrix]
     matrix += [[F(int(t == 0)) for t in range(1 << k)] for _ in range((1 << k) - n)]
-    return CutsetChain(tuple("ABCD"[:k]), tuple(map(tuple, matrix))), n
+    return matrix_chain(tuple("ABCD"[:k]), matrix), n
 
 
 def _random_start(rng, n):
@@ -526,7 +516,7 @@ def test_chain_analysis_matches_literal_definitions():
     rng = random.Random(2024)
     periods, multi, transient = set(), 0, 0
     for i in range(150):
-        mc, n = _random_chain(rng) if i else (CutsetChain((), ((F(1),),)), 1)
+        mc, n = _random_chain(rng) if i else (matrix_chain((), ((F(1),),)), 1)
         comps = _closed_sccs(mc.matrix)
         assert list(mc.bsccs) == comps
         assert list(mc.periods) == [_period(mc.matrix, c) for c in comps]
@@ -546,3 +536,45 @@ def test_chain_analysis_matches_literal_definitions():
         multi += len(comps) > 1
         transient += n > len(set().union(*comps))
     assert {1, 2, 3, 4} <= periods and multi > 20 and transient > 20
+
+
+def test_compiled_cutset_test_agrees_with_is_cutset():
+    """``cutset_mc`` reads the cutset test off its extension plan: it
+    raises ``NotACutsetError`` exactly when ``graph.is_cutset`` is False,
+    on networks with self-loops and initial nodes, every subset of the
+    non-initial nodes taken as the cut."""
+    rng = random.Random(331)
+    pairs = refused = looped = initial = 0
+    for _ in range(300):
+        g = random_looped_gbn(rng)
+        dg = DiGraph(g.nodes, g.edges)
+        looped += any(u == v for u, v in g.edges)
+        initial += bool(g.initial_nodes)
+        free = sorted(set(g.nodes) - g.initial_nodes)
+        for size in range(len(free) + 1):
+            for cut in itertools.combinations(free, size):
+                pairs += 1
+                if is_cutset(dg, cut):
+                    assert cutset_mc(g, cut).cutset == cut
+                    continue
+                refused += 1
+                with pytest.raises(NotACutsetError, match=r"is not a cutset$"):
+                    cutset_mc(g, cut)
+    assert pairs > 2000 and refused > 1000 and looped > 100 and initial > 100
+
+
+def test_cutset_errors_name_what_is_wrong():
+    g = make_gbn(["A", "X", "Y"], [("A", "X"), ("X", "Y"), ("Y", "X")],
+                 [Cpt("X", ("A", "Y"), (F(1, 2),) * 4),
+                  Cpt("Y", ("X",), (F(1, 2),) * 2)],
+                 JointDistribution(("A",), (F(1, 2), F(1, 2))))
+    cases = [(("X", "X"), ValueError, r"^duplicate variable names: \('X', 'X'\)$"),
+             (("Q",), ValueError, "^cutset contains unknown nodes$"),
+             (("A", "X"), NotACutsetError,
+              r"^cutset must not contain initial nodes: \['A'\]$"),
+             ((), NotACutsetError, r"^\[\] is not a cutset$")]
+    for cut, error, message in cases:
+        for call in (lambda: cutset_mc(g, cut),
+                     lambda: dissect(g, cut, JointDistribution.uniform(tuple(sorted(cut))))):
+            with pytest.raises(error, match=message):
+                call()

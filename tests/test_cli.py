@@ -735,22 +735,71 @@ SWAP = json.dumps({
     "iota": {"": "1"}})
 
 
+def _count_calls(monkeypatch, module, names, calls):
+    """Wrap each function ``module.<name>`` so that a call appends
+    ``(name, *ints)``, the integer arguments being a plan's targets."""
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(module, name)):
+            calls.append((_name, *(a for a in args if type(a) is int)))
+            return _original(*args)
+        monkeypatch.setattr(module, name, counted)
+
+
 @pytest.mark.parametrize("kind", ["mc", "lim", "limavg"])
 def test_chain_semantics_extends_in_one_elimination(tmp_path, capsys, monkeypatch,
                                                     kind):
     p = tmp_path / "swap.gbn"
     p.write_text(SWAP)
     assert len(cutset_mc(_load(str(p)), ("X", "Y")).bsccs) == 3
-    eliminate = chainmod._forward_eliminate
     calls = []
-
-    def counted(g, cut, rows, gammas):
-        calls.append(rows)
-        return eliminate(g, cut, rows, gammas)
-
-    monkeypatch.setattr(chainmod, "_forward_eliminate", counted)
+    _count_calls(monkeypatch, chainmod,
+                 ("cutset_mc", "_layout", "_build_plan", "_forward_eliminate"), calls)
     assert main(["--format", "machine", "semantics", str(p), "--kind", kind,
                  "--cutset", "X,Y"]) == 0
-    assert calls == [True, False]       # the rows, then one extension
+    # bits: X' 8, Y' 4, X 2, Y 1; one compile and one layout, the
+    # extension plan (the cutset test), the rows, which build their plan,
+    # and one extension
+    rows, nodes = 0b1100, 0b0011
+    assert calls == [("cutset_mc",), ("_layout",), ("_build_plan", nodes),
+                     ("_forward_eliminate", rows), ("_build_plan", rows),
+                     ("_forward_eliminate", nodes)]
     out = json.loads(capsys.readouterr().out)
     assert len(out["distributions"]) == (3 if kind == "mc" else 1)
+
+
+def test_cpti_compiles_its_chains_without_a_digraph(ex52_path, monkeypatch):
+    # the default cutsets, {X} and {Y}, come from one DiGraph; each chain
+    # checks its cutset on its own extension plan
+    built = []
+    original = chainmod.graphmod.DiGraph.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        original(self, *args)
+
+    monkeypatch.setattr(chainmod.graphmod.DiGraph, "__init__", counted)
+    calls = []
+    _count_calls(monkeypatch, cyclebn.constraints, ("cutset_mc",), calls)
+    assert main(["--format", "machine", "semantics", ex52_path,
+                 "--kind", "cpti"]) == 0
+    assert calls == [("cutset_mc",)] * 2 and len(built) == 1
+
+
+@pytest.mark.parametrize("command", ["chain", "classify"])
+def test_chain_commands_refuse_a_cycle_off_the_cut_that_no_row_reads(
+        tmp_path, capsys, command):
+    # X <-> Y is cut at X; the cycle Z <-> W hangs below it, so no node
+    # of the row plan lies on it, and only the extension plan sees it
+    doc = {"variables": ["W", "X", "Y", "Z"],
+           "edges": [["X", "Y"], ["Y", "X"], ["X", "Z"], ["Z", "W"], ["W", "Z"]],
+           "cpts": {"X": {"parents": ["Y"], "rows": {"0": "1/2", "1": "1/3"}},
+                    "Y": {"parents": ["X"], "rows": {"0": "1/4", "1": "1"}},
+                    "Z": {"parents": ["W", "X"],
+                          "rows": {"00": "1/2", "01": "1", "10": "0", "11": "1/5"}},
+                    "W": {"parents": ["Z"], "rows": {"0": "1/3", "1": "2/3"}}},
+           "iota": {"": "1"}}
+    p = tmp_path / "below.gbn"
+    p.write_text(json.dumps(doc))
+    assert main([command, str(p), "--cutset", "X"]) == 1
+    assert capsys.readouterr().err == "error: ['X'] is not a cutset\n"
+    assert main([command, str(p), "--cutset", "X,Z"]) == 0

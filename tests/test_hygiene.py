@@ -70,6 +70,26 @@ def test_stdlib_only_imports():
     assert not found, f"imports outside the standard library: {', '.join(found)}"
 
 
+#: The standard-library modules that the package imports at module level.
+#: Every command-line call imports ``cyclebn.cli`` and pays for each, so
+#: a new one must be added here by name.
+TOP_LEVEL_IMPORTS = {"__future__", "argparse", "collections.abc", "fractions",
+                     "functools", "itertools", "json", "json.encoder", "math",
+                     "operator", "os", "re", "sys"}
+
+
+def test_top_level_imports_are_pinned():
+    found = set()
+    for name, tree in _trees():
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                found |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                found.add(node.module)
+    assert found == TOP_LEVEL_IMPORTS, (f"new: {sorted(found - TOP_LEVEL_IMPORTS)}, "
+                                        f"gone: {sorted(TOP_LEVEL_IMPORTS - found)}")
+
+
 def _imported_modules(node):
     """Dotted names an import statement may bind, relative ones without
     their leading dots."""

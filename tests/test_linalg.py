@@ -9,9 +9,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import fractions, random_cyclic_gbn, solve_rational, two_cycle
+from conftest import (fractions, matrix_chain, random_cyclic_gbn, solve_rational,
+                      two_cycle)
 from cyclebn import linalg
-from cyclebn.chain import CutsetChain
 from cyclebn.constraints import build_cpt_system, build_wcpt_system
 from cyclebn.linalg import (LinearSystem, _forced_zeros, _phase_one,
                             classify_polytope, null_space_left,
@@ -317,7 +317,7 @@ def test_bscc_lrfs_match_state_reduction():
             weights[u][rng.choice(states[:cuts[-1]])] = rng.randint(1, 4)
             for v in rng.sample(range(n), rng.randint(0, n)):
                 weights[u][v] += rng.randint(0, 3)
-        chain = CutsetChain(tuple("ABCD"[:n_cut]), _stochastic(weights))
+        chain = matrix_chain(tuple("ABCD"[:n_cut]), _stochastic(weights))
         assert sorted(map(sorted, chain.bsccs)) == sorted(map(sorted, classes))
         for comp, lrf in zip(chain.bsccs, chain.bscc_lrfs):
             nodes = sorted(comp)

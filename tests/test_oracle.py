@@ -6,9 +6,9 @@ from itertools import combinations
 
 import pytest
 
-from conftest import two_cycle
+from conftest import matrix_chain, two_cycle
 from cyclebn import oracle
-from cyclebn.chain import CutsetChain, cutset_mc, long_run_frequency
+from cyclebn.chain import cutset_mc, long_run_frequency
 from cyclebn.graph import DiGraph, d_separated
 from cyclebn.linalg import LinearSystem
 from cyclebn.model import CapacityError, JointDistribution, dirac
@@ -111,9 +111,9 @@ def test_dsep_oracle_agreement_random():
 
 
 def test_power_iteration_identity():
-    mc = CutsetChain(("A", "B"),
-                     tuple(tuple(F(int(i == j)) for j in range(4))
-                           for i in range(4)))
+    mc = matrix_chain(("A", "B"),
+                      tuple(tuple(F(int(i == j)) for j in range(4))
+                            for i in range(4)))
     gamma0 = (F(1, 2), F(1, 4), F(1, 8), F(1, 8))
     for steps in (1, 7, 100):
         assert power_iteration(mc, gamma0, steps) == gamma0
@@ -147,7 +147,7 @@ def test_power_iteration_period_four():
             (F(0), F(0), F(1), F(0)),
             (F(0), F(0), F(0), F(1)),
             (F(1), F(0), F(0), F(0)))
-    mc = CutsetChain(("A", "B"), perm)
+    mc = matrix_chain(("A", "B"), perm)
     gamma0 = (F(1), F(0), F(0), F(0))
     for n in (10, 101, 1000):
         avg = power_iteration(mc, gamma0, n)
