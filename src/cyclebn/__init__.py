@@ -26,7 +26,7 @@ from .linalg import (LinearSystem, PolytopeClass, classify_polytope,
 from .model import (CapacityError, Cpt, Gbn, InternalError, JointDistribution,
                     Violation,
                     all_assignments, assignment_from_index,
-                    canonical_index, dirac, format_rational, parse_rational)
+                    canonical_index, dirac, parse_rational)
 
 __version__ = "0.1.0"
 

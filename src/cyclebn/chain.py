@@ -8,14 +8,13 @@ integers of the chain's solves; one over other variables a ValueError."""
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property
 
 from . import graph as graphmod
 from .inference import chain_rule_dist, to_digraph
 from .linalg import null_space_left, solve_affine
 from .model import (CapacityError, Cpt, Gbn, InternalError,
-                    JointDistribution, _Value)
+                    JointDistribution, _Value, rational_text)
 
 #: Cutset chains are capped at 2**16 states.
 MAX_CUTSET_SIZE = 16
@@ -203,7 +202,7 @@ def _forward_eliminate(chain: CutsetChain, targets: int,
         mass = sum(table.values())
         if mass != den:
             raise InternalError(
-                f"forward elimination mass is {Fraction(mass, den)}, not 1")
+                f"forward elimination mass is {rational_text(mass, den)}, not 1")
         out.append((table, den))
     return out
 
@@ -241,6 +240,7 @@ class CutsetChain:
 
     @cached_property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        from fractions import Fraction
         return tuple(tuple(Fraction(x, d) for x in row)
                      for row, d in zip(self.rows, self.dens))
 

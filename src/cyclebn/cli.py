@@ -29,7 +29,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _encode_str
 
@@ -37,8 +36,8 @@ from . import chain as chainmod
 from . import constraints, graph as graphmod, inference
 from .families import INFINITE, UNIQUE, SemanticsFamily
 from .model import (MAX_DENSE_VARS, CapacityError, Cpt, Gbn,
-                    JointDistribution, Violation, format_rational,
-                    parse_rational, rational_text)
+                    JointDistribution, Violation, parse_rational,
+                    rational_text, scaled)
 
 EXIT_INVALID = 1
 EXIT_CAPACITY = 2
@@ -75,11 +74,8 @@ class _Table:
         self.nums, self.den = nums, den
 
     def texts(self) -> list[str]:
-        den, out = self.den, []
-        for p in self.nums:
-            g = math.gcd(p, den)
-            out.append(rational_text(p // g, den // g))
-        return out
+        den = self.den
+        return [rational_text(p, den) for p in self.nums]
 
 
 class _Cutsets:
@@ -239,10 +235,9 @@ def parse_document(text: str) -> Gbn:
             iota_table, keys_of.get(len(init)) or _bit_keys(init), "iota")
         total = sum(nums)
         if total != den:
-            g = math.gcd(total, den)
             problems.append(Violation(
                 "NotNormalized", ",".join(init),
-                f"iota sums to {rational_text(total // g, den // g)}, not 1"))
+                f"iota sums to {rational_text(total, den)}, not 1"))
         elif min(nums) < 0:
             problems.append(Violation("OutOfRange", ",".join(init),
                                       "iota entry outside [0, 1]"))
@@ -292,6 +287,7 @@ def _parse_gamma0(source: str, cut: tuple[str, ...]) -> JointDistribution:
     with open(source, encoding="utf-8") as fh:
         table = _object(_json(fh.read()), "gamma0")
     nums, den = _vector_from_keys(table, _bit_keys(cut), "gamma0")
+    from fractions import Fraction
     return JointDistribution(cut, [Fraction(p, den) for p in nums])
 
 
@@ -305,14 +301,11 @@ def _cutset(args, g: Gbn) -> tuple[str, ...]:
 
 def _json_text(value, pad: str = "\n") -> str:
     """``value`` in exactly the layout of ``json.dumps(value, indent=2)``,
-    each ``Fraction`` written as the string "p/q" (or "p" when integral),
-    each ``_Table`` as the list of those strings and each ``_Cutsets`` as
-    its list of name lists.  ``pad`` is the newline and indent of the
-    line ``value`` starts on."""
+    each ``_Table`` written as its list of strings "p/q" (or "p" when
+    integral) and each ``_Cutsets`` as its list of name lists.  ``pad``
+    is the newline and indent of the line ``value`` starts on."""
     if type(value) is str:
         return _encode_str(value)
-    if type(value) is Fraction:
-        return f'"{format_rational(value)}"'
     if value is None:
         return "null"
     if value is True:
@@ -344,8 +337,7 @@ def _json_text(value, pad: str = "\n") -> str:
 
 
 def _emit(result: dict, fmt: str) -> None:
-    """Write a result whose rationals are still ``Fraction`` values or
-    ``_Table`` integers."""
+    """Write a result whose rationals are still ``_Table`` integers."""
     if fmt == "machine":
         sys.stdout.write(_json_text(result))
         sys.stdout.write("\n")
@@ -507,8 +499,8 @@ def _cmd_oracle_iterate(args) -> tuple[dict, int]:
     trace = oracle.iterate_next(g, cut, gamma0, args.steps)
     return {"command": "oracle-iterate", "cutset": list(cut),
             "assignment_order": _bit_keys(cut),
-            "steps": [list(vec) for vec in trace.steps],
-            "cesaro": [list(vec) for vec in trace.cesaro]}, 0
+            "steps": [_Table(*scaled(vec)) for vec in trace.steps],
+            "cesaro": [_Table(*scaled(vec)) for vec in trace.cesaro]}, 0
 
 
 def build_parser() -> argparse.ArgumentParser:

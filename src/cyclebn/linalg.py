@@ -19,7 +19,8 @@ perturbation), run on the integers of ``A x = b, x >= 0`` exactly as
 given, classifies the set of nonnegative solutions as empty, a single
 point, or an infinite polytope: one phase 1 finds a vertex, and phase 2,
 started from that vertex's basis, tests whether anything lies off its
-support.  The simplex keeps a condensed tableau, the integer Jordan
+support, and stops at the first basis that shows something does.  The
+simplex keeps a condensed tableau, the integer Jordan
 exchange of exact vertex codes (Edmonds; Avis's lrs): a row per basic
 variable, a slot per nonbasic one (``cols`` names the variable of each)
 and the rhs, the z-row included, all on one denominator d, so that a
@@ -157,7 +158,7 @@ def _vertex(rows, basis, d, n) -> Point:
 
 
 def simplex_maximize(a_eq: Sequence[Sequence[int]], b_eq: Sequence[int],
-                     objective: Sequence[int], start=None):
+                     objective: Sequence[int], start=None, *, above=None):
     """Maximize c.x subject to A x = b, x >= 0, exactly, all integers.
 
     Returns ("infeasible", None, None), ("unbounded", None, None), or
@@ -166,7 +167,10 @@ def simplex_maximize(a_eq: Sequence[Sequence[int]], b_eq: Sequence[int],
     the tableau ``(rows, basis, cols, d)`` that ``_phase_one`` returned
     for the same system, or from a phase 1 run here when it is None; the
     start is left as it was.  Bland's rule on both phases guarantees
-    termination.
+    termination.  With an integer bound ``above``, phase 2 stops at the
+    first basis whose value exceeds it and returns ("above", (value,
+    den), (nums, den)) for that vertex, which need not be optimal; an
+    unbounded column met first is still "unbounded".
     """
     n = len(objective)
     if start is None:
@@ -182,19 +186,26 @@ def simplex_maximize(a_eq: Sequence[Sequence[int]], b_eq: Sequence[int],
         if c:
             zrow = [z + c * t for z, t in zip(zrow, row)]
     tab = [*rows, zrow]
-    d = _pivot_to_optimum(tab, basis, cols, d, n)
+    d = _pivot_to_optimum(tab, basis, cols, d, n, above)
     if d is None:
         return "unbounded", None, None
     nums, den = x = _vertex(tab, basis, d, n)
-    return "optimal", (sum(map(int.__mul__, objective, nums)), den), x
+    value = sum(map(int.__mul__, objective, nums))
+    status = "optimal" if above is None or value <= above * den else "above"
+    return status, (value, den), x
 
 
-def _pivot_to_optimum(tab, basis, cols, d, n):
+def _pivot_to_optimum(tab, basis, cols, d, n, above=None):
     """Pivot with Bland's rule until the z-row (last row) is nonnegative:
     the smallest variable label with a negative slot enters; returns the
-    denominator, or None when the objective is unbounded."""
+    denominator, or None when the objective is unbounded.  The z-row's
+    rhs is d times the objective value at the current basis, so with an
+    integer bound ``above`` the pivoting also stops, before any further
+    pivot, once that rhs exceeds ``above * d``."""
     m = len(tab) - 1
     while True:
+        if above is not None and tab[m][-1] > above * d:
+            return d
         labels = [j for j, z in zip(cols, tab[m]) if z < 0]
         if not labels:
             return d
@@ -246,7 +257,9 @@ def classify_polytope(system: LinearSystem) -> PolytopeClass:
     linearly independent, so no other feasible point has its support
     inside supp(v): the set is {v} iff the sum of the coordinates off
     supp(v) has maximum 0, which phase 2 decides, started from v's
-    basis.  The witness is v.
+    basis.  That sum is 0 at v, so phase 2 stops at the first basis
+    where it is positive, or at an unbounded column: the set is then
+    infinite.  The witness is v.
     """
     n = system.num_cols
     forced = _forced_zeros(system.matrix, system.rhs)
@@ -265,8 +278,8 @@ def classify_polytope(system: LinearSystem) -> PolytopeClass:
     rows, basis, _, d = start
     nums, den = _vertex(rows, basis, d, len(live))
     off = tuple(0 if x else 1 for x in nums)
-    status, value, _ = simplex_maximize(a_eq, b_eq, off, start)
-    kind = "infinite" if status == "unbounded" or value[0] else "point"
+    status, _, _ = simplex_maximize(a_eq, b_eq, off, start, above=0)
+    kind = "point" if status == "optimal" else "infinite"
     x = [0] * n
     for j, v in zip(live, nums):
         x[j] = v

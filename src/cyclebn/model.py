@@ -9,6 +9,8 @@ treats the first-sorted variable as the most significant bit (F=0, T=1).
 Every table is dense and in canonical index order.  A joint distribution
 and a CPT each hold their table as integer numerators over their least
 common denominator, and its ``Fraction`` tuple is built only when read.
+``fractions`` (with ``decimal`` and ``numbers``) is imported where a
+``Fraction`` is built, so importing the package does not load it.
 :func:`sub_indices` maps each index over a variable set to the index of
 the assignment's restriction to some of those variables, so marginals,
 products and renamings build no dict per assignment.
@@ -20,7 +22,6 @@ import math
 import re
 import sys
 from collections.abc import Iterable, Mapping, Sequence
-from fractions import Fraction
 from functools import cached_property
 
 #: Dense tables are capped at 2**20 states.
@@ -87,6 +88,7 @@ def parse_rational(text: str) -> Fraction:
     limit = exponent and getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and abs(int(exponent[1])) > limit:
         raise ValueError(f"decimal exponent in {text!r} exceeds {limit} digits")
+    from fractions import Fraction
     try:
         return Fraction(text.strip())
     except ZeroDivisionError:
@@ -109,12 +111,12 @@ def sums_to_one(values) -> bool:
 
 
 def rational_text(p: int, q: int) -> str:
-    """The text of p/q in lowest terms: "p/q", or "p" when q = 1."""
+    """The text of p/q, q > 0, in lowest terms: "p/q", or "p" when the
+    reduced q is 1, as ``str`` writes a ``Fraction``."""
+    g = math.gcd(p, q)
+    if g != 1:
+        p, q = p // g, q // g
     return f"{p}/{q}" if q != 1 else str(p)
-
-
-def format_rational(q: Fraction) -> str:
-    return rational_text(q.numerator, q.denominator)
 
 
 def canonical_index(assignment: Mapping[str, bool],
@@ -173,6 +175,7 @@ class JointDistribution(_Value):
     _fields = ("variables", "nums", "den")
 
     def __init__(self, variables: Iterable[str], probs: Iterable) -> None:
+        from fractions import Fraction
         vs = _check_capacity(variables)
         probs = tuple(p if type(p) is Fraction else Fraction(p) for p in probs)
         if len(probs) != 1 << len(vs):
@@ -182,7 +185,7 @@ class JointDistribution(_Value):
         nums, den = scaled(probs)
         if sum(nums) != den:
             raise ValueError(
-                f"probabilities sum to {Fraction(sum(nums), den)}, not 1")
+                f"probabilities sum to {rational_text(sum(nums), den)}, not 1")
         vars(self).update(variables=vs, nums=tuple(nums), den=den, probs=probs)
 
     @classmethod
@@ -200,6 +203,7 @@ class JointDistribution(_Value):
 
     @cached_property
     def probs(self) -> tuple[Fraction, ...]:
+        from fractions import Fraction
         den = self.den
         return tuple(Fraction(p, den) for p in self.nums)
 
@@ -210,6 +214,7 @@ class JointDistribution(_Value):
         return JointDistribution._of_table(vs, (1,) * n, n)
 
     def prob(self, assignment: Mapping[str, bool]) -> Fraction:
+        from fractions import Fraction
         return Fraction(self.nums[canonical_index(assignment, self.variables)],
                         self.den)
 
@@ -266,6 +271,7 @@ class Cpt(_Value):
     _fields = ("owner", "parents", "nums", "den")
 
     def __init__(self, owner: str, parents: Iterable[str], rows: Iterable) -> None:
+        from fractions import Fraction
         parents = _check_capacity(parents)
         rows = tuple(r if type(r) is Fraction else Fraction(r) for r in rows)
         if len(rows) != 1 << len(parents):
@@ -290,6 +296,7 @@ class Cpt(_Value):
 
     @cached_property
     def rows(self) -> tuple[Fraction, ...]:
+        from fractions import Fraction
         den = self.den
         return tuple(Fraction(p, den) for p in self.nums)
 
@@ -359,7 +366,7 @@ class Gbn(_Value):
             nums, den = cpt.nums, cpt.den
             if min(nums) < 0 or max(nums) > den:
                 report.extend(
-                    Violation("OutOfRange", x, f"CPT row {i} entry {Fraction(p, den)}")
+                    Violation("OutOfRange", x, f"CPT row {i} entry {rational_text(p, den)}")
                     for i, p in enumerate(nums) if not 0 <= p <= den)
         for x in sorted(set(self.cpts) - non_initial):
             report.append(Violation("ParentMismatch", x,

@@ -11,7 +11,7 @@ from cyclebn.chain import CutsetChain
 from cyclebn.cli import _bit_keys
 from cyclebn.graph import DiGraph, enumerate_cutsets, is_acyclic
 from cyclebn.linalg import solve_affine
-from cyclebn.model import Cpt, Gbn, JointDistribution, format_rational, scaled
+from cyclebn.model import Cpt, Gbn, JointDistribution, scaled
 
 NAMES = ("A", "B", "C", "D", "E", "F", "G", "H")
 
@@ -34,11 +34,11 @@ def serialize_document(g: Gbn) -> str:
         "edges": sorted([u, v] for (u, v) in g.edges),
         "cpts": {
             x: {"parents": list(cpt.parents),
-                "rows": {key: format_rational(r)
+                "rows": {key: str(r)
                          for key, r in zip(_bit_keys(cpt.parents), cpt.rows)}}
             for x, cpt in sorted(g.cpts.items())
         },
-        "iota": {key: format_rational(p)
+        "iota": {key: str(p)
                  for key, p in zip(_bit_keys(g.iota.variables), g.iota.probs)},
     }
     return json.dumps(doc, indent=2)

@@ -17,9 +17,9 @@ from conftest import serialize_document, two_cycle
 from cyclebn import chain as chainmod
 from cyclebn.chain import cutset_mc
 from cyclebn.cli import (DocumentError, _bit_keys, _chain_out, _Cutsets,
-                         _json_text, _load, _pretty, _vector_out, main,
-                         parse_document)
-from cyclebn.model import Gbn, JointDistribution, format_rational
+                         _json_text, _load, _pretty, _Table, _vector_out,
+                         main, parse_document)
+from cyclebn.model import Gbn, JointDistribution, scaled
 from cyclebn.oracle import check_cpt_i_member, closed_cut_triples
 
 F = Fraction
@@ -336,13 +336,13 @@ def test_exact_answers_longer_than_the_digit_cap_print(tmp_path, capsys):
     assert sum(probs) == 1
 
 
-def _fractions_as_text(value):
-    if type(value) is Fraction:
-        return format_rational(value)
+def _tables_as_text(value):
+    if type(value) is _Table:
+        return [str(Fraction(p, value.den)) for p in value.nums]
     if isinstance(value, dict):
-        return {k: _fractions_as_text(v) for k, v in value.items()}
+        return {k: _tables_as_text(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_fractions_as_text(v) for v in value]
+        return [_tables_as_text(v) for v in value]
     return value
 
 
@@ -350,7 +350,8 @@ STRINGS = (st.text(max_size=6)
            | st.text(alphabet=st.characters(max_codepoint=0x1f), max_size=4)
            | st.text(alphabet="aé中\U0001f600\"\\/\x7f ", max_size=6))
 WRITER_SCALARS = (st.none() | st.booleans() | st.integers() | STRINGS
-                  | st.fractions()
+                  | st.lists(st.fractions(), min_size=1, max_size=4).map(
+                      lambda qs: _Table(*scaled(qs)))
                   | st.integers(4301, 4400).map(lambda d: 10 ** d - 1)
                   | st.integers(4301, 4400).map(lambda d: 1 - 10 ** d))
 WRITER_VALUES = st.recursive(
@@ -370,7 +371,7 @@ def test_machine_writer_matches_json_dumps_layout(value):
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        assert _json_text(value) == json.dumps(_fractions_as_text(value), indent=2)
+        assert _json_text(value) == json.dumps(_tables_as_text(value), indent=2)
     finally:
         sys.set_int_max_str_digits(limit)
 

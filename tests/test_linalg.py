@@ -429,15 +429,74 @@ def test_warm_started_simplex_matches_cold():
     assert statuses == {"infeasible", "unbounded", "optimal"}
 
 
+def test_phase_two_stops_once_its_value_passes_the_bound():
+    # Simplex values never fall, so with a bound the pivots are those of
+    # the full run until the value first exceeds it; that basis comes
+    # back as "above", never as "optimal".
+    rng = random.Random(16)
+    statuses = set()
+    for k in range(400):
+        if k % 2:
+            system = _random_system(rng)
+            a, b = system.matrix, system.rhs
+        else:
+            a, b = _row_scaled(*_rational_system(rng))
+        n = len(a[0]) if a else rng.randint(0, 3)
+        c = [rng.randint(-3, 3) for _ in range(n)]
+        start = _phase_one(a, b, n)
+        if start is None:
+            continue
+        full = simplex_maximize(a, b, c, start)
+        bound = rng.randint(-1, 2)
+        status, value, x = stopped = simplex_maximize(a, b, c, start, above=bound)
+        statuses.add(status)
+        if full[0] == "optimal" and full[1][0] <= bound * full[1][1]:
+            assert stopped == full
+        elif status == "unbounded":
+            assert full[0] == "unbounded"
+        else:
+            assert status == "above"
+            assert value[0] > bound * value[1]
+            assert full[0] == "unbounded" or value[0] * full[1][1] <= full[1][0] * value[1]
+            assert is_solution(LinearSystem(a, b), fractions(x))
+            assert sum(map(int.__mul__, c, x[0])) == value[0] and x[1] == value[1]
+    assert statuses == {"optimal", "above", "unbounded"}
+
+
+def test_classify_stops_phase_two_on_the_first_positive_value(monkeypatch):
+    # x0 + 2 x1 + x2 = 2 from the vertex x0 = 2: x1 enters first and
+    # moves mass off the support, which decides "infinite"; the optimum
+    # of x1 + x2 needs x2 to enter as well.
+    pivots = []
+    real = linalg._exchange
+
+    def counted(*args):
+        pivots.append(args)
+        return real(*args)
+    monkeypatch.setattr(linalg, "_exchange", counted)
+    a, b, off = ((1, 2, 1),), (2,), (0, 1, 1)
+    start = _phase_one(a, b, 3)
+    pivots.clear()
+    assert simplex_maximize(a, b, off, start) == ("optimal", (2, 1), ((0, 0, 2), 1))
+    assert len(pivots) == 2
+    pivots.clear()
+    assert simplex_maximize(a, b, off, start, above=0) == ("above", (2, 2), ((0, 2, 0), 2))
+    assert len(pivots) == 1
+    pivots.clear()
+    assert classify_polytope(LinearSystem(a, b)) == \
+        linalg.PolytopeClass("infinite", ((2, 0, 0), 1))
+    assert len(pivots) == 2     # one in phase 1, one in phase 2
+
+
 def test_classify_runs_phase_one_once(monkeypatch):
     calls = {"_phase_one": 0, "simplex_maximize": 0}
 
     def counted(name):
         real = getattr(linalg, name)
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return real(*args)
+            return real(*args, **kwargs)
         monkeypatch.setattr(linalg, name, wrapper)
     counted("_phase_one")
     counted("simplex_maximize")

@@ -13,7 +13,7 @@ from cyclebn.linalg import LinearSystem, PolytopeClass
 from cyclebn.model import (CapacityError, Cpt, Gbn, JointDistribution,
                            Violation, _Value, all_assignments,
                            assignment_from_index, canonical_index, dirac,
-                           format_rational, parse_rational,
+                           parse_rational, rational_text,
                            sums_to_one)
 from cyclebn.oracle import IndependenceTriple, IterationTrace
 
@@ -67,9 +67,15 @@ def test_parse_rational_matches_fraction_route_on_any_text(text):
 
 
 def test_format_rational():
-    assert format_rational(Fraction(3, 4)) == "3/4"
-    assert format_rational(Fraction(2)) == "2"
-    assert parse_rational(format_rational(Fraction(48, 121))) == Fraction(48, 121)
+    # rationals are written from integers, reduced, as ``str`` writes a Fraction
+    assert rational_text(3, 4) == "3/4"
+    assert rational_text(2, 1) == "2"
+    assert rational_text(6, 8) == "3/4"
+    assert rational_text(-2, 6) == "-1/3"
+    assert rational_text(0, 5) == "0"
+    for p, q in ((48, 121), (-9, 3), (10 ** 30, 4 * 10 ** 29)):
+        assert rational_text(p, q) == str(Fraction(p, q))
+    assert parse_rational(rational_text(48, 121)) == Fraction(48, 121)
 
 
 def test_canonical_index_msb_first():
