@@ -24,9 +24,8 @@ from .inference import CyclicGraphError, chain_rule_dist, to_digraph
 from .linalg import (LinearSystem, PolytopeClass, classify_polytope,
                      null_space_left, simplex_maximize, solve_affine)
 from .model import (CapacityError, Cpt, Gbn, InternalError, JointDistribution,
-                    Violation,
-                    all_assignments, assignment_from_index,
-                    canonical_index, dirac, parse_rational)
+                    Violation, assignment_from_index, canonical_index,
+                    dirac, parse_rational)
 
 __version__ = "0.1.0"
 

@@ -51,10 +51,6 @@ class DocumentError(Exception):
         self.violations = violations
 
 
-def _bits(index: int, width: int) -> str:
-    return format(index, f"0{width}b") if width else ""
-
-
 def _bit_keys(variables) -> list[str]:
     """Bitstring of every canonical index, first variable leftmost,
     built by doubling."""
@@ -407,12 +403,12 @@ def _cmd_cutsets(args) -> tuple[dict, int]:
 
 
 def _chain_out(mc: chainmod.CutsetChain) -> dict:
+    keys = _bit_keys(mc.cutset)
     return {
         "cutset": list(mc.cutset),
-        "assignment_order": _bit_keys(mc.cutset),
+        "assignment_order": keys,
         "matrix": [_Table(row, d) for row, d in zip(mc.rows, mc.dens)],
-        "bsccs": [sorted(_bits(s, len(mc.cutset)) for s in comp)
-                  for comp in mc.bsccs],
+        "bsccs": [sorted(keys[s] for s in comp) for comp in mc.bsccs],
         "periods": list(mc.periods),
     }
 

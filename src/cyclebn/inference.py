@@ -1,13 +1,12 @@
-"""The standard semantics of an acyclic network by the chain rule, one
-assignment at a time: the definition behind ``CutsetChain.extend`` on the
-empty cutset and behind ``chain.next_dist``.  Independence checks over
-d-separation triples live in ``oracle``."""
+"""The standard semantics of an acyclic network by the chain rule, in
+integer tables: the definition behind ``CutsetChain.extend`` on the empty
+cutset and behind ``chain.next_dist``.  Independence checks live in ``oracle``."""
 
 from __future__ import annotations
 
 from . import graph as graphmod
-from .model import (Gbn, InternalError, JointDistribution, all_assignments,
-                    sums_to_one)
+from .model import (Gbn, InternalError, JointDistribution, rational_text,
+                    sub_indices)
 
 
 class CyclicGraphError(Exception):
@@ -19,20 +18,21 @@ def to_digraph(g: Gbn) -> graphmod.DiGraph:
 
 
 def chain_rule_dist(g: Gbn) -> JointDistribution:
-    """Full joint distribution of an acyclic network via the chain rule."""
+    """Full joint distribution of an acyclic network via the chain rule:
+    iota's numerators spread over the nodes' assignments, times one CPT
+    factor per non-initial node, over the product of the denominators."""
     if not graphmod.is_acyclic(to_digraph(g)):
         raise CyclicGraphError("chain rule requires an acyclic graph")
     g._require_valid()
-    init = g.initial_nodes
-    non_initial = sorted(set(g.nodes) - init)
-    probs = []
-    for b in all_assignments(g.nodes):
-        p = g.iota.prob({v: b[v] for v in g.iota.variables})
-        for x in non_initial:
-            if p == 0:
-                break
-            p *= g.cpts[x].prob(b[x], b)
-        probs.append(p)
-    if not sums_to_one(probs):
-        raise InternalError(f"chain rule mass is {sum(probs)}, not 1")
-    return JointDistribution(g.nodes, tuple(probs))
+    nodes, iota, den = g.nodes, g.iota.nums, g.iota.den
+    probs = [iota[k] for k in sub_indices(nodes, g.iota.variables)]
+    for x in sorted(set(nodes) - g.initial_nodes):
+        cpt = g.cpts[x]
+        row, d = cpt.nums, cpt.den
+        probs = [p * (row[k] if t else d - row[k]) for p, k, t in
+                 zip(probs, sub_indices(nodes, cpt.parents), sub_indices(nodes, (x,)))]
+        den *= d
+    mass = sum(probs)
+    if mass != den:
+        raise InternalError(f"chain rule mass is {rational_text(mass, den)}, not 1")
+    return JointDistribution._of_table(nodes, probs, den)

@@ -13,7 +13,9 @@ common denominator, and its ``Fraction`` tuple is built only when read.
 ``Fraction`` is built, so importing the package does not load it.
 :func:`sub_indices` maps each index over a variable set to the index of
 the assignment's restriction to some of those variables, so marginals,
-products and renamings build no dict per assignment.
+products, renamings and the chain rule build no dict per assignment;
+only :func:`canonical_index` and :func:`assignment_from_index` convert
+between an assignment dict and its index.
 """
 
 from __future__ import annotations
@@ -103,13 +105,6 @@ def scaled(values) -> tuple[list[int], int]:
     return [q.numerator * (d // q.denominator) for q in values], d
 
 
-def sums_to_one(values) -> bool:
-    """Exact test that rationals sum to 1, done in integers over their
-    least common denominator instead of by pairwise Fraction addition."""
-    nums, d = scaled(values)
-    return sum(nums) == d
-
-
 def rational_text(p: int, q: int) -> str:
     """The text of p/q, q > 0, in lowest terms: "p/q", or "p" when the
     reduced q is 1, as ``str`` writes a ``Fraction``."""
@@ -119,10 +114,9 @@ def rational_text(p: int, q: int) -> str:
     return f"{p}/{q}" if q != 1 else str(p)
 
 
-def canonical_index(assignment: Mapping[str, bool],
-                    variables: Iterable[str] | None = None) -> int:
+def canonical_index(assignment: Mapping[str, bool], variables: Iterable[str]) -> int:
     """Index of a total assignment; first-sorted variable is the MSB."""
-    vs = tuple(sorted(variables)) if variables is not None else tuple(sorted(assignment))
+    vs = tuple(sorted(variables))
     if set(vs) != set(assignment):
         raise ValueError("assignment domain does not match the variable set")
     idx = 0
@@ -138,13 +132,6 @@ def assignment_from_index(index: int, variables: Iterable[str]) -> dict[str, boo
     if not 0 <= index < (1 << n):
         raise ValueError(f"index {index} out of range for {n} variables")
     return {v: bool((index >> (n - 1 - i)) & 1) for i, v in enumerate(vs)}
-
-
-def all_assignments(variables: Iterable[str]):
-    """All assignments over ``variables`` in canonical index order."""
-    vs = tuple(sorted(variables))
-    for idx in range(1 << len(vs)):
-        yield assignment_from_index(idx, vs)
 
 
 def sub_indices(variables: Sequence[str], names: Sequence[str]) -> list[int]:
@@ -212,11 +199,6 @@ class JointDistribution(_Value):
         vs = _check_capacity(variables)
         n = 1 << len(vs)
         return JointDistribution._of_table(vs, (1,) * n, n)
-
-    def prob(self, assignment: Mapping[str, bool]) -> Fraction:
-        from fractions import Fraction
-        return Fraction(self.nums[canonical_index(assignment, self.variables)],
-                        self.den)
 
     def restrict(self, subset: Iterable[str]) -> "JointDistribution":
         """Marginalize onto a subset of the variables."""
@@ -299,14 +281,6 @@ class Cpt(_Value):
         from fractions import Fraction
         den = self.den
         return tuple(Fraction(p, den) for p in self.nums)
-
-    def prob_true(self, parent_assignment: Mapping[str, bool]) -> Fraction:
-        return self.rows[canonical_index(
-            {v: parent_assignment[v] for v in self.parents}, self.parents)]
-
-    def prob(self, value: bool, parent_assignment: Mapping[str, bool]) -> Fraction:
-        p = self.prob_true(parent_assignment)
-        return p if value else 1 - p
 
 
 class Violation(_Value):

@@ -281,11 +281,8 @@ def power_iteration(chain: CutsetChain, gamma0: Sequence[Fraction],
     if steps < 1:
         raise ValueError("need at least one step")
     n = chain.num_states
-    denom = 1
-    for row in chain.matrix:
-        for p in row:
-            denom = denom * p.denominator // math.gcd(denom, p.denominator)
-    p_int = [[int(p * denom) for p in row] for row in chain.matrix]
+    denom = math.lcm(*chain.dens)
+    p_int = [[x * (denom // d) for x in row] for row, d in zip(chain.rows, chain.dens)]
     acc = _sum_of_powers(p_int, denom, n, steps + 1)
     scale = denom ** steps * (steps + 1)
     return tuple(sum(gamma0[i] * acc[i][j] for i in range(n)) / scale

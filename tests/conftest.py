@@ -13,7 +13,24 @@ from cyclebn.graph import DiGraph, enumerate_cutsets, is_acyclic
 from cyclebn.linalg import solve_affine
 from cyclebn.model import Cpt, Gbn, JointDistribution, scaled
 
-NAMES = ("A", "B", "C", "D", "E", "F", "G", "H")
+NAMES = tuple("ABCDEFGHIJKL")
+
+
+def fractions_made_by(fn) -> int:
+    """How many ``Fraction`` objects ``fn()`` constructs."""
+    made = []
+    original = Fraction.__dict__["__new__"]
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return original.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counted)
+    try:
+        fn()
+    finally:
+        Fraction.__new__ = original
+    return len(made)
 
 
 def make_gbn(nodes: Iterable[str],
@@ -122,9 +139,10 @@ def _attach_tables(rng: random.Random, nodes, edges, smooth: bool,
 
 
 def random_acyclic_gbn(rng: random.Random, max_vars: int = 6,
-                       smooth: bool = False, denom: int = 8) -> Gbn:
+                       smooth: bool = False, denom: int = 8,
+                       min_vars: int = 1) -> Gbn:
     """Random acyclic network with a correlated initial distribution."""
-    n = rng.randint(1, max_vars)
+    n = rng.randint(min_vars, max_vars)
     nodes = list(NAMES[:n])
     order = nodes[:]
     rng.shuffle(order)

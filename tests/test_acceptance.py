@@ -46,10 +46,9 @@ def test_criterion_1_consistency_trichotomy():
         fam = solve_family(two_cycle(0, 1, 0, 1), "cpt")
         assert fam.status == INFINITE
         w = fam.distributions[0]
-        assert w.prob({"X": False, "Y": True}) == 0
-        assert w.prob({"X": True, "Y": False}) == 0
-        assert w.prob({"X": True, "Y": True}) == \
-            1 - w.prob({"X": False, "Y": False})
+        assert w.variables == ("X", "Y")
+        assert w.nums[1] == w.nums[2] == 0      # X != Y
+        assert w.nums[3] == w.den - w.nums[0]
         # the whole solution space keeps those two coordinates at zero
         system = build_cpt_system(two_cycle(0, 1, 0, 1))
         particular, basis = space_from_rref(

@@ -32,9 +32,10 @@ POOL_QUERIES = {"families": 786, "rings": 411, "wide-cuts": 350, "structure": 12
 def test_pool_answers_match_the_recorded_ones(tmp_path, workload):
     with open(os.path.join(PERFBENCH, check.ANSWERS_FILE), encoding="utf-8") as fh:
         answers = json.load(fh)[workload]
-    path = tmp_path / "doc.json"
     wrong, queries, infinite = [], 0, 0
-    for item in gen.pool(workload):
+    for i, item in enumerate(gen.pool(workload)):
+        # a new file per item: overwriting one can cost far more than writing it
+        path = tmp_path / f"doc{i}.json"
         path.write_text(item.doc, encoding="utf-8")
         for qi, query in enumerate(item.queries):
             out = io.StringIO()

@@ -6,6 +6,7 @@ exactly the layout of ``json.dumps(..., indent=2)``."""
 import contextlib
 import copy
 import io
+import itertools
 import json
 
 import pytest
@@ -126,10 +127,16 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+#: Numbers the files of each example: overwriting a file can cost far
+#: more than writing a new one.
+_EXAMPLE = itertools.count()
+
+
 @settings(max_examples=250, deadline=None)
 @given(data=st.data())
 def test_cli_answers_every_input_without_a_traceback(workdir, data):
-    doc, gamma = workdir / "doc.gbn", workdir / "gamma.json"
+    n = next(_EXAMPLE)
+    doc, gamma = workdir / f"doc{n}.gbn", workdir / f"gamma{n}.json"
     doc.write_text(_document(data))
     gamma.write_text(data.draw(st.sampled_from(
         ['{"0": "1/2", "1": "1/2"}', '{"00": "1", "01": "0", "10": "0", "11": "0"}',

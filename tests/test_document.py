@@ -11,7 +11,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import make_gbn, random_cyclic_gbn, serialize_document
+from conftest import (fractions_made_by, make_gbn, random_cyclic_gbn,
+                      serialize_document)
 from cyclebn.cli import _pair, main, parse_document
 from cyclebn.model import Cpt, JointDistribution, parse_rational
 from test_model import PLAIN_EDGES
@@ -289,23 +290,6 @@ def test_round_trip_over_random_cyclic_networks():
         assert parse_document(serialize_document(g)) == g
 
 
-def _fractions_made_by(fn) -> int:
-    """How many ``Fraction`` objects ``fn()`` constructs."""
-    made = []
-    original = Fraction.__dict__["__new__"]
-
-    def counted(cls, *args, **kwargs):
-        made.append(args)
-        return original.__func__(cls, *args, **kwargs)
-
-    Fraction.__new__ = staticmethod(counted)
-    try:
-        fn()
-    finally:
-        Fraction.__new__ = original
-    return len(made)
-
-
 def test_a_plain_document_is_read_without_a_fraction():
     doc = {"variables": ["A", "X", "Y"],
            "edges": [["A", "X"], ["X", "Y"], ["Y", "X"]],
@@ -315,9 +299,9 @@ def test_a_plain_document_is_read_without_a_fraction():
            "iota": {"0": "1/3", "1": "4/6"}}
     text = json.dumps(doc)
     parsed = []
-    assert _fractions_made_by(lambda: parsed.append(parse_document(text))) == 0
+    assert fractions_made_by(lambda: parsed.append(parse_document(text))) == 0
     [g] = parsed
-    assert _fractions_made_by(lambda: g.cpts["X"].rows) == 4
+    assert fractions_made_by(lambda: g.cpts["X"].rows) == 4
     assert g == make_gbn(g.nodes, g.edges, [
         Cpt("X", ("A", "Y"), (F(1), F(0), F(1, 2), F(7, 9))),
         Cpt("Y", ("X",), (F(0), F(1)))],

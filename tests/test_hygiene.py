@@ -248,24 +248,45 @@ def test_cli_commands_load_no_fractions(tmp_path, flags):
     assert len(commands) > 100
 
 
+def _reads() -> tuple[set[str], set[str]]:
+    """Names loaded and attribute names read in the package, ``__init__``
+    aside, and in the benchmark under ``perfbench/``."""
+    readers = [tree for name, tree in _trees() if name != "__init__.py"]
+    readers += [ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+                for path in sorted(PERFBENCH.glob("*.py"))]
+    names, attrs = set(), set()
+    for tree in readers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+    return names, attrs
+
+
 def test_every_module_function_has_a_caller_outside_tests():
     # Code that only the tests call belongs in the tests.  A function is
     # read by name (a load or an attribute) in the package, ``__init__``
     # aside, or in the benchmark under ``perfbench/``.  ``oracle`` holds
     # the brute-force references, which are read by the tests.
-    perfbench = PACKAGE.parents[1] / "perfbench"
-    readers = [tree for name, tree in _trees() if name != "__init__.py"]
-    readers += [ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-                for path in sorted(perfbench.glob("*.py"))]
-    read = set()
-    for tree in readers:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+    read = set().union(*_reads())
     found = [f"{name[:-3]}.{node.name}" for name, tree in _trees()
              if name not in ("__init__.py", "oracle.py")
              for node in tree.body
              if isinstance(node, ast.FunctionDef) and node.name not in read]
     assert not found, f"functions only the tests call: {', '.join(found)}"
+
+
+def test_every_method_has_a_caller_outside_tests():
+    # The same rule for the methods and properties of the production
+    # classes: each is read by attribute name in the package or the
+    # benchmark.  Dunders are called by the language.
+    _, attrs = _reads()
+    found = [f"{name[:-3]}.{cls.name}.{node.name}" for name, tree in _trees()
+             if name not in ("__init__.py", "oracle.py")
+             for cls in tree.body if isinstance(cls, ast.ClassDef)
+             for node in cls.body
+             if isinstance(node, ast.FunctionDef)
+             and not (node.name.startswith("__") and node.name.endswith("__"))
+             and node.name not in attrs]
+    assert not found, f"methods only the tests call: {', '.join(found)}"

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_gbn, random_acyclic_gbn, two_cycle
+from conftest import fractions_made_by, make_gbn, random_acyclic_gbn, two_cycle
+from cyclebn.chain import cutset_mc
 from cyclebn.graph import DiGraph
 from cyclebn.inference import CyclicGraphError, chain_rule_dist, to_digraph
-from cyclebn.model import CapacityError, Cpt, JointDistribution, dirac
+from cyclebn.model import CapacityError, Cpt, Gbn, JointDistribution, dirac
 from cyclebn.oracle import (IndependenceTriple, check_independence, close,
                             dsep_implies_indep_check, enumerate_dsep_triples)
 
@@ -23,10 +24,8 @@ def simple_edge_gbn():
 
 def test_chain_rule_simple_edge():
     mu = chain_rule_dist(simple_edge_gbn())
-    assert mu.prob({"X": False, "Y": False}) == F(1, 8)
-    assert mu.prob({"X": False, "Y": True}) == F(1, 8)
-    assert mu.prob({"X": True, "Y": False}) == F(3, 16)
-    assert mu.prob({"X": True, "Y": True}) == F(9, 16)
+    assert mu.variables == ("X", "Y")
+    assert mu.probs == (F(1, 8), F(1, 8), F(3, 16), F(9, 16))
 
 
 def test_chain_rule_requires_acyclic():
@@ -50,6 +49,25 @@ def test_chain_rule_correlated_initial():
     mu = chain_rule_dist(g)
     assert mu.restrict(("A", "B")) == iota
     assert mu.restrict(("C",)).probs == (1, 0)
+
+
+def test_chain_rule_matches_the_compiled_route_on_larger_networks():
+    # 8-12 nodes, a correlated iota and CPT entries mostly 0 or 1: the
+    # integer product equals the elimination over the empty cutset, and
+    # builds no Fraction on the way, with none cached in the tables either
+    rng = random.Random(36)
+    seen = set()
+    for i in range(10):
+        g = random_acyclic_gbn(rng, max_vars=12, min_vars=8, denom=(2, 6)[i % 2])
+        g = Gbn(g.nodes, g.edges,
+                {x: Cpt._of_table(x, c.parents, c.nums, c.den) for x, c in g.cpts.items()},
+                JointDistribution._of_table(g.iota.variables, g.iota.nums, g.iota.den))
+        made = []
+        assert fractions_made_by(lambda: made.append(chain_rule_dist(g))) == 0
+        assert made[0] == cutset_mc(g, ()).extend([JointDistribution.uniform(())])[0]
+        seen.update(["wide iota"] * (len(g.iota.variables) > 1),
+                    ["zeros"] * (0 in made[0].nums), ["12 nodes"] * (len(g.nodes) == 12))
+    assert seen == {"wide iota", "zeros", "12 nodes"}
 
 
 def test_check_independence_product():

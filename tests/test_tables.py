@@ -14,12 +14,17 @@ from conftest import rand_joint, random_acyclic_gbn, random_cyclic_gbn
 from cyclebn.constraints import (build_cpt_system, build_wcpt_system,
                                  check_consistency)
 from cyclebn.inference import chain_rule_dist
-from cyclebn.model import (JointDistribution, all_assignments,
-                           assignment_from_index, canonical_index, sub_indices)
+from cyclebn.model import (JointDistribution, assignment_from_index,
+                           canonical_index, sub_indices)
 from cyclebn.oracle import IndependenceTriple, check_independence
 
 ZERO, ONE = Fraction(0), Fraction(1)
 VARS = "ABCDEF"
+
+
+def all_assignments(variables):
+    vs = tuple(sorted(variables))
+    return [assignment_from_index(idx, vs) for idx in range(1 << len(vs))]
 
 
 def agrees(b, c):
@@ -68,9 +73,7 @@ def test_table_operations_match_definitions():
         other = rand_table(rng, "PQR"[:rng.randint(0, 3)])
         prod = mu.product(other)
         for idx, b in enumerate(all_assignments(prod.variables)):
-            assert prod.probs[idx] == \
-                mu.prob({v: b[v] for v in mu.variables}) \
-                * other.prob({v: b[v] for v in other.variables})
+            assert prod.probs[idx] == fraction_at(mu, b) * fraction_at(other, b)
 
         new_names = list("stuvwx"[:len(vs)])
         rng.shuffle(new_names)
@@ -95,6 +98,11 @@ def with_factor(mu, k):
 def fraction_at(mu, b):
     """mu's ``Fraction`` entry for the restriction of assignment b."""
     return mu.probs[canonical_index({v: b[v] for v in mu.variables}, mu.variables)]
+
+
+def row_at(cpt, b):
+    """The CPT's ``Fraction`` entry for the parents' values in assignment b."""
+    return cpt.rows[canonical_index({v: b[v] for v in cpt.parents}, cpt.parents)]
 
 
 def test_integer_table_operations_equal_fraction_definitions():
@@ -154,7 +162,7 @@ def literal_systems(g):
             c = assignment_from_index(pidx, cpt.parents)
             cpt_rows.append(([(pr - 1 if b[x] else pr) if agrees(b, c) else ZERO
                               for b in cols] + [ZERO], cpt.den))
-        wcpt_rows.append(([cpt.prob_true(b) - 1 if b[x] else cpt.prob_true(b)
+        wcpt_rows.append(([row_at(cpt, b) - 1 if b[x] else row_at(cpt, b)
                            for b in cols] + [ZERO], cpt.den))
     init = tuple(sorted(g.initial_nodes))
     tail = []
